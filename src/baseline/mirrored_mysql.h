@@ -149,7 +149,6 @@ class MirroredMySql : public WalSink, public PageProvider {
   Result<Page*> AllocatePage(PageType type, uint8_t level,
                              MiniTransaction* mtr) override;
   Status FreePage(Page* page, MiniTransaction* mtr) override;
-  PageId last_miss() const override { return last_miss_; }
   size_t page_size() const override { return options_.engine.page_size; }
 
  private:

@@ -4,6 +4,7 @@
 
 #include "common/coding.h"
 #include "common/logging.h"
+#include "engine/row_codec.h"
 #include "storage/storage_node.h"
 
 namespace aurora {
@@ -40,21 +41,6 @@ bool DecodeCatalogValue(const Slice& v, PageId* anchor, uint32_t* version) {
 
 std::string EncodeTxnStateValue(TxnState state) {
   return std::string(1, static_cast<char>(state));
-}
-
-std::string EncodeRow(uint32_t version, const std::string& value) {
-  std::string row;
-  PutVarint32(&row, version);
-  row += value;
-  return row;
-}
-
-Status DecodeRow(const std::string& row, uint32_t* version,
-                 std::string* value) {
-  Slice in(row);
-  if (!GetVarint32(&in, version)) return Status::Corruption("bad row header");
-  value->assign(in.data(), in.size());
-  return Status::OK();
 }
 
 std::string EncodeUndoValue(PageId table, const std::string& key, bool had_old,
@@ -131,7 +117,10 @@ Database::Database(sim::EventLoop* loop, sim::Network* network,
       options_(options),
       rng_(rng),
       pool_(options.buffer_pool_pages, options.page_size, &vdl_),
-      locks_(loop, options.lock_timeout) {
+      locks_(loop, options.lock_timeout),
+      fetcher_(loop, network, node_id, control_plane->topology(), &options_,
+               &pool_, &vdl_, this, &stats_.storage_page_reads,
+               &stats_.read_retries) {
   network_->Register(node_id_,
                      [this](const sim::Message& m) { HandleMessage(m); });
 }
@@ -148,7 +137,7 @@ void Database::HandleMessage(const sim::Message& msg) {
       HandleWriteAck(msg);
       break;
     case kMsgReadPageResp:
-      HandleReadPageResp(msg);
+      fetcher_.HandleResponse(msg);
       break;
     case kMsgInventoryResp:
       HandleInventoryResp(msg);
@@ -223,6 +212,21 @@ void Database::Bootstrap(std::function<void(Status)> done) {
   AdvanceDurability();
 }
 
+void Database::StopPipelines() {
+  for (auto& [pg, batch] : pending_batches_) {
+    if (batch.linger_armed) loop_->Cancel(batch.linger_event);
+  }
+  pending_batches_.clear();
+  for (auto& [seq, batch] : outstanding_) {
+    if (batch->retry_event != 0) loop_->Cancel(batch->retry_event);
+  }
+  outstanding_.clear();
+  fetcher_.Reset();
+  durable_waiters_.clear();
+  backpressure_queue_.clear();
+  commit_queue_.clear();
+}
+
 void Database::Crash() {
   ++generation_;
   open_ = false;
@@ -231,15 +235,7 @@ void Database::Crash() {
   // retain the closures (and their captured `this`) until they fire —
   // a use-after-free hazard if the Database is destroyed before the loop
   // drains, and unbounded bookkeeping growth in long chaos runs.
-  for (auto& [pg, batch] : pending_batches_) {
-    if (batch.linger_armed) loop_->Cancel(batch.linger_event);
-  }
-  for (auto& [seq, batch] : outstanding_) {
-    if (batch->retry_event != 0) loop_->Cancel(batch->retry_event);
-  }
-  for (auto& [req, pr] : pending_reads_) {
-    if (pr.timeout_event != 0) loop_->Cancel(pr.timeout_event);
-  }
+  StopPipelines();
   if (recovery_ != nullptr && recovery_->retry_event != 0) {
     loop_->Cancel(recovery_->retry_event);
   }
@@ -250,17 +246,9 @@ void Database::Crash() {
   pool_.Clear();
   locks_.Reset();
   txns_.clear();
-  commit_queue_.clear();
-  durable_waiters_.clear();
-  backpressure_queue_.clear();
   purge_queue_.clear();
-  pending_batches_.clear();
-  outstanding_.clear();
   replica_scl_.clear();
   pg_config_.clear();
-  page_waiters_.clear();
-  fetch_in_flight_.clear();
-  pending_reads_.clear();
   replica_stream_buffer_.clear();
   replica_commit_buffer_.clear();
   unacked_lsns_.clear();
@@ -548,23 +536,7 @@ void Database::BecomeFenced(Epoch fencing_epoch) {
               static_cast<unsigned long long>(volume_epoch_));
   // Stop the write pipeline: no batch may ever be resent under the dead
   // epoch, and nothing queued behind durability can ever be acked.
-  for (auto& [pg, batch] : pending_batches_) {
-    if (batch.linger_armed) loop_->Cancel(batch.linger_event);
-  }
-  pending_batches_.clear();
-  for (auto& [seq, batch] : outstanding_) {
-    if (batch->retry_event != 0) loop_->Cancel(batch->retry_event);
-  }
-  outstanding_.clear();
-  for (auto& [req, pr] : pending_reads_) {
-    if (pr.timeout_event != 0) loop_->Cancel(pr.timeout_event);
-  }
-  pending_reads_.clear();
-  fetch_in_flight_.clear();
-  page_waiters_.clear();
-  durable_waiters_.clear();
-  backpressure_queue_.clear();
-  commit_queue_.clear();
+  StopPipelines();
   // Surface the demotion to every caller still waiting on a commit: their
   // writes may or may not survive (the new writer's recovery decides), but
   // this instance can no longer promise either way.
@@ -596,14 +568,6 @@ void Database::DrainBackpressure() {
 // --------------------------------------------------------------------------
 // PageProvider: buffer pool + storage fetches (§4.2.3)
 // --------------------------------------------------------------------------
-
-Result<Page*> Database::GetPage(PageId id) {
-  Page* page = pool_.Lookup(id);
-  if (page != nullptr) return page;
-  last_miss_ = id;
-  StartPageFetch(id);
-  return Status::Busy("page miss");
-}
 
 Result<Page*> Database::AllocatePage(PageType type, uint8_t level,
                                      MiniTransaction* mtr) {
@@ -689,156 +653,91 @@ Status Database::FreePage(Page* page, MiniTransaction* mtr) {
   return Status::OK();
 }
 
-void Database::StartPageFetch(PageId id) {
-  if (fetch_in_flight_.count(id)) return;
-  uint64_t req = next_req_++;
-  fetch_in_flight_[id] = req;
-  PendingRead pr;
-  pr.page = id;
-  pr.pg = PgOf(id);
-  pr.read_point = vdl_;
-  pr.started_at = loop_->now();
-  pending_reads_[req] = pr;
-  ++stats_.storage_page_reads;
-  IssuePageRead(req);
+const std::array<sim::NodeId, kReplicasPerPg>& Database::FetchMembers(
+    PgId pg) {
+  return PgConfig(pg).nodes;
 }
 
-sim::NodeId Database::PickReadReplicaNode(PgId pg, Lsn read_point,
-                                          int attempt) {
-  const CachedConfig& members = PgConfig(pg);
-  const sim::Topology* topo = control_plane_->topology();
-  // Replicas known (from acks) to be complete at the read point, same-AZ
-  // first — the writer can route reads to a single up-to-date segment
-  // (§4.2.3); no quorum read is needed.
-  std::vector<int> candidates;
-  for (int i = 0; i < kReplicasPerPg; ++i) {
-    auto it = replica_scl_.find({pg, static_cast<ReplicaIdx>(i)});
-    if (it != replica_scl_.end() && it->second >= read_point) {
-      candidates.push_back(i);
-    }
-  }
-  if (candidates.empty()) {
-    for (int i = 0; i < kReplicasPerPg; ++i) candidates.push_back(i);
-  }
-  std::stable_sort(candidates.begin(), candidates.end(), [&](int a, int b) {
-    bool la = topo->SameAz(node_id_, members.nodes[a]);
-    bool lb = topo->SameAz(node_id_, members.nodes[b]);
-    return la > lb;
-  });
-  return members.nodes[candidates[attempt % candidates.size()]];
+bool Database::KnownComplete(PgId pg, int idx, Lsn read_point) {
+  // From write acks: the writer knows each segment's SCL (§4.2.3).
+  auto it = replica_scl_.find({pg, static_cast<ReplicaIdx>(idx)});
+  return it != replica_scl_.end() && it->second >= read_point;
 }
 
-void Database::IssuePageRead(uint64_t req_id) {
-  auto it = pending_reads_.find(req_id);
-  if (it == pending_reads_.end()) return;
-  PendingRead& pr = it->second;
-  sim::NodeId target = PickReadReplicaNode(pr.pg, pr.read_point,
-                                           pr.replica_tried);
-  ReadPageReqMsg req;
-  req.req_id = req_id;
-  req.pg = pr.pg;
-  req.page = pr.page;
-  req.read_point = pr.read_point;
-  req.epoch = volume_epoch_;
-  req.cfg_epoch = PgConfig(pr.pg).config_epoch;
-  std::string payload;
-  req.EncodeTo(&payload);
-  network_->Send(node_id_, target, kMsgReadPageReq, std::move(payload));
-
-  const uint64_t gen = generation_;
-  pr.timeout_event =
-      loop_->Schedule(options_.read_retry_timeout, [this, gen, req_id] {
-        if (gen != generation_) return;
-        auto it = pending_reads_.find(req_id);
-        if (it == pending_reads_.end()) return;
-        ++it->second.replica_tried;
-        ++stats_.read_retries;
-        IssuePageRead(req_id);
-      });
+void Database::StampEpochs(ReadPageReqMsg* req) {
+  req->epoch = volume_epoch_;
+  req->cfg_epoch = PgConfig(req->pg).config_epoch;
 }
 
-void Database::HandleReadPageResp(const sim::Message& msg) {
-  ReadPageRespMsg resp;
-  if (!ReadPageRespMsg::DecodeFrom(msg.payload(), &resp).ok()) return;
-  auto it = pending_reads_.find(resp.req_id);
-  if (it == pending_reads_.end()) return;  // late duplicate
-  PendingRead& pr = it->second;
-  loop_->Cancel(pr.timeout_event);
-
-  if (resp.status_code == static_cast<uint8_t>(Status::Code::kFenced)) {
+FetchRetry Database::OnErrorReply(PgId pg, Status::Code code) {
+  if (code == Status::Code::kFenced) {
     BecomeFenced(0);  // the segment outran our epoch; exact value unknown
-    return;
+    return FetchRetry::kStop;
   }
-  if (resp.status_code == static_cast<uint8_t>(Status::Code::kStaleConfig)) {
+  if (code == Status::Code::kStaleConfig) {
     // Not a demotion — our membership cache is behind. Refresh and retry
     // against the current member set.
     ++stats_.stale_config_refreshes;
-    RefreshPgConfig(pr.pg);
-    ++pr.replica_tried;
-    ++stats_.read_retries;
-    IssuePageRead(resp.req_id);
-    return;
+    RefreshPgConfig(pg);
+    return FetchRetry::kNow;
   }
-  if (resp.status_code != static_cast<uint8_t>(Status::Code::kOk)) {
-    // Wrong replica (incomplete / GC'd past us) — try another after a short
-    // pause; gossip heals lagging segments. If the PG is idle, its segments
-    // may simply lack a completeness snapshot at this read point: publish
-    // one proactively instead of waiting for the PGMRPL rotation.
-    PublishPgSnapshot(pr.pg);
-    ++pr.replica_tried;
-    ++stats_.read_retries;
-    const uint64_t gen = generation_;
-    const uint64_t req_id = resp.req_id;
-    pr.timeout_event = loop_->Schedule(Millis(1), [this, gen, req_id] {
-      if (gen != generation_) return;
-      IssuePageRead(req_id);
-    });
-    return;
-  }
+  // Wrong replica (incomplete / GC'd past us) — try another after a short
+  // pause; gossip heals lagging segments. If the PG is idle, its segments
+  // may simply lack a completeness snapshot at this read point: publish
+  // one proactively instead of waiting for the PGMRPL rotation.
+  PublishPgSnapshot(pg);
+  return FetchRetry::kLater;
+}
 
-  Page page(options_.page_size);
-  if (!page.LoadRaw(resp.page_bytes).ok() || !page.VerifyCrc()) {
-    ++pr.replica_tried;
-    IssuePageRead(resp.req_id);
-    return;
-  }
-  PageId id = pr.page;
-  stats_.page_fetch_latency_us.Record(loop_->now() - pr.started_at);
-  stats_.read_retry_depth.Record(static_cast<uint64_t>(pr.replica_tried));
-  pending_reads_.erase(it);
-  fetch_in_flight_.erase(id);
-  pool_.Install(id, std::move(page));
-  // Safe point: no operation is mid-attempt here, so eviction cannot
-  // invalidate live page pointers.
-  pool_.EvictExcess();
-
-  auto wit = page_waiters_.find(id);
-  if (wit == page_waiters_.end()) return;
-  std::vector<PageWaiter> waiters = std::move(wit->second);
-  page_waiters_.erase(wit);
-  for (PageWaiter& w : waiters) w.retry();
+void Database::OnInstalled(PageId, Page*, SimDuration latency, int attempts) {
+  stats_.page_fetch_latency_us.Record(latency);
+  stats_.read_retry_depth.Record(static_cast<uint64_t>(attempts));
 }
 
 // --------------------------------------------------------------------------
 // Op plumbing
 // --------------------------------------------------------------------------
 
-void Database::RunWithRetries(std::function<Status()> attempt,
-                              std::function<void(Status)> done) {
-  last_miss_ = kInvalidPage;
-  Status s = attempt();
-  if (s.IsBusy() && last_miss_ != kInvalidPage) {
-    PageId missed = last_miss_;
-    page_waiters_[missed].push_back(
-        {[this, attempt = std::move(attempt), done = std::move(done)]() {
-          RunWithRetries(attempt, done);
-        }});
-    return;
+Status Database::ClosedStatus() const {
+  return fenced_ ? Status::Fenced("writer fenced by a newer volume epoch")
+                 : Status::Unavailable("database not open");
+}
+
+Status Database::AdmitStatement(TxnId txn) {
+  if (!open_) return ClosedStatus();
+  Txn* t = FindTxn(txn);
+  if (t == nullptr || t->state != TxnState::kActive) {
+    return Status::Aborted("transaction not active");
   }
-  // Safe point for eviction: the attempt is finished, nothing holds raw
-  // page pointers.
-  pool_.EvictExcess();
-  done(s);
+  return Status::OK();
+}
+
+template <typename AttemptFn, typename FinishFn, typename DoneFn>
+void Database::LockAndRun(TxnId txn, PageId table, const std::string& key,
+                          LockMode mode, AttemptFn attempt, FinishFn finish,
+                          DoneFn done) {
+  // Runs exactly once (the lock manager keeps its copy only when it queues
+  // the request), so it may move its captures out.
+  auto with_lock = [this, txn, attempt = std::move(attempt),
+                    finish = std::move(finish),
+                    done = std::move(done)](Status ls) mutable {
+    if (ls.ok()) {
+      fetcher_.RunWithRetries(
+          std::move(attempt),
+          [finish = std::move(finish), done = std::move(done)](Status s) {
+            finish(s, done);
+          });
+      return;
+    }
+    Txn* t = FindTxn(txn);
+    if (t != nullptr) {
+      RollbackInternal(t, [done = std::move(done), ls](Status) { done(ls); });
+    } else {
+      done(ls);
+    }
+  };
+  Status s = locks_.Lock(txn, table, key, mode, with_lock);
+  if (!s.IsBusy()) with_lock(s);
 }
 
 void Database::ChargeCpu(SimDuration cost, std::function<void()> then) {
@@ -881,7 +780,7 @@ void Database::CreateTable(const std::string& name,
     durable_lsn_for_ddl_ = mtr.commit_lsn();
     return Status::OK();
   };
-  RunWithRetries(attempt, [this, done](Status s) {
+  fetcher_.RunWithRetries(attempt, [this, done](Status s) {
     if (!s.ok()) {
       done(s);
       return;
@@ -996,7 +895,7 @@ void Database::AlterTableSchema(const std::string& name,
     durable_lsn_for_ddl_ = mtr.commit_lsn();
     return Status::OK();
   };
-  RunWithRetries(attempt, [this, done](Status s) {
+  fetcher_.RunWithRetries(attempt, [this, done](Status s) {
     if (!s.ok()) {
       done(s);
       return;
@@ -1082,23 +981,12 @@ Status Database::WriteRowAttempt(Txn* txn, PageId table,
 void Database::Put(TxnId txn, PageId table, const std::string& key,
                    const std::string& value,
                    std::function<void(Status)> done) {
-  if (!open_) {
-    done(fenced_ ? Status::Fenced("writer fenced by a newer volume epoch")
-                 : Status::Unavailable("database not open"));
+  if (Status s = AdmitStatement(txn); !s.ok()) {
+    done(s);
     return;
   }
-  Txn* t = FindTxn(txn);
-  if (t == nullptr || t->state != TxnState::kActive) {
-    done(Status::Aborted("transaction not active"));
-    return;
-  }
-  if (paused_ && txn >= pause_watermark_) {
-    DeferForBackpressure([this, txn, table, key, value, done]() {
-      Put(txn, table, key, value, done);
-    });
-    return;
-  }
-  if (in_backpressure()) {
+  // ZDP holds post-watermark transactions at the door; the LAL holds all.
+  if ((paused_ && txn >= pause_watermark_) || in_backpressure()) {
     DeferForBackpressure([this, txn, table, key, value, done]() {
       Put(txn, table, key, value, done);
     });
@@ -1108,86 +996,53 @@ void Database::Put(TxnId txn, PageId table, const std::string& key,
   SimTime started = loop_->now();
   ChargeCpu(options_.cpu_per_statement, [this, txn, table, key, value, done,
                                          started]() {
-    auto with_lock = [this, txn, table, key, value, done, started](Status ls) {
-      if (!ls.ok()) {
-        Txn* t = FindTxn(txn);
-        if (t != nullptr) {
-          RollbackInternal(t, [done, ls](Status) { done(ls); });
-        } else {
-          done(ls);
-        }
-        return;
-      }
-      auto attempt = [this, txn, table, key, value]() -> Status {
-        Txn* t = FindTxn(txn);
-        if (t == nullptr || t->state != TxnState::kActive) {
-          return Status::Aborted("transaction gone");
-        }
-        return WriteRowAttempt(t, table, key, &value);
-      };
-      RunWithRetries(attempt, [this, done, started](Status s) {
-        stats_.write_latency_us.Record(loop_->now() - started);
-        done(s);
-      });
-    };
-    Status s = locks_.Lock(txn, table, key, LockMode::kExclusive, with_lock);
-    if (!s.IsBusy()) with_lock(s);
+    LockAndRun(
+        txn, table, key, LockMode::kExclusive,
+        [this, txn, table, key, value]() -> Status {
+          Txn* t = FindTxn(txn);
+          if (t == nullptr || t->state != TxnState::kActive) {
+            return Status::Aborted("transaction gone");
+          }
+          return WriteRowAttempt(t, table, key, &value);
+        },
+        [this, started](Status s, const auto& done) {
+          stats_.write_latency_us.Record(loop_->now() - started);
+          done(s);
+        },
+        done);
   });
 }
 
 void Database::Delete(TxnId txn, PageId table, const std::string& key,
                       std::function<void(Status)> done) {
-  if (!open_) {
-    done(fenced_ ? Status::Fenced("writer fenced by a newer volume epoch")
-                 : Status::Unavailable("database not open"));
+  if (Status s = AdmitStatement(txn); !s.ok()) {
+    done(s);
     return;
   }
-  Txn* t = FindTxn(txn);
-  if (t == nullptr || t->state != TxnState::kActive) {
-    done(Status::Aborted("transaction not active"));
-    return;
-  }
-  if (in_backpressure()) {
+  if ((paused_ && txn >= pause_watermark_) || in_backpressure()) {
     DeferForBackpressure(
         [this, txn, table, key, done]() { Delete(txn, table, key, done); });
     return;
   }
   ++stats_.deletes;
   ChargeCpu(options_.cpu_per_statement, [this, txn, table, key, done]() {
-    auto with_lock = [this, txn, table, key, done](Status ls) {
-      if (!ls.ok()) {
-        Txn* t = FindTxn(txn);
-        if (t != nullptr) {
-          RollbackInternal(t, [done, ls](Status) { done(ls); });
-        } else {
-          done(ls);
-        }
-        return;
-      }
-      auto attempt = [this, txn, table, key]() -> Status {
-        Txn* t = FindTxn(txn);
-        if (t == nullptr || t->state != TxnState::kActive) {
-          return Status::Aborted("transaction gone");
-        }
-        return WriteRowAttempt(t, table, key, nullptr);
-      };
-      RunWithRetries(attempt, done);
-    };
-    Status s = locks_.Lock(txn, table, key, LockMode::kExclusive, with_lock);
-    if (!s.IsBusy()) with_lock(s);
+    LockAndRun(
+        txn, table, key, LockMode::kExclusive,
+        [this, txn, table, key]() -> Status {
+          Txn* t = FindTxn(txn);
+          if (t == nullptr || t->state != TxnState::kActive) {
+            return Status::Aborted("transaction gone");
+          }
+          return WriteRowAttempt(t, table, key, nullptr);
+        },
+        [](Status s, const auto& done) { done(s); }, done);
   });
 }
 
 void Database::Get(TxnId txn, PageId table, const std::string& key,
                    std::function<void(Result<std::string>)> done) {
-  if (!open_) {
-    done(fenced_ ? Status::Fenced("writer fenced by a newer volume epoch")
-                 : Status::Unavailable("database not open"));
-    return;
-  }
-  Txn* t = FindTxn(txn);
-  if (t == nullptr || t->state != TxnState::kActive) {
-    done(Status::Aborted("transaction not active"));
+  if (Status s = AdmitStatement(txn); !s.ok()) {
+    done(s);
     return;
   }
   if (paused_ && txn >= pause_watermark_) {
@@ -1199,47 +1054,25 @@ void Database::Get(TxnId txn, PageId table, const std::string& key,
   SimTime started = loop_->now();
   ChargeCpu(options_.cpu_per_statement, [this, txn, table, key, done,
                                          started]() {
-    auto with_lock = [this, txn, table, key, done, started](Status ls) {
-      if (!ls.ok()) {
-        Txn* t = FindTxn(txn);
-        if (t != nullptr) {
-          RollbackInternal(t, [done, ls](Status) { done(ls); });
-        } else {
-          done(ls);
-        }
-        return;
-      }
-      auto result = std::make_shared<std::string>();
-      auto attempt = [this, table, key, result]() -> Status {
-        BTree tree(this, table);
-        return tree.Get(key, result.get());
-      };
-      RunWithRetries(attempt, [this, done, result, started](Status s) {
-        stats_.read_latency_us.Record(loop_->now() - started);
-        if (!s.ok()) {
-          done(s);
-          return;
-        }
-        uint32_t version;
-        std::string value;
-        Status ds = DecodeRow(*result, &version, &value);
-        if (!ds.ok()) {
-          done(ds);
-          return;
-        }
-        done(std::move(value));
-      });
-    };
-    Status s = locks_.Lock(txn, table, key, LockMode::kShared, with_lock);
-    if (!s.IsBusy()) with_lock(s);
+    auto result = std::make_shared<std::string>();
+    LockAndRun(
+        txn, table, key, LockMode::kShared,
+        [this, table, key, result]() -> Status {
+          BTree tree(this, table);
+          return tree.Get(key, result.get());
+        },
+        [this, result, started](Status s, const auto& done) {
+          stats_.read_latency_us.Record(loop_->now() - started);
+          done(s.ok() ? DecodeRow(*result) : Result<std::string>(s));
+        },
+        done);
   });
 }
 
 void Database::SnapshotGet(TxnId txn, PageId table, const std::string& key,
                            std::function<void(Result<std::string>)> done) {
   if (!open_) {
-    done(fenced_ ? Status::Fenced("writer fenced by a newer volume epoch")
-                 : Status::Unavailable("database not open"));
+    done(ClosedStatus());
     return;
   }
   (void)txn;
@@ -1257,14 +1090,7 @@ void Database::SnapshotGet(TxnId txn, PageId table, const std::string& key,
           done(Status::NotFound("row created by in-flight txn"));
           return;
         }
-        uint32_t version;
-        std::string value;
-        Status ds = DecodeRow(it->old_value, &version, &value);
-        if (ds.ok()) {
-          done(std::move(value));
-        } else {
-          done(ds);
-        }
+        done(DecodeRow(it->old_value));
         return;
       }
     }
@@ -1273,20 +1099,9 @@ void Database::SnapshotGet(TxnId txn, PageId table, const std::string& key,
       BTree tree(this, table);
       return tree.Get(key, result.get());
     };
-    RunWithRetries(attempt, [this, done, result, started](Status s) {
+    fetcher_.RunWithRetries(attempt, [this, done, result, started](Status s) {
       stats_.read_latency_us.Record(loop_->now() - started);
-      if (!s.ok()) {
-        done(s);
-        return;
-      }
-      uint32_t version;
-      std::string value;
-      Status ds = DecodeRow(*result, &version, &value);
-      if (ds.ok()) {
-        done(std::move(value));
-      } else {
-        done(ds);
-      }
+      done(s.ok() ? DecodeRow(*result) : Result<std::string>(s));
     });
   });
 }
@@ -1297,8 +1112,7 @@ void Database::Scan(
         Result<std::vector<std::pair<std::string, std::string>>>)>
         done) {
   if (!open_) {
-    done(fenced_ ? Status::Fenced("writer fenced by a newer volume epoch")
-                 : Status::Unavailable("database not open"));
+    done(ClosedStatus());
     return;
   }
   (void)txn;  // read-committed scan: no row locks
@@ -1311,16 +1125,15 @@ void Database::Scan(
       BTree tree(this, table);
       return tree.Scan(start, limit, rows.get());
     };
-    RunWithRetries(attempt, [done, rows](Status s) {
+    fetcher_.RunWithRetries(attempt, [done, rows](Status s) {
       if (!s.ok()) {
         done(s);
         return;
       }
       // Strip version stamps.
       for (auto& [k, raw] : *rows) {
-        uint32_t version;
-        std::string value;
-        if (DecodeRow(raw, &version, &value).ok()) raw = std::move(value);
+        Result<std::string> value = DecodeRow(raw);
+        if (value.ok()) raw = std::move(*value);
       }
       done(std::move(*rows));
     });
@@ -1371,7 +1184,7 @@ void Database::Commit(TxnId txn, std::function<void(Status)> done) {
     t->commit_lsn = mtr.commit_lsn();
     return Status::OK();
   };
-  RunWithRetries(attempt, [this, txn, done](Status s) {
+  fetcher_.RunWithRetries(attempt, [this, txn, done](Status s) {
     Txn* t = FindTxn(txn);
     if (!s.ok() || t == nullptr) {
       done(s.ok() ? Status::Aborted("transaction gone") : s);
@@ -1425,7 +1238,7 @@ void Database::UndoOneEntry(Txn* t, size_t remaining,
       }
       return CommitMtr(&mtr);
     };
-    RunWithRetries(attempt, [this, id, done](Status s) {
+    fetcher_.RunWithRetries(attempt, [this, id, done](Status s) {
       locks_.ReleaseAll(id);
       ++stats_.txns_aborted;
       purge_queue_.push_back(id);
@@ -1454,7 +1267,7 @@ void Database::UndoOneEntry(Txn* t, size_t remaining,
     }
     return CommitMtr(&mtr);
   };
-  RunWithRetries(attempt, [this, id, remaining, done](Status s) {
+  fetcher_.RunWithRetries(attempt, [this, id, remaining, done](Status s) {
     Txn* t = FindTxn(id);
     if (t == nullptr) {
       done(Status::Aborted("transaction gone during rollback"));
@@ -1528,7 +1341,8 @@ void Database::PurgeOne(uint64_t gen, std::function<void()> next) {
     return CommitMtr(&mtr);
   };
   purge_done_ = false;
-  RunWithRetries(attempt, [this, gen, id, next = std::move(next)](Status s) {
+  fetcher_.RunWithRetries(attempt, [this, gen, id,
+                                    next = std::move(next)](Status s) {
     if (gen != generation_) return;
     if (s.ok() && purge_done_ && !purge_queue_.empty() &&
         purge_queue_.front() == id) {
@@ -1563,10 +1377,7 @@ Lsn Database::ComputePgmrpl() const {
   // §4.2.3: the low-water mark below which no read request will ever come —
   // the min over outstanding storage reads and replica read points, or the
   // current VDL if none are outstanding.
-  Lsn low = vdl_;
-  for (const auto& [req, pr] : pending_reads_) {
-    low = std::min(low, pr.read_point);
-  }
+  Lsn low = fetcher_.LowestReadPoint(vdl_);
   for (const auto& [node, rp] : replica_read_points_) {
     low = std::min(low, rp);
   }
@@ -1717,7 +1528,7 @@ void Database::Recover(std::function<void(Status)> done) {
   ++generation_;
   recovery_ = std::make_shared<RecoveryState>();
   recovery_->done = std::move(done);
-  recovery_->req_id = next_req_++;
+  recovery_->req_id = fetcher_.NewRequestId();
   recovery_->started_at = loop_->now();
   RecoveryCollectInventories(recovery_);
 }
@@ -1893,7 +1704,7 @@ void Database::RecoveryFinish(std::shared_ptr<RecoveryState> rs) {
   // Replica SCL knowledge restarts empty; reads will discover it. Open for
   // business, then fetch the system catalog and run undo in background.
   auto attempt = [this]() -> Status { return EnsureSystemTrees(); };
-  RunWithRetries(attempt, [this, rs](Status s) {
+  fetcher_.RunWithRetries(attempt, [this, rs](Status s) {
     recovery_.reset();
     if (!s.ok()) {
       rs->done(s);
@@ -1954,7 +1765,7 @@ void Database::StartBackgroundUndo() {
     }
     return Status::OK();
   };
-  RunWithRetries(scan_attempt, [this, actives](Status s) {
+  fetcher_.RunWithRetries(scan_attempt, [this, actives](Status s) {
     if (!s.ok()) {
       AURORA_WARN("background undo scan failed: %s", s.ToString().c_str());
       if (undo_complete_cb_) undo_complete_cb_();
@@ -1997,7 +1808,7 @@ void Database::UndoNextRecoveredTxn(
     raw->next_undo_seq = seq;
     return Status::OK();
   };
-  RunWithRetries(load_attempt, [this, actives, idx, id](Status s) {
+  fetcher_.RunWithRetries(load_attempt, [this, actives, idx, id](Status s) {
     Txn* t = FindTxn(id);
     if (!s.ok() || t == nullptr) {
       UndoNextRecoveredTxn(actives, idx + 1);

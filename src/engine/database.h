@@ -15,6 +15,7 @@
 #include "engine/buffer_pool.h"
 #include "engine/lock_manager.h"
 #include "engine/options.h"
+#include "engine/page_fetcher.h"
 #include "log/mtr.h"
 #include "page/btree.h"
 #include "page/page_provider.h"
@@ -83,8 +84,6 @@ enum class TxnState : uint8_t {
   kAborted = 3,
 };
 
-class ReadReplica;
-
 /// The Aurora database engine — the single writer instance of Figure 3/5.
 ///
 /// It keeps the top three-quarters of a traditional kernel (transactions,
@@ -107,7 +106,7 @@ class ReadReplica;
 ///    normal path), with PGMRPL broadcast for storage GC;
 ///  - quorum-based crash recovery: inventory union -> VCL -> VDL ->
 ///    epoch-stamped truncation -> undo of in-flight transactions.
-class Database : public WalSink, public PageProvider {
+class Database : public WalSink, public PageProvider, private FetchPolicy {
  public:
   Database(sim::EventLoop* loop, sim::Network* network, sim::NodeId node_id,
            sim::Instance* instance, ControlPlane* control_plane,
@@ -226,16 +225,13 @@ class Database : public WalSink, public PageProvider {
   Status CommitMtr(MiniTransaction* mtr) override;
 
   // --- PageProvider ------------------------------------------------------------
-  Result<Page*> GetPage(PageId id) override;
+  Result<Page*> GetPage(PageId id) override { return fetcher_.GetPage(id); }
   Result<Page*> AllocatePage(PageType type, uint8_t level,
                              MiniTransaction* mtr) override;
   Status FreePage(Page* page, MiniTransaction* mtr) override;
-  PageId last_miss() const override { return last_miss_; }
   size_t page_size() const override { return options_.page_size; }
 
  private:
-  friend class ReadReplica;
-
   struct Txn {
     TxnId id;
     TxnState state = TxnState::kActive;
@@ -280,25 +276,19 @@ class Database : public WalSink, public PageProvider {
     explicit OutstandingBatch(QuorumConfig q) : tracker(q) {}
   };
 
-  struct PageWaiter {
-    std::function<void()> retry;
-  };
-
-  struct PendingRead {
-    PageId page;
-    PgId pg;
-    Lsn read_point;
-    int replica_tried = 0;
-    sim::EventId timeout_event = 0;
-    SimTime started_at = 0;
-  };
-
   // --- Op plumbing ---------------------------------------------------------
-  /// Runs `attempt` now and re-runs it after each page fetch it triggers.
-  /// `attempt` returns Busy (after a GetPage miss) to be retried, anything
-  /// else to finish.
-  void RunWithRetries(std::function<Status()> attempt,
-                      std::function<void(Status)> done);
+  /// Unavailable, or Fenced once demoted: why a closed engine refuses work.
+  Status ClosedStatus() const;
+  /// OK when a statement of `txn` may run: engine open, txn active.
+  Status AdmitStatement(TxnId txn);
+  /// Takes `mode` on (table, key) for `txn`, then runs `attempt` through
+  /// the fetcher and calls `finish(status, done)`. A lock failure (deadlock
+  /// victim, timeout) rolls the transaction back and goes straight to
+  /// `done`.
+  template <typename AttemptFn, typename FinishFn, typename DoneFn>
+  void LockAndRun(TxnId txn, PageId table, const std::string& key,
+                  LockMode mode, AttemptFn attempt, FinishFn finish,
+                  DoneFn done);
   /// Charges CPU, then runs.
   void ChargeCpu(SimDuration cost, std::function<void()> then);
   void DeferForBackpressure(std::function<void()> retry);
@@ -330,12 +320,18 @@ class Database : public WalSink, public PageProvider {
   /// every outstanding batch retry, fails queued commits and waiters, and
   /// closes the engine so new operations fail fast with Status::Fenced.
   void BecomeFenced(Epoch fencing_epoch);
+  /// Crash and fencing: cancels the batch and fetch timers and drops every
+  /// batch, fetch and waiter queued behind durability.
+  void StopPipelines();
 
-  // --- Read path -------------------------------------------------------------
-  void StartPageFetch(PageId id);
-  void IssuePageRead(uint64_t req_id);
-  void HandleReadPageResp(const sim::Message& msg);
-  sim::NodeId PickReadReplicaNode(PgId pg, Lsn read_point, int attempt);
+  // --- FetchPolicy (read path, §4.2.3) ---------------------------------------
+  const std::array<sim::NodeId, kReplicasPerPg>& FetchMembers(
+      PgId pg) override;
+  bool KnownComplete(PgId pg, int idx, Lsn read_point) override;
+  void StampEpochs(ReadPageReqMsg* req) override;
+  FetchRetry OnErrorReply(PgId pg, Status::Code code) override;
+  void OnInstalled(PageId id, Page* page, SimDuration latency,
+                   int attempts) override;
 
   // --- Txn internals -----------------------------------------------------------
   Txn* FindTxn(TxnId id);
@@ -406,6 +402,8 @@ class Database : public WalSink, public PageProvider {
 
   BufferPool pool_;
   LockManager locks_;
+  /// Cache misses: single-segment reads at the VDL, routed by replica_scl_.
+  PageFetcher fetcher_;
 
   // System trees.
   PageId meta_page_id_ = 0;
@@ -434,13 +432,6 @@ class Database : public WalSink, public PageProvider {
   std::map<std::pair<PgId, ReplicaIdx>, Lsn> replica_scl_;
   /// Cached membership per PG (see PgConfig).
   std::map<PgId, CachedConfig> pg_config_;
-
-  // Read pipeline.
-  std::map<PageId, std::vector<PageWaiter>> page_waiters_;
-  std::map<PageId, uint64_t> fetch_in_flight_;  // page -> req id
-  std::map<uint64_t, PendingRead> pending_reads_;
-  uint64_t next_req_ = 1;
-  PageId last_miss_ = kInvalidPage;
 
   // Replication.
   std::vector<sim::NodeId> replicas_;

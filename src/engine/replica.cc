@@ -4,21 +4,10 @@
 
 #include "common/coding.h"
 #include "common/logging.h"
+#include "engine/row_codec.h"
 #include "log/applicator.h"
 
 namespace aurora {
-
-namespace {
-
-Status DecodeRowValue(const std::string& row, std::string* value) {
-  Slice in(row);
-  uint32_t version;
-  if (!GetVarint32(&in, &version)) return Status::Corruption("bad row");
-  value->assign(in.data(), in.size());
-  return Status::OK();
-}
-
-}  // namespace
 
 ReadReplica::ReadReplica(sim::EventLoop* loop, sim::Network* network,
                          sim::NodeId node_id, sim::Instance* instance,
@@ -32,7 +21,10 @@ ReadReplica::ReadReplica(sim::EventLoop* loop, sim::Network* network,
       writer_node_(writer_node),
       options_(options),
       rng_(rng),
-      pool_(options.buffer_pool_pages, options.page_size, &applied_vdl_) {
+      pool_(options.buffer_pool_pages, options.page_size, &applied_vdl_),
+      fetcher_(loop, network, node_id, control_plane->topology(), &options_,
+               &pool_, &applied_vdl_, this, &stats_.storage_page_reads,
+               /*retries=*/nullptr) {
   network_->Register(node_id_,
                      [this](const sim::Message& m) { HandleMessage(m); });
   ReportReadPointTick();
@@ -49,7 +41,7 @@ void ReadReplica::HandleMessage(const sim::Message& msg) {
       HandleLogStream(msg);
       break;
     case kMsgReadPageResp:
-      HandleReadPageResp(msg);
+      fetcher_.HandleResponse(msg);
       break;
     default:
       break;
@@ -63,14 +55,9 @@ void ReadReplica::Crash() {
   pending_stream_.clear();
   pending_commits_.clear();
   stashed_records_.clear();
-  page_waiters_.clear();
-  fetch_in_flight_.clear();
   // Cancel outstanding fetch-retry timers and the read-point reporting tick
   // so repeated crash/restart cycles don't leak dead events in the loop.
-  for (const auto& [req_id, pr] : pending_reads_) {
-    loop_->Cancel(pr.timeout_event);
-  }
-  pending_reads_.clear();
+  fetcher_.Reset();
   loop_->Cancel(read_point_timer_);
 }
 
@@ -135,7 +122,7 @@ void ReadReplica::ApplyReadyMtrs() {
 }
 
 void ReadReplica::ApplyRecord(const LogRecord& rec) {
-  if (fetch_in_flight_.count(rec.page_id)) {
+  if (fetcher_.InFlight(rec.page_id)) {
     stashed_records_[rec.page_id].push_back(rec);
     return;
   }
@@ -155,128 +142,18 @@ void ReadReplica::ApplyRecord(const LogRecord& rec) {
   ++stats_.records_applied;
 }
 
-Result<Page*> ReadReplica::GetPage(PageId id) {
-  Page* page = pool_.Lookup(id);
-  if (page != nullptr) return page;
-  last_miss_ = id;
-  StartPageFetch(id);
-  return Status::Busy("page miss");
-}
-
-void ReadReplica::StartPageFetch(PageId id) {
-  if (fetch_in_flight_.count(id)) return;
-  uint64_t req = next_req_++;
-  fetch_in_flight_[id] = req;
-  PendingRead pr;
-  pr.page = id;
-  pr.pg = static_cast<PgId>(id / options_.pages_per_pg);
-  pr.read_point = applied_vdl_;
-  pending_reads_[req] = pr;
-  ++stats_.storage_page_reads;
-  IssuePageRead(req);
-}
-
-void ReadReplica::IssuePageRead(uint64_t req_id) {
-  auto it = pending_reads_.find(req_id);
-  if (it == pending_reads_.end()) return;
-  PendingRead& pr = it->second;
-  const PgMembership& members = control_plane_->membership(pr.pg);
-  const sim::Topology* topo = control_plane_->topology();
-  // Prefer same-AZ replicas; rotate through the rest on retry.
-  std::vector<int> order;
-  for (int i = 0; i < kReplicasPerPg; ++i) order.push_back(i);
-  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-    return topo->SameAz(node_id_, members.nodes[a]) >
-           topo->SameAz(node_id_, members.nodes[b]);
-  });
-  sim::NodeId target = members.nodes[order[pr.attempt % order.size()]];
-
-  ReadPageReqMsg req;
-  req.req_id = req_id;
-  req.pg = pr.pg;
-  req.page = pr.page;
-  req.read_point = pr.read_point;
-  std::string payload;
-  req.EncodeTo(&payload);
-  network_->Send(node_id_, target, kMsgReadPageReq, std::move(payload));
-
-  const uint64_t gen = generation_;
-  pr.timeout_event =
-      loop_->Schedule(options_.read_retry_timeout, [this, gen, req_id] {
-        if (gen != generation_) return;
-        auto it = pending_reads_.find(req_id);
-        if (it == pending_reads_.end()) return;
-        ++it->second.attempt;
-        IssuePageRead(req_id);
-      });
-}
-
-void ReadReplica::HandleReadPageResp(const sim::Message& msg) {
-  ReadPageRespMsg resp;
-  if (!ReadPageRespMsg::DecodeFrom(msg.payload(), &resp).ok()) return;
-  auto it = pending_reads_.find(resp.req_id);
-  if (it == pending_reads_.end()) return;
-  PendingRead& pr = it->second;
-  loop_->Cancel(pr.timeout_event);
-
-  if (resp.status_code != static_cast<uint8_t>(Status::Code::kOk)) {
-    ++pr.attempt;
-    const uint64_t gen = generation_;
-    const uint64_t req_id = resp.req_id;
-    pr.timeout_event = loop_->Schedule(Millis(1), [this, gen, req_id] {
-      if (gen != generation_) return;
-      IssuePageRead(req_id);
-    });
-    return;
-  }
-
-  Page page(options_.page_size);
-  if (!page.LoadRaw(resp.page_bytes).ok() || !page.VerifyCrc()) {
-    ++pr.attempt;
-    IssuePageRead(resp.req_id);
-    return;
-  }
-  PageId id = pr.page;
-  pending_reads_.erase(it);
-  fetch_in_flight_.erase(id);
-  Page* installed = pool_.Install(id, std::move(page));
-  pool_.EvictExcess();
-
+void ReadReplica::OnInstalled(PageId id, Page* page, SimDuration, int) {
   // Replay records that streamed past while the fetch was in flight
   // (idempotent: anything already in the fetched image is skipped by LSN).
   auto sit = stashed_records_.find(id);
-  if (sit != stashed_records_.end()) {
-    for (const LogRecord& r : sit->second) {
-      Status s = LogApplicator::Apply(r, installed);
-      if (!s.ok()) {
-        pool_.Discard(id);
-        break;
-      }
+  if (sit == stashed_records_.end()) return;
+  for (const LogRecord& r : sit->second) {
+    if (!LogApplicator::Apply(r, page).ok()) {
+      pool_.Discard(id);
+      break;
     }
-    stashed_records_.erase(sit);
   }
-
-  auto wit = page_waiters_.find(id);
-  if (wit == page_waiters_.end()) return;
-  auto waiters = std::move(wit->second);
-  page_waiters_.erase(wit);
-  for (auto& w : waiters) w();
-}
-
-void ReadReplica::RunWithRetries(std::function<Status()> attempt,
-                                 std::function<void(Status)> done) {
-  last_miss_ = kInvalidPage;
-  Status s = attempt();
-  if (s.IsBusy() && last_miss_ != kInvalidPage) {
-    PageId missed = last_miss_;
-    page_waiters_[missed].push_back(
-        [this, attempt = std::move(attempt), done = std::move(done)]() {
-          RunWithRetries(attempt, done);
-        });
-    return;
-  }
-  pool_.EvictExcess();
-  done(s);
+  stashed_records_.erase(sit);
 }
 
 void ReadReplica::Get(PageId table, const std::string& key,
@@ -294,19 +171,9 @@ void ReadReplica::Get(PageId table, const std::string& key,
       BTree tree(this, table);
       return tree.Get(key, result.get());
     };
-    RunWithRetries(attempt, [this, done, result, started](Status s) {
+    fetcher_.RunWithRetries(attempt, [this, done, result, started](Status s) {
       stats_.read_latency_us.Record(loop_->now() - started);
-      if (!s.ok()) {
-        done(s);
-        return;
-      }
-      std::string value;
-      Status ds = DecodeRowValue(*result, &value);
-      if (ds.ok()) {
-        done(std::move(value));
-      } else {
-        done(ds);
-      }
+      done(s.ok() ? DecodeRow(*result) : Result<std::string>(s));
     });
   });
 }
@@ -326,7 +193,7 @@ void ReadReplica::TableAnchor(const std::string& name,
     *anchor = DecodeFixed64(v.data());
     return Status::OK();
   };
-  RunWithRetries(attempt, [done, anchor](Status s) {
+  fetcher_.RunWithRetries(attempt, [done, anchor](Status s) {
     if (s.ok()) {
       done(*anchor);
     } else {

@@ -4,8 +4,6 @@
 #include <deque>
 #include <functional>
 #include <map>
-#include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -13,6 +11,7 @@
 #include "common/random.h"
 #include "engine/buffer_pool.h"
 #include "engine/options.h"
+#include "engine/page_fetcher.h"
 #include "page/btree.h"
 #include "page/page_provider.h"
 #include "sim/event_loop.h"
@@ -45,7 +44,7 @@ struct ReplicaStats {
 /// part of a single mini-transaction are applied atomically in the
 /// replica's cache." Records for pages not in the cache are discarded —
 /// replicas add no storage or write I/O cost.
-class ReadReplica : public PageProvider {
+class ReadReplica : public PageProvider, private FetchPolicy {
  public:
   ReadReplica(sim::EventLoop* loop, sim::Network* network, sim::NodeId node_id,
               sim::Instance* instance, ControlPlane* control_plane,
@@ -77,14 +76,13 @@ class ReadReplica : public PageProvider {
   BufferPool* buffer_pool() { return &pool_; }
 
   // --- PageProvider ---------------------------------------------------------
-  Result<Page*> GetPage(PageId id) override;
+  Result<Page*> GetPage(PageId id) override { return fetcher_.GetPage(id); }
   Result<Page*> AllocatePage(PageType, uint8_t, MiniTransaction*) override {
     return Status::NotSupported("replicas are read-only");
   }
   Status FreePage(Page*, MiniTransaction*) override {
     return Status::NotSupported("replicas are read-only");
   }
-  PageId last_miss() const override { return last_miss_; }
   size_t page_size() const override { return options_.page_size; }
 
  private:
@@ -92,20 +90,19 @@ class ReadReplica : public PageProvider {
   void HandleLogStream(const sim::Message& msg);
   void ApplyReadyMtrs();
   void ApplyRecord(const LogRecord& rec);
-  void StartPageFetch(PageId id);
-  void IssuePageRead(uint64_t req_id);
-  void HandleReadPageResp(const sim::Message& msg);
-  void RunWithRetries(std::function<Status()> attempt,
-                      std::function<void(Status)> done);
   void ReportReadPointTick();
 
-  struct PendingRead {
-    PageId page;
-    PgId pg;
-    Lsn read_point;
-    int attempt = 0;
-    sim::EventId timeout_event = 0;
-  };
+  // --- FetchPolicy: every member is a candidate, unstamped requests -------
+  const std::array<sim::NodeId, kReplicasPerPg>& FetchMembers(
+      PgId pg) override {
+    return control_plane_->membership(pg).nodes;
+  }
+  bool KnownComplete(PgId, int, Lsn) override { return false; }
+  void StampEpochs(ReadPageReqMsg*) override {}
+  FetchRetry OnErrorReply(PgId, Status::Code) override {
+    return FetchRetry::kLater;
+  }
+  void OnInstalled(PageId id, Page* page, SimDuration, int) override;
 
   sim::EventLoop* loop_;
   sim::Network* network_;
@@ -119,6 +116,8 @@ class ReadReplica : public PageProvider {
   Lsn vdl_ = kInvalidLsn;          // latest VDL heard from the writer
   Lsn applied_vdl_ = kInvalidLsn;  // cache consistent up to here
   BufferPool pool_;
+  /// Cache misses: single-segment reads at applied_vdl_ (§4.2.4).
+  PageFetcher fetcher_;
 
   /// Stream records not yet applied (waiting for their MTR's CPL <= VDL).
   std::deque<LogRecord> pending_stream_;
@@ -128,11 +127,6 @@ class ReadReplica : public PageProvider {
   /// Records addressed to pages whose fetch is in flight (replayed after
   /// install; application is idempotent).
   std::map<PageId, std::vector<LogRecord>> stashed_records_;
-  std::map<PageId, std::vector<std::function<void()>>> page_waiters_;
-  std::map<PageId, uint64_t> fetch_in_flight_;
-  std::map<uint64_t, PendingRead> pending_reads_;
-  uint64_t next_req_ = 1;
-  PageId last_miss_ = kInvalidPage;
 
   bool crashed_ = false;
   uint64_t generation_ = 0;

@@ -5,6 +5,7 @@
 
 #include "common/coding.h"
 #include "common/logging.h"
+#include "engine/row_codec.h"
 
 namespace aurora {
 
@@ -59,12 +60,7 @@ std::string SyntheticTableLayout::UserValueOf(uint64_t row) const {
 }
 
 std::string SyntheticTableLayout::StoredValueOf(uint64_t row) const {
-  // Row-codec stamp (schema version 0) + payload, matching Database's
-  // EncodeRow.
-  std::string v;
-  PutVarint32(&v, 0);
-  v += UserValueOf(row);
-  return v;
+  return EncodeRow(/*version=*/0, UserValueOf(row));
 }
 
 PageId SyntheticTableLayout::LeafOf(uint64_t row) const {

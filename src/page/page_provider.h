@@ -42,9 +42,6 @@ class PageProvider {
   /// reject the call.
   virtual Status FreePage(Page* page, MiniTransaction* mtr) = 0;
 
-  /// Id of the page that caused the most recent Busy return.
-  virtual PageId last_miss() const = 0;
-
   virtual size_t page_size() const = 0;
 };
 

@@ -89,6 +89,15 @@ std::pair<std::string, uint64_t> RunSeededWorkload(uint64_t seed,
       EXPECT_EQ(*got, value);
     }
   }
+  // The same keys through the replica: its cache-miss fetches (routing,
+  // retries, install, waiter wake-up) are part of the pinned history too.
+  for (const auto& [key, value] : acked) {
+    auto got = cluster.ReplicaGetSync(0, table, key);
+    EXPECT_TRUE(got.ok());
+    if (got.ok()) {
+      EXPECT_EQ(*got, value);
+    }
+  }
   return {cluster.DumpMetricsJson(), cluster.loop()->events_executed()};
 }
 

@@ -148,6 +148,33 @@ TEST_F(EngineFeatureTest, ZdpRejectsConcurrentPatch) {
   cluster_.RunUntil([&] { return first; }, Seconds(30));
 }
 
+TEST_F(EngineFeatureTest, ZdpHoldsDeleteOfPostWatermarkTxn) {
+  ASSERT_TRUE(cluster_.PutSync(table_, "row", "v").ok());
+  bool patched = false;
+  cluster_.writer()->ZeroDowntimePatch(Millis(50), [&](Status s) {
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    patched = true;
+  });
+  ASSERT_TRUE(cluster_.writer()->patching());
+  // A transaction begun during the swap: its first statement is a Delete,
+  // which must wait at the door like a Put or a Get would.
+  TxnId txn = cluster_.writer()->Begin();
+  bool deleted = false;
+  cluster_.writer()->Delete(txn, table_, "row", [&](Status s) {
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    EXPECT_TRUE(patched) << "Delete ran during the engine swap";
+    deleted = true;
+  });
+  ASSERT_TRUE(cluster_.RunUntil([&] { return deleted; }, Seconds(30)));
+  bool committed = false;
+  cluster_.writer()->Commit(txn, [&](Status s) {
+    EXPECT_TRUE(s.ok());
+    committed = true;
+  });
+  ASSERT_TRUE(cluster_.RunUntil([&] { return committed; }, Seconds(30)));
+  EXPECT_TRUE(cluster_.GetSync(table_, "row").status().IsNotFound());
+}
+
 // --- Scan ---------------------------------------------------------------------
 
 TEST_F(EngineFeatureTest, ScanReturnsSortedDecodedRows) {

@@ -114,6 +114,40 @@ TEST_F(ReplicaTest, ReplicaCrashAndRestartRecovers) {
   EXPECT_EQ(*got, "v2");
 }
 
+TEST_F(ReplicaTest, MissRotatesPastDeadSameAzSegments) {
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(cluster_.PutSync(table_, Key(i), "v" + std::to_string(i)).ok());
+  }
+  cluster_.RunFor(Millis(100));
+  // The replica's cache is cold, and the segments it tries first (its own
+  // AZ's) are down: every fetch must time out on them and rotate on.
+  ReadReplica* replica = cluster_.replica(0);
+  const sim::Topology* topo = cluster_.topology();
+  int crashed = 0;
+  for (size_t i = 0; i < cluster_.num_storage_nodes(); ++i) {
+    sim::NodeId node = cluster_.storage_node(i)->id();
+    if (topo->SameAz(node, replica->node_id())) {
+      cluster_.failure_injector()->CrashNode(node, Seconds(30));
+      ++crashed;
+    }
+  }
+  ASSERT_GT(crashed, 0);
+  const uint64_t fetches_before = replica->stats().storage_page_reads;
+  const uint64_t installs_before = replica->buffer_pool()->stats().installs;
+
+  auto got = cluster_.ReplicaGetSync(0, table_, Key(7));
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(*got, "v7");
+  // Retries re-issue a fetch; they never start a second one for the page.
+  const uint64_t fetches = replica->stats().storage_page_reads - fetches_before;
+  EXPECT_GT(fetches, 0u);
+  EXPECT_EQ(fetches,
+            replica->buffer_pool()->stats().installs - installs_before);
+  // Each page waited out both same-AZ segments before a remote one served.
+  const SimDuration timeout = ReplicaCluster(2).engine.read_retry_timeout;
+  EXPECT_GE(replica->stats().read_latency_us.max(), fetches * 2 * timeout);
+}
+
 TEST_F(ReplicaTest, SnapshotGetSeesPreImageOfInFlightTxn) {
   ASSERT_TRUE(cluster_.PutSync(table_, "row", "old").ok());
   TxnId txn = cluster_.writer()->Begin();
