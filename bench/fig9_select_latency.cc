@@ -70,12 +70,14 @@ void Run(int sim_shards) {
   report.AttachCluster("aurora", after.cluster.get());
   report.Write();
 
-  printf("\nNote: this figure reproduces PARTIALLY (see EXPERIMENTS.md).\n");
-  printf("The customer's 40-80x read tail came from multi-tenant EBS\n");
-  printf("outliers under production load, which the single-tenant EBS\n");
-  printf("model here lacks; at matched load both systems show comparable\n");
-  printf("read-tail ratios. The write-path tail story (Figure 10)\n");
-  printf("reproduces strongly.\n");
+  printf("\nNote: the P50 is a buffer hit on both systems, the P95 a page\n");
+  printf("fetch. MySQL's fetches queue on EBS behind page flushes and\n");
+  printf("double-writes; Aurora reads one segment known to hold the PG's\n");
+  printf("tail at the read point, so no fetch is refused or retried and\n");
+  printf("its P95 collapses. The customer's 40-80 ms MySQL tail came from\n");
+  printf("multi-tenant EBS outliers, which the single-tenant EBS model here\n");
+  printf("lacks, so the before-tail is smaller than the paper's (see\n");
+  printf("EXPERIMENTS.md).\n");
 }
 
 }  // namespace

@@ -6,13 +6,18 @@
 
 namespace aurora::crc32c {
 
-/// CRC-32C (Castagnoli, polynomial 0x1EDC6F41), software table-driven
-/// implementation. Used for log record checksums, page checksums and the
-/// storage-node scrubber (Figure 4 step 8).
+/// CRC-32C (Castagnoli, polynomial 0x1EDC6F41). Used for frame, log record
+/// and page checksums and the storage-node scrubber (Figure 4 step 8).
+/// Extend() uses the SSE4.2 `crc32` instruction when the CPU has it and a
+/// table-driven loop otherwise; both produce the same values.
 
 /// Returns the CRC of `data[0..n-1]` continuing from `init_crc`, which must
 /// be the result of a previous Extend() (or 0 for a fresh computation).
 uint32_t Extend(uint32_t init_crc, const char* data, size_t n);
+
+/// The table-driven Extend(): the fallback, and the reference the hardware
+/// path is tested against.
+uint32_t ExtendPortable(uint32_t init_crc, const char* data, size_t n);
 
 /// CRC of `data[0..n-1]`.
 inline uint32_t Value(const char* data, size_t n) { return Extend(0, data, n); }

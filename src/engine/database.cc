@@ -101,6 +101,8 @@ struct Database::RecoveryState {
   Lsn new_vdl = kInvalidLsn;
   Epoch new_epoch = 0;
   std::map<PgId, std::set<ReplicaIdx>> truncate_acks;
+  /// Each PG's newest record at or below new_vdl.
+  std::map<PgId, Lsn> pg_tails;
   sim::EventId retry_event = 0;
   SimTime started_at = 0;
 };
@@ -222,6 +224,9 @@ void Database::StopPipelines() {
   }
   outstanding_.clear();
   fetcher_.Reset();
+  last_lsn_per_pg_.clear();
+  above_vdl_.clear();
+  tail_at_vdl_.clear();
   durable_waiters_.clear();
   backpressure_queue_.clear();
   commit_queue_.clear();
@@ -253,7 +258,6 @@ void Database::Crash() {
   replica_commit_buffer_.clear();
   unacked_lsns_.clear();
   pending_cpls_.clear();
-  last_lsn_per_pg_.clear();
   txn_table_.reset();
   undo_tree_.reset();
   table_versions_.clear();
@@ -296,6 +300,7 @@ Status Database::CommitMtr(MiniTransaction* mtr) {
     max_allocated_ = rec.lsn;
     pages[i]->set_page_lsn(rec.lsn);
     unacked_lsns_.insert(rec.lsn);
+    above_vdl_.emplace_back(rec.lsn, pg);
     if (rec.is_cpl()) pending_cpls_.insert(rec.lsn);
     ++stats_.log_records_sent;
     stats_.log_bytes_generated += rec.EncodedSize();
@@ -496,6 +501,12 @@ void Database::AdvanceDurability() {
     advanced = true;
   }
   if (!advanced) return;
+  // Before anything runs at the new VDL: a fetch started from a callback
+  // below must carry its PG's tail at this VDL.
+  while (!above_vdl_.empty() && above_vdl_.front().first <= vdl_) {
+    tail_at_vdl_[above_vdl_.front().second] = above_vdl_.front().first;
+    above_vdl_.pop_front();
+  }
   ProcessCommitQueue();
   while (!durable_waiters_.empty() && durable_waiters_.begin()->first <= vdl_) {
     auto cb = std::move(durable_waiters_.begin()->second);
@@ -658,10 +669,17 @@ const std::array<sim::NodeId, kReplicasPerPg>& Database::FetchMembers(
   return PgConfig(pg).nodes;
 }
 
-bool Database::KnownComplete(PgId pg, int idx, Lsn read_point) {
+std::optional<Lsn> Database::ReadTail(PgId pg) {
+  // Reads are at the VDL, so the tail is the PG's newest record at or
+  // below it.
+  auto it = tail_at_vdl_.find(pg);
+  return it == tail_at_vdl_.end() ? kInvalidLsn : it->second;
+}
+
+bool Database::KnownComplete(PgId pg, int idx, Lsn lsn) {
   // From write acks: the writer knows each segment's SCL (§4.2.3).
   auto it = replica_scl_.find({pg, static_cast<ReplicaIdx>(idx)});
-  return it != replica_scl_.end() && it->second >= read_point;
+  return it != replica_scl_.end() && it->second >= lsn;
 }
 
 void Database::StampEpochs(ReadPageReqMsg* req) {
@@ -681,11 +699,8 @@ FetchRetry Database::OnErrorReply(PgId pg, Status::Code code) {
     RefreshPgConfig(pg);
     return FetchRetry::kNow;
   }
-  // Wrong replica (incomplete / GC'd past us) — try another after a short
-  // pause; gossip heals lagging segments. If the PG is idle, its segments
-  // may simply lack a completeness snapshot at this read point: publish
-  // one proactively instead of waiting for the PGMRPL rotation.
-  PublishPgSnapshot(pg);
+  // Wrong replica (its chain has not reached the tail, or it lost the
+  // page) — try another after a short pause; gossip heals lagging segments.
   return FetchRetry::kLater;
 }
 
@@ -1356,23 +1371,6 @@ void Database::PurgeOne(uint64_t gen, std::function<void()> next) {
 // Watermarks & replication
 // --------------------------------------------------------------------------
 
-void Database::PublishPgSnapshot(PgId pg) {
-  auto tail_it = last_lsn_per_pg_.find(pg);
-  Lsn tail = tail_it == last_lsn_per_pg_.end() ? kInvalidLsn : tail_it->second;
-  if (tail > vdl_) return;  // in-flight writes; batches will carry hints
-  PgmrplMsg m;
-  m.pg = pg;
-  m.pgmrpl = ComputePgmrpl();
-  m.has_snapshot = true;
-  m.vdl_snapshot = vdl_;
-  m.pg_tail = tail;
-  std::string payload;
-  m.EncodeTo(&payload);
-  for (sim::NodeId node : control_plane_->membership(pg).nodes) {
-    network_->Send(node_id_, node, kMsgPgmrplUpdate, payload);
-  }
-}
-
 Lsn Database::ComputePgmrpl() const {
   // §4.2.3: the low-water mark below which no read request will ever come —
   // the min over outstanding storage reads and replica read points, or the
@@ -1402,8 +1400,9 @@ void Database::PgmrplTick() {
     m.pg = pg;
     m.pgmrpl = pgmrpl;
     // Quiescent PG (no in-flight records): publish a consistent
-    // completeness snapshot so its segments can serve reads at the current
-    // VDL even though their SCL is far behind it.
+    // completeness snapshot so its segments can serve read replicas, whose
+    // requests carry no tail, at the current VDL even though their SCL is
+    // far behind it.
     auto tail_it = last_lsn_per_pg_.find(pg);
     Lsn tail = tail_it == last_lsn_per_pg_.end() ? kInvalidLsn
                                                  : tail_it->second;
@@ -1620,6 +1619,19 @@ void Database::RecoveryComputeAndTruncate(std::shared_ptr<RecoveryState> rs) {
   }
   rs->new_vdl = vdl;
   vcl_ = vcl;
+  // Each PG's newest record at or below the VDL: the backlink of its next
+  // record and the tail its reads carry. A responder that collected it
+  // still names it, as the backlink of a record above the VDL or, with
+  // nothing above, as its chain head (GC keeps that record).
+  for (const auto& [pg, entries] : rs->union_entries) {
+    Lsn tail = kInvalidLsn;
+    for (const auto& [lsn, e] : entries) {
+      if (annulled(lsn)) continue;
+      const Lsn newest = lsn <= vdl ? lsn : e.prev;
+      if (newest <= vdl) tail = std::max(tail, newest);
+    }
+    rs->pg_tails[pg] = tail;
+  }
 
   // Epoch-versioned truncation (§4.3): bump the volume epoch durably, then
   // command every replica to drop records above the VDL. The annulled range
@@ -1694,13 +1706,9 @@ void Database::RecoveryFinish(std::shared_ptr<RecoveryState> rs) {
   // Transaction ids are namespaced by volume epoch so a new incarnation
   // can never collide with unpurged undo/txn-table rows of a previous one.
   next_txn_ = (volume_epoch_ << 40) + 1;
-  for (const auto& [pg, entries] : rs->union_entries) {
-    Lsn tail = kInvalidLsn;
-    for (const auto& [lsn, e] : entries) {
-      if (lsn <= vdl_) tail = std::max(tail, lsn);
-    }
-    last_lsn_per_pg_[pg] = tail;
-  }
+  // Nothing is in flight yet, so every PG's tail at the VDL is its last LSN.
+  last_lsn_per_pg_ = rs->pg_tails;
+  tail_at_vdl_ = rs->pg_tails;
   // Replica SCL knowledge restarts empty; reads will discover it. Open for
   // business, then fetch the system catalog and run undo in background.
   auto attempt = [this]() -> Status { return EnsureSystemTrees(); };

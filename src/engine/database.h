@@ -5,6 +5,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -327,7 +328,8 @@ class Database : public WalSink, public PageProvider, private FetchPolicy {
   // --- FetchPolicy (read path, §4.2.3) ---------------------------------------
   const std::array<sim::NodeId, kReplicasPerPg>& FetchMembers(
       PgId pg) override;
-  bool KnownComplete(PgId pg, int idx, Lsn read_point) override;
+  std::optional<Lsn> ReadTail(PgId pg) override;
+  bool KnownComplete(PgId pg, int idx, Lsn lsn) override;
   void StampEpochs(ReadPageReqMsg* req) override;
   FetchRetry OnErrorReply(PgId pg, Status::Code code) override;
   void OnInstalled(PageId id, Page* page, SimDuration latency,
@@ -355,9 +357,6 @@ class Database : public WalSink, public PageProvider, private FetchPolicy {
   // --- Watermarks ---------------------------------------------------------------
   void PgmrplTick();
   Lsn ComputePgmrpl() const;
-  /// Publishes a consistent (VDL, pg-tail) completeness snapshot to the
-  /// PG's segments so idle PGs can serve current read points (§4.2.3).
-  void PublishPgSnapshot(PgId pg);
 
   // --- Replication ----------------------------------------------------------------
   void ReplicaShipTick();
@@ -396,13 +395,20 @@ class Database : public WalSink, public PageProvider, private FetchPolicy {
   Lsn last_vol_lsn_ = kInvalidLsn;  // volume-wide backlink tail
   Lsn lal_gap_top_ = kInvalidLsn;   // top of the annulled post-recovery range
   std::map<PgId, Lsn> last_lsn_per_pg_;
+  /// Records allocated above the VDL, oldest first, as (lsn, pg). As the
+  /// VDL passes them, AdvanceDurability retires each into tail_at_vdl_.
+  std::deque<std::pair<Lsn, PgId>> above_vdl_;
+  /// Each PG's newest record at or below the VDL: the tail a read at the
+  /// VDL carries (ReadTail). A PG absent here has none (tail 0).
+  std::map<PgId, Lsn> tail_at_vdl_;
   std::set<Lsn> unacked_lsns_;
   std::set<Lsn> pending_cpls_;
   Lsn max_allocated_ = kInvalidLsn;
 
   BufferPool pool_;
   LockManager locks_;
-  /// Cache misses: single-segment reads at the VDL, routed by replica_scl_.
+  /// Cache misses: single-segment reads at the VDL carrying the PG's tail,
+  /// routed to slots whose acked SCL (replica_scl_) has reached it.
   PageFetcher fetcher_;
 
   // System trees.

@@ -67,6 +67,7 @@ void PageFetcher::Start(PageId id) {
   pr.page = id;
   pr.pg = static_cast<PgId>(id / options_->pages_per_pg);
   pr.read_point = *read_point_;
+  pr.tail = policy_->ReadTail(pr.pg);
   pr.started_at = loop_->now();
   pending_[req_id] = pr;
   ++*fetches_;
@@ -76,10 +77,12 @@ void PageFetcher::Start(PageId id) {
 sim::NodeId PageFetcher::PickTarget(const PendingRead& pr) {
   const auto& members = policy_->FetchMembers(pr.pg);
   // Segments known to be complete at the read point, same-AZ first: one
-  // up-to-date segment serves the read, no quorum needed (§4.2.3).
+  // up-to-date segment serves the read, no quorum needed (§4.2.3). With a
+  // tail, a segment is complete once its chain reaches the tail.
+  const Lsn need = pr.tail.value_or(pr.read_point);
   std::vector<int> candidates;
   for (int i = 0; i < kReplicasPerPg; ++i) {
-    if (policy_->KnownComplete(pr.pg, i, pr.read_point)) {
+    if (policy_->KnownComplete(pr.pg, i, need)) {
       candidates.push_back(i);
     }
   }
@@ -103,6 +106,7 @@ void PageFetcher::SendRequest(uint64_t req_id) {
   req.pg = pr.pg;
   req.page = pr.page;
   req.read_point = pr.read_point;
+  req.tail = pr.tail;
   policy_->StampEpochs(&req);
   std::string payload;
   req.EncodeTo(&payload);

@@ -3,6 +3,7 @@
 
 #include <array>
 #include <map>
+#include <optional>
 #include <vector>
 
 #include "common/inline_function.h"
@@ -32,9 +33,14 @@ class FetchPolicy {
   /// The segment hosts of `pg`, indexed by replica slot.
   virtual const std::array<sim::NodeId, kReplicasPerPg>& FetchMembers(
       PgId pg) = 0;
-  /// Whether slot `idx` is known to be complete at `read_point`. Known slots
+  /// The PG's tail at the owner's read point — its newest record at or
+  /// below it — if the owner knows it. Sent with the request: a segment
+  /// whose SCL has reached the tail serves the read.
+  virtual std::optional<Lsn> ReadTail(PgId pg) = 0;
+  /// Whether slot `idx` is known to hold every record of `pg` up to `lsn`
+  /// (the read's tail, or its read point when it has none). Known slots
   /// are tried first; the others only when no slot is known.
-  virtual bool KnownComplete(PgId pg, int idx, Lsn read_point) = 0;
+  virtual bool KnownComplete(PgId pg, int idx, Lsn lsn) = 0;
   /// Stamps the request with the epochs storage checks (volume, config).
   virtual void StampEpochs(ReadPageReqMsg* req) = 0;
   /// Reacts to a non-OK reply for a read of `pg`.
@@ -94,6 +100,7 @@ class PageFetcher {
     PageId page = kInvalidPage;
     PgId pg = 0;
     Lsn read_point = kInvalidLsn;
+    std::optional<Lsn> tail;  // ReadTail at start; every resend reuses it
     int attempt = 0;
     sim::EventId timer = 0;
     SimTime started_at = 0;

@@ -93,10 +93,13 @@ class ReadReplica : public PageProvider, private FetchPolicy {
   void ReportReadPointTick();
 
   // --- FetchPolicy: every member is a candidate, unstamped requests -------
+  // No tail: a replica keeps no per-PG tail history (a restarted replica
+  // has none), so storage serves it by SCL or completeness snapshot.
   const std::array<sim::NodeId, kReplicasPerPg>& FetchMembers(
       PgId pg) override {
     return control_plane_->membership(pg).nodes;
   }
+  std::optional<Lsn> ReadTail(PgId) override { return std::nullopt; }
   bool KnownComplete(PgId, int, Lsn) override { return false; }
   void StampEpochs(ReadPageReqMsg*) override {}
   FetchRetry OnErrorReply(PgId, Status::Code) override {

@@ -212,6 +212,14 @@ void AuroraCluster::RegisterAllMetrics() {
     m->RegisterCounter(base + "acks_sent", &s->acks_sent);
     m->RegisterCounter(base + "page_reads_served", &s->page_reads_served);
     m->RegisterCounter(base + "page_read_errors", &s->page_read_errors);
+    const std::string by_cause = base + "page_read_errors_by_cause.";
+    m->RegisterCounter(by_cause + "incomplete", &s->read_errors_incomplete);
+    m->RegisterCounter(by_cause + "below_floor", &s->read_errors_below_floor);
+    m->RegisterCounter(by_cause + "not_found", &s->read_errors_not_found);
+    m->RegisterCounter(by_cause + "fenced", &s->read_errors_fenced);
+    m->RegisterCounter(by_cause + "stale_config",
+                       &s->read_errors_stale_config);
+    m->RegisterCounter(by_cause + "corrupt", &s->read_errors_corrupt);
     m->RegisterCounter(base + "gossip_rounds", &s->gossip_rounds);
     m->RegisterCounter(base + "gossip_records_sent", &s->gossip_records_sent);
     m->RegisterCounter(base + "gossip_records_filled",

@@ -275,9 +275,14 @@ void Page::UpdateCrc() {
 
 bool Page::VerifyCrc() const {
   uint32_t stored = crc32c::Unmask(DecodeFixed32(data_.data() + kOffCrc));
-  std::string copy = data_;
-  EncodeFixed32(copy.data() + kOffCrc, 0);
-  return crc32c::Value(copy.data(), copy.size()) == stored;
+  // The CRC covers the page with its CRC field zeroed: extend over the bytes
+  // before the field, four zero bytes, then the bytes after it.
+  static constexpr char kZeroField[4] = {0, 0, 0, 0};
+  uint32_t crc = crc32c::Value(data_.data(), kOffCrc);
+  crc = crc32c::Extend(crc, kZeroField, sizeof(kZeroField));
+  const size_t rest = kOffCrc + sizeof(kZeroField);
+  crc = crc32c::Extend(crc, data_.data() + rest, data_.size() - rest);
+  return crc == stored;
 }
 
 void Page::CorruptForTesting(size_t offset) {

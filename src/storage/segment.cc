@@ -108,17 +108,36 @@ size_t Segment::CoalesceStep(size_t max_records) {
   return applied;
 }
 
-Result<Page> Segment::GetPageAsOf(PageId page, Lsn read_point) const {
-  // Complete at the read point if the chain covers it directly, or if a
-  // consistent snapshot proves this PG has no records in (scl, read_point].
-  bool complete = read_point <= scl_ ||
-                  (read_point <= snapshot_vdl_ && scl_ >= snapshot_tail_);
-  if (!complete) {
+bool Segment::CompleteAt(Lsn read_point, std::optional<Lsn> tail) const {
+  if (tail.has_value()) {
+    // A record of this PG in (tail, read_point] contradicts the reader's
+    // tail: this log and the writer's disagree, so vouch for nothing.
+    auto next = hot_log_.upper_bound(*tail);
+    if (next != hot_log_.end() && next->first <= read_point) return false;
+    // The PG has no records in (tail, read_point], so a chain that reaches
+    // the tail covers the read point.
+    if (*tail <= read_point && scl_ >= *tail) return true;
+  }
+  // The chain covers the read point directly, or a consistent snapshot
+  // proves this PG has no records in (scl, read_point].
+  return read_point <= scl_ ||
+         (read_point <= snapshot_vdl_ && scl_ >= snapshot_tail_);
+}
+
+Status Segment::CheckReadPoint(Lsn read_point, std::optional<Lsn> tail) const {
+  if (!CompleteAt(read_point, tail)) {
     return Status::Unavailable("segment incomplete at read point");
   }
   if (read_point < applied_lsn_) {
     return Status::Stale("read point below materialized floor");
   }
+  return Status::OK();
+}
+
+Result<Page> Segment::GetPageAsOf(PageId page, Lsn read_point,
+                                  std::optional<Lsn> tail) const {
+  Status gate = CheckReadPoint(read_point, tail);
+  if (!gate.ok()) return gate;
 
   const bool cache_on = CacheEnabled();
   bool historical = false;  // read point below the cached version: bypass
@@ -257,6 +276,9 @@ size_t Segment::GarbageCollect() {
   size_t collected = 0;
   auto it = hot_log_.begin();
   while (it != hot_log_.end() && it->first <= floor) {
+    // The chain head stays: recovery learns the PG's newest record (the
+    // backlink of the next one) from this hot log's inventory.
+    if (it->first == scl_) break;
     const LogRecord& rec = it->second;
     chain_.erase(rec.prev_pg_lsn);
     auto page_it = records_by_page_.find(rec.page_id);
@@ -309,8 +331,12 @@ Status Segment::Truncate(Lsn above, Epoch epoch) {
     }
     it = hot_log_.erase(it);
   }
-  if (scl_ > above) scl_ = above;
-  if (max_lsn_ > above) max_lsn_ = above;
+  // The newest surviving record, not `above` itself: the writer's next
+  // record of this PG links to it, and the chain must meet the SCL there.
+  Lsn newest = applied_lsn_;
+  if (!hot_log_.empty()) newest = std::max(newest, hot_log_.rbegin()->first);
+  if (scl_ > above) scl_ = newest;
+  if (max_lsn_ > above) max_lsn_ = newest;
   if (backup_lsn_ > above) backup_lsn_ = above;
   // Cached images built beyond the truncation point contain records that no
   // longer exist.

@@ -3,6 +3,7 @@
 
 #include <functional>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -103,9 +104,10 @@ class Segment {
     return true;
   }
 
-  /// Completeness snapshot for idle PGs: as of volume VDL `vdl_snapshot`,
-  /// this PG's newest record is `pg_tail`. Lets GetPageAsOf serve read
-  /// points up to vdl_snapshot once the chain reaches pg_tail.
+  /// Completeness snapshot for read replicas, whose requests carry no tail:
+  /// as of volume VDL `vdl_snapshot`, this PG's newest record is `pg_tail`.
+  /// Lets GetPageAsOf serve read points up to vdl_snapshot once the chain
+  /// reaches pg_tail.
   void SetCompletenessSnapshot(Lsn vdl_snapshot, Lsn pg_tail) {
     if (vdl_snapshot > snapshot_vdl_) {
       snapshot_vdl_ = vdl_snapshot;
@@ -124,13 +126,24 @@ class Segment {
   /// All records with LSN <= `floor` are reflected in base pages.
   Lsn applied_lsn() const { return applied_lsn_; }
 
+  /// Whether this replica holds every record of the PG at or below
+  /// `read_point`: the SCL covers the read point, a completeness snapshot
+  /// does, or the reader's `tail` (the PG's newest record at or below the
+  /// read point) is at or below the SCL. A tail the hot log contradicts —
+  /// it holds a record of the PG in (tail, read_point] — is refused
+  /// whatever the SCL says.
+  bool CompleteAt(Lsn read_point, std::optional<Lsn> tail) const;
+
+  /// The gates a read passes before any page is built: Unavailable unless
+  /// CompleteAt (the caller picked the wrong segment), Stale if read_point
+  /// is below the materialized floor.
+  Status CheckReadPoint(Lsn read_point, std::optional<Lsn> tail) const;
+
   /// Reconstructs the page as of `read_point` (base image + log applies).
-  /// Fails with:
-  ///  - Unavailable if read_point > scl() (this replica can't guarantee
-  ///    completeness — the caller picked the wrong segment);
-  ///  - Stale if read_point < the GC low-water mark;
-  ///  - NotFound if the page has never been written.
-  Result<Page> GetPageAsOf(PageId page, Lsn read_point) const;
+  /// Fails with CheckReadPoint's status, or NotFound if the page has never
+  /// been written.
+  Result<Page> GetPageAsOf(PageId page, Lsn read_point,
+                           std::optional<Lsn> tail = std::nullopt) const;
 
   /// Number of materialized base pages.
   size_t num_pages() const { return base_pages_.size(); }
@@ -151,7 +164,8 @@ class Segment {
 
   // --- GC / truncation / scrub ----------------------------------------------
   /// Drops hot-log records that are both applied to base pages and below the
-  /// PGMRPL (Figure 4 step 7). Returns how many records were collected.
+  /// PGMRPL (Figure 4 step 7), except the chain head (the record at the
+  /// SCL). Returns how many records were collected.
   size_t GarbageCollect();
 
   /// True while the retained hot log still holds the successor record of a

@@ -326,58 +326,105 @@ void StorageNode::HandleWriteBatch(const sim::Message& msg) {
 void StorageNode::HandleReadPage(const sim::Message& msg) {
   ReadPageReqMsg req;
   if (!ReadPageReqMsg::DecodeFrom(msg.payload(), &req).ok()) return;
+  // Refuse on arrival what cannot be served: a refusal costs no device
+  // read.
+  Segment* seg = EnsureSegment(req.pg);
+  Status gate = CheckRead(seg, req);
+  if (!gate.ok()) {
+    ReplyToRead(msg.from, req.req_id, gate.code());
+    return;
+  }
   const uint64_t gen = generation_;
   // One device read to serve a page miss.
-  Segment* seg = EnsureSegment(req.pg);
-  size_t read_bytes = seg ? seg->page_size() : 4096;
-  disk_.Read(read_bytes, [this, gen, req, from = msg.from](Status ds) {
+  disk_.Read(seg->page_size(), [this, gen, req, from = msg.from](Status ds) {
     if (gen != generation_ || crashed_) return;
-    ReadPageRespMsg resp;
-    resp.req_id = req.req_id;
-    Segment* seg = segment(req.pg);
     if (!ds.ok()) {
-      resp.status_code = static_cast<uint8_t>(Status::Code::kIOError);
-    } else if (seg == nullptr) {
-      resp.status_code = static_cast<uint8_t>(Status::Code::kNotFound);
-      ++stats_.page_read_errors;
-    } else if (req.epoch != 0 && req.epoch < seg->epoch()) {
-      // Epoch fence on the read path: a zombie writer must not serve reads
-      // off quorum state that a promotion has superseded.
-      resp.status_code = static_cast<uint8_t>(Status::Code::kFenced);
-      ++stats_.stale_epoch_rejects;
-      ++stats_.page_read_errors;
-    } else if (req.cfg_epoch != 0 &&
-               req.cfg_epoch <
-                   control_plane_->membership(req.pg).config_epoch) {
-      // Membership fence: the reader routed here off a membership it missed
-      // an update to — this host may already be evicted. NAK so it
-      // refreshes instead of trusting a possibly-stale replica.
-      resp.status_code = static_cast<uint8_t>(Status::Code::kStaleConfig);
-      ++stats_.stale_config_rejects;
-      ++stats_.page_read_errors;
-    } else {
-      Result<Page> page = seg->GetPageAsOf(req.page, req.read_point);
-      if (page.ok()) {
-        resp.status_code = static_cast<uint8_t>(Status::Code::kOk);
-        resp.page_lsn = page->page_lsn();
-        resp.page_bytes = page->raw();
-        ++stats_.page_reads_served;
-      } else {
-        resp.status_code = static_cast<uint8_t>(page.status().code());
-        ++stats_.page_read_errors;
-        if (page.status().IsCorruption()) {
-          // A latent fault surfaced on the read path before the scrubber
-          // got there: heal from a peer immediately (read-repair).
-          ++stats_.read_repairs;
-          seg->DropPageForRepair(req.page);
-          SchedulePeerPageRepair(req.pg, req.page);
-        }
-      }
+      ReplyToRead(from, req.req_id, Status::Code::kIOError);
+      return;
     }
-    std::string payload;
-    resp.EncodeTo(&payload);
-    network_->Send(id_, from, kMsgReadPageResp, std::move(payload));
+    // The segment may have been dropped, fenced or truncated while the
+    // read waited on the device: check again.
+    Segment* seg = segment(req.pg);
+    Status gate = CheckRead(seg, req);
+    if (!gate.ok()) {
+      ReplyToRead(from, req.req_id, gate.code());
+      return;
+    }
+    Result<Page> page = seg->GetPageAsOf(req.page, req.read_point, req.tail);
+    if (!page.ok()) {
+      if (page.status().IsCorruption()) {
+        // A latent fault surfaced on the read path before the scrubber
+        // got there: heal from a peer immediately (read-repair).
+        ++stats_.read_repairs;
+        seg->DropPageForRepair(req.page);
+        SchedulePeerPageRepair(req.pg, req.page);
+      }
+      ReplyToRead(from, req.req_id, page.status().code());
+      return;
+    }
+    ++stats_.page_reads_served;
+    ReplyToRead(from, req.req_id, Status::Code::kOk, page->page_lsn(),
+                page->raw());
   });
+}
+
+Status StorageNode::CheckRead(const Segment* seg,
+                              const ReadPageReqMsg& req) const {
+  if (seg == nullptr) return Status::NotFound("no segment for the PG");
+  if (req.epoch != 0 && req.epoch < seg->epoch()) {
+    // Epoch fence on the read path: a zombie writer must not serve reads
+    // off quorum state that a promotion has superseded.
+    return Status::Fenced("read from an older volume epoch");
+  }
+  if (req.cfg_epoch != 0 &&
+      req.cfg_epoch < control_plane_->membership(req.pg).config_epoch) {
+    // Membership fence: the reader routed here off a membership it missed
+    // an update to — this host may already be evicted. NAK so it refreshes
+    // instead of trusting a possibly-stale replica.
+    return Status::StaleConfig("read from an older config epoch");
+  }
+  return seg->CheckReadPoint(req.read_point, req.tail);
+}
+
+void StorageNode::ReplyToRead(sim::NodeId to, uint64_t req_id,
+                              Status::Code code, Lsn page_lsn,
+                              std::string page_bytes) {
+  switch (code) {
+    case Status::Code::kOk:
+    case Status::Code::kIOError:
+      break;
+    case Status::Code::kUnavailable:
+      ++stats_.read_errors_incomplete;
+      break;
+    case Status::Code::kStale:
+      ++stats_.read_errors_below_floor;
+      break;
+    case Status::Code::kNotFound:
+      ++stats_.read_errors_not_found;
+      break;
+    case Status::Code::kFenced:
+      ++stats_.read_errors_fenced;
+      ++stats_.stale_epoch_rejects;
+      break;
+    case Status::Code::kStaleConfig:
+      ++stats_.read_errors_stale_config;
+      ++stats_.stale_config_rejects;
+      break;
+    default:  // a CRC mismatch or a redo record that would not apply
+      ++stats_.read_errors_corrupt;
+      break;
+  }
+  if (code != Status::Code::kOk && code != Status::Code::kIOError) {
+    ++stats_.page_read_errors;
+  }
+  ReadPageRespMsg resp;
+  resp.req_id = req_id;
+  resp.status_code = static_cast<uint8_t>(code);
+  resp.page_lsn = page_lsn;
+  resp.page_bytes = std::move(page_bytes);
+  std::string payload;
+  resp.EncodeTo(&payload);
+  network_->Send(id_, to, kMsgReadPageResp, std::move(payload));
 }
 
 void StorageNode::HandleInventory(const sim::Message& msg) {

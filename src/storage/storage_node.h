@@ -49,7 +49,14 @@ struct StorageNodeStats {
   uint64_t records_received = 0;
   uint64_t acks_sent = 0;
   uint64_t page_reads_served = 0;
+  /// Page reads refused, in total and by cause (the causes sum to it).
   uint64_t page_read_errors = 0;
+  uint64_t read_errors_incomplete = 0;    // not complete at the read point
+  uint64_t read_errors_below_floor = 0;   // below the materialized floor
+  uint64_t read_errors_not_found = 0;     // no segment here, or no such page
+  uint64_t read_errors_fenced = 0;        // requester's volume epoch is old
+  uint64_t read_errors_stale_config = 0;  // requester's config epoch is old
+  uint64_t read_errors_corrupt = 0;       // page failed its CRC or redo
   uint64_t gossip_rounds = 0;
   uint64_t gossip_records_sent = 0;
   uint64_t gossip_records_filled = 0;
@@ -191,6 +198,15 @@ class StorageNode {
   void HandleSegmentStateResp(const sim::Message& msg);
   void HandleSegmentChunkReq(const sim::Message& msg);
   void HandleSegmentChunkResp(const sim::Message& msg);
+
+  /// Why a read of `req` from `seg` must be refused now, or OK: no segment,
+  /// a fenced volume epoch, a stale config epoch, or the segment's own
+  /// read-point gates.
+  Status CheckRead(const Segment* seg, const ReadPageReqMsg& req) const;
+  /// Answers a page read with `code` (the page, if any, in `page_bytes`),
+  /// counting a refusal under its cause.
+  void ReplyToRead(sim::NodeId to, uint64_t req_id, Status::Code code,
+                   Lsn page_lsn = kInvalidLsn, std::string page_bytes = {});
 
   /// Installs a serialized segment copy if it is a superset of local state
   /// (shared by the one-shot state transfer and the chunked repair path).

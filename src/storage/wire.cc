@@ -112,6 +112,8 @@ void ReadPageReqMsg::EncodeTo(std::string* dst) const {
   PutVarint64(dst, read_point);
   PutVarint64(dst, epoch);
   PutVarint64(dst, cfg_epoch);
+  dst->push_back(tail.has_value() ? 1 : 0);
+  if (tail.has_value()) PutVarint64(dst, *tail);
 }
 
 Status ReadPageReqMsg::DecodeFrom(Slice input, ReadPageReqMsg* out) {
@@ -120,10 +122,18 @@ Status ReadPageReqMsg::DecodeFrom(Slice input, ReadPageReqMsg* out) {
       !GetVarint64(&input, &out->page) ||
       !GetVarint64(&input, &out->read_point) ||
       !GetVarint64(&input, &out->epoch) ||
-      !GetVarint64(&input, &out->cfg_epoch)) {
+      !GetVarint64(&input, &out->cfg_epoch) || input.empty()) {
     return Malformed("read req");
   }
   out->pg = pg;
+  const bool has_tail = input[0] != 0;
+  input.remove_prefix(1);
+  out->tail.reset();
+  if (has_tail) {
+    Lsn tail;
+    if (!GetVarint64(&input, &tail)) return Malformed("read req tail");
+    out->tail = tail;
+  }
   return Status::OK();
 }
 

@@ -2,6 +2,7 @@
 #define AURORA_STORAGE_WIRE_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -125,6 +126,11 @@ struct ReadPageReqMsg {
   /// (read replicas route via the writer's published membership and are
   /// config-agnostic). A stale value is NAKed with kStaleConfig.
   uint64_t cfg_epoch = 0;
+  /// The PG's tail at the read point: its newest record at or below
+  /// `read_point` (0 for a PG never written). A segment whose SCL has
+  /// reached it is complete at the read point. The writer always sends it;
+  /// read replicas send none and rely on the SCL or a completeness snapshot.
+  std::optional<Lsn> tail;
 
   void EncodeTo(std::string* dst) const;
   static Status DecodeFrom(Slice input, ReadPageReqMsg* out);

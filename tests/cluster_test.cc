@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <string>
+#include <tuple>
 
 #include "harness/cluster.h"
+#include "storage/wire.h"
 #include "tests/test_util.h"
 
 namespace aurora {
@@ -277,6 +280,183 @@ TEST_F(AuroraClusterTest, BackupsReachS3) {
   }
   cluster_.RunFor(Seconds(2));
   EXPECT_GT(cluster_.s3()->num_objects(), 0u);
+}
+
+uint64_t TotalPageReadErrors(AuroraCluster* cluster) {
+  uint64_t total = 0;
+  for (size_t i = 0; i < cluster->num_storage_nodes(); ++i) {
+    total += cluster->storage_node(i)->stats().page_read_errors;
+  }
+  return total;
+}
+
+StorageNode* StorageNodeById(AuroraCluster* cluster, sim::NodeId id) {
+  for (size_t i = 0; i < cluster->num_storage_nodes(); ++i) {
+    if (cluster->storage_node(i)->id() == id) return cluster->storage_node(i);
+  }
+  return nullptr;
+}
+
+// A read request carries its PG's tail at the VDL, so the first segment
+// asked serves every cache miss: on a PG with records in flight, and on a
+// PG idle since long before the VDL.
+TEST(ReadTailTest, CacheMissesAreServedOnTheFirstTry) {
+  ClusterOptions o = SmallCluster();
+  o.engine.pages_per_pg = 8;
+  AuroraCluster cluster(o);
+  ASSERT_TRUE(cluster.BootstrapSync().ok());
+  // Each tree is an anchor page followed by its root. The meta page and
+  // the transaction and undo trees, which every update writes, take pages
+  // 0-4, so "cold" (5-6) is in PG 0 with them, rows of "hot" (7-8) land in
+  // PG 1 and, past four pads, "idle" (17-18) is alone in PG 2.
+  for (const char* name : {"cold", "hot", "pad0", "pad1", "pad2", "pad3",
+                           "idle"}) {
+    ASSERT_TRUE(cluster.CreateTableSync(name).ok());
+  }
+  const PageId cold = *cluster.TableAnchorSync("cold");
+  const PageId hot = *cluster.TableAnchorSync("hot");
+  const PageId idle = *cluster.TableAnchorSync("idle");
+  const auto pg_of = [&](PageId page) { return page / o.engine.pages_per_pg; };
+  ASSERT_EQ(pg_of(cold), 0u);
+  ASSERT_EQ(pg_of(cold + 1), 0u);
+  ASSERT_EQ(pg_of(hot + 1), 1u);
+  ASSERT_EQ(pg_of(idle), 2u);
+  ASSERT_EQ(pg_of(idle + 1), 2u);
+  ASSERT_TRUE(cluster.PutSync(cold, "c", "cold-value").ok());
+  ASSERT_TRUE(cluster.PutSync(idle, "i", "idle-value").ok());
+  cluster.RunFor(Seconds(1));
+
+  // Four connections of single-row updates to "hot" keep records of PG 0
+  // and PG 1 in flight for the whole read phase.
+  Database* db = cluster.writer();
+  bool stop = false;
+  int committed = 0;
+  std::function<void(int)> update = [&](int conn) {
+    if (stop) return;
+    const TxnId txn = db->Begin();
+    db->Put(txn, hot, Key(conn), "v" + std::to_string(committed),
+            [&, txn, conn](Status s) {
+              ASSERT_TRUE(s.ok()) << s.ToString();
+              db->Commit(txn, [&, conn](Status c) {
+                ASSERT_TRUE(c.ok()) << c.ToString();
+                ++committed;
+                update(conn);
+              });
+            });
+  };
+  for (int conn = 0; conn < 4; ++conn) update(conn);
+  cluster.RunFor(Millis(20));
+
+  const uint64_t fetches = db->stats().storage_page_reads;
+  const uint64_t retries = db->stats().read_retries;
+  const uint64_t errors = TotalPageReadErrors(&cluster);
+  const int committed_before = committed;
+  int reads_with_records_in_flight = 0;
+  constexpr int kRounds = 20;
+  for (int round = 0; round < kRounds; ++round) {
+    for (auto [table, key, value] :
+         {std::tuple{cold, "c", "cold-value"},
+          std::tuple{idle, "i", "idle-value"}}) {
+      db->buffer_pool()->Discard(table);
+      db->buffer_pool()->Discard(table + 1);
+      if (db->max_allocated_lsn() > db->vdl()) ++reads_with_records_in_flight;
+      auto got = cluster.GetSync(table, key);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_EQ(*got, value);
+    }
+    cluster.RunFor(Millis(3));
+  }
+  stop = true;
+  cluster.RunFor(Seconds(1));
+
+  EXPECT_GT(committed - committed_before, kRounds);
+  EXPECT_GT(reads_with_records_in_flight, kRounds);
+  EXPECT_EQ(db->stats().storage_page_reads - fetches, 4u * kRounds);
+  EXPECT_EQ(db->stats().read_retries, retries);
+  EXPECT_EQ(TotalPageReadErrors(&cluster), errors);
+}
+
+// A same-AZ segment that missed the newest batch of a PG is asked first
+// once the writer has forgotten every segment's SCL (after recovery). The
+// request's tail is above its SCL, so it refuses, and the read returns the
+// latest value from a complete segment.
+TEST(ReadTailTest, LaggingSameAzSegmentServesNoPage) {
+  ClusterOptions o = SmallCluster();
+  AuroraCluster cluster(o);
+  ASSERT_TRUE(cluster.BootstrapSync().ok());
+  ASSERT_TRUE(cluster.CreateTableSync("t").ok());
+  const PageId table = *cluster.TableAnchorSync("t");
+  ASSERT_TRUE(cluster.PutSync(table, "k", "v1").ok());
+  cluster.RunFor(Seconds(1));
+
+  // The first same-AZ member in slot order: the first segment a fetch asks
+  // when no slot is known complete.
+  const PgId pg = static_cast<PgId>(table / o.engine.pages_per_pg);
+  const sim::NodeId writer = cluster.writer_node();
+  sim::NodeId lagging = sim::kInvalidNode;
+  const PgMembership& members = cluster.control_plane()->membership(pg);
+  for (sim::NodeId node : members.nodes) {
+    if (cluster.topology()->SameAz(writer, node)) {
+      lagging = node;
+      break;
+    }
+  }
+  ASSERT_NE(lagging, sim::kInvalidNode);
+  StorageNode* lagging_node = StorageNodeById(&cluster, lagging);
+  ASSERT_NE(lagging_node, nullptr);
+
+  // Drop the next batch to it, and cut it off from its peers so gossip
+  // cannot fill the hole.
+  cluster.network()->SetPartitionedOneWay(writer, lagging, true);
+  for (sim::NodeId peer : members.nodes) {
+    if (peer != lagging) cluster.network()->SetPartitioned(lagging, peer, true);
+  }
+  ASSERT_TRUE(cluster.PutSync(table, "k", "v2").ok());
+  cluster.network()->SetPartitionedOneWay(writer, lagging, false);
+  ASSERT_LT(lagging_node->segment(pg)->scl(), cluster.writer()->vdl());
+
+  const uint64_t served = lagging_node->stats().page_reads_served;
+  const uint64_t refused = lagging_node->stats().read_errors_incomplete;
+  cluster.CrashWriter();
+  ASSERT_TRUE(cluster.RecoverSync().ok());
+  auto got = cluster.GetSync(table, "k");
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(*got, "v2");
+  EXPECT_EQ(lagging_node->stats().page_reads_served, served);
+  EXPECT_GT(lagging_node->stats().read_errors_incomplete, refused);
+}
+
+// Storage refuses a read it cannot serve when the request arrives, without
+// charging the device.
+TEST(ReadTailTest, RefusedReadCostsNoDeviceRead) {
+  AuroraCluster cluster(SmallCluster());
+  ASSERT_TRUE(cluster.BootstrapSync().ok());
+  ASSERT_TRUE(cluster.CreateTableSync("t").ok());
+  const PageId table = *cluster.TableAnchorSync("t");
+  cluster.RunFor(Seconds(1));
+  const PgId pg = static_cast<PgId>(table / SmallCluster().engine.pages_per_pg);
+  StorageNode* node = StorageNodeById(
+      &cluster, cluster.control_plane()->membership(pg).nodes[0]);
+  ASSERT_NE(node, nullptr);
+  const Lsn scl = node->segment(pg)->scl();
+
+  ReadPageReqMsg req;
+  req.req_id = 1u << 30;  // matches no fetch of the writer
+  req.pg = pg;
+  req.page = table;
+  req.read_point = scl + 1000;  // beyond the SCL, no snapshot covers it
+  req.tail = scl + 500;         // and a tail the chain has not reached
+  std::string payload;
+  req.EncodeTo(&payload);
+  const uint64_t disk_reads = node->disk()->reads();
+  const uint64_t errors = node->stats().page_read_errors;
+  const uint64_t incomplete = node->stats().read_errors_incomplete;
+  cluster.network()->Send(cluster.writer_node(), node->id(), kMsgReadPageReq,
+                          std::move(payload));
+  cluster.RunFor(Millis(10));
+  EXPECT_EQ(node->disk()->reads(), disk_reads);
+  EXPECT_EQ(node->stats().page_read_errors, errors + 1);
+  EXPECT_EQ(node->stats().read_errors_incomplete, incomplete + 1);
 }
 
 }  // namespace

@@ -156,6 +156,27 @@ TEST(Crc32cTest, ExtendComposes) {
   }
 }
 
+TEST(Crc32cTest, HardwarePathMatchesTable) {
+  // Extend() may run on the CRC instruction; the table loop is the
+  // reference. Cover unaligned starts, short tails and split points.
+  Random rng(7);
+  std::string buf(4096 + 16, '\0');
+  for (char& c : buf) c = static_cast<char>(rng.Uniform(256));
+  for (int i = 0; i < 2000; ++i) {
+    const size_t offset = rng.Uniform(16);
+    const size_t n = rng.Uniform(i < 1000 ? 64 : 4096);
+    const char* data = buf.data() + offset;
+    const uint32_t init = i % 3 == 0 ? 0 : static_cast<uint32_t>(rng.Next());
+    const uint32_t want = crc32c::ExtendPortable(init, data, n);
+    ASSERT_EQ(crc32c::Extend(init, data, n), want)
+        << "offset " << offset << " n " << n;
+    const size_t split = n == 0 ? 0 : rng.Uniform(n + 1);
+    EXPECT_EQ(crc32c::Extend(crc32c::Extend(init, data, split), data + split,
+                             n - split),
+              want);
+  }
+}
+
 TEST(Crc32cTest, MaskRoundTrip) {
   for (uint32_t crc : {0u, 1u, 0xDEADBEEFu, 0xFFFFFFFFu}) {
     EXPECT_EQ(crc32c::Unmask(crc32c::Mask(crc)), crc);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -56,9 +57,10 @@ struct SegmentPair {
     }
   }
   // Reads both segments at (page, rp) and requires identical outcomes.
-  void ExpectSameRead(PageId page, Lsn rp) {
-    Result<Page> a = cached.GetPageAsOf(page, rp);
-    Result<Page> b = control.GetPageAsOf(page, rp);
+  void ExpectSameRead(PageId page, Lsn rp,
+                      std::optional<Lsn> tail = std::nullopt) {
+    Result<Page> a = cached.GetPageAsOf(page, rp, tail);
+    Result<Page> b = control.GetPageAsOf(page, rp, tail);
     ASSERT_EQ(a.ok(), b.ok()) << "page " << page << " @" << rp << ": "
                               << a.status().ToString() << " vs "
                               << b.status().ToString();
@@ -389,6 +391,12 @@ TEST_P(PageCacheEquivalenceTest, RandomScheduleMatchesCacheOffControl) {
       for (Lsn rp : probes) {
         if (rp == kInvalidLsn) continue;
         pair.ExpectSameRead(page, rp);
+        if (::testing::Test::HasFatalFailure()) return;
+        // The same read carrying a writer's tail: at the SCL, at a random
+        // delivered record (possibly contradicted by the log), or at the
+        // read point itself.
+        const Lsn tails[] = {pair.control.scl(), random_delivered_lsn(), rp};
+        pair.ExpectSameRead(page, rp, tails[rng.Uniform(3)]);
         if (::testing::Test::HasFatalFailure()) return;
       }
     }

@@ -143,6 +143,31 @@ TEST_F(RecoveryTest, WritesContinueAfterRecovery) {
             cluster_.writer()->vdl());
 }
 
+// Once a PG's records are coalesced and collected everywhere, recovery
+// still finds the PG's newest record (each segment keeps its chain head):
+// the next record links to it, the SCL moves past it, and a cache miss at
+// the new VDL is served.
+TEST_F(RecoveryTest, WritesAfterRecoveryExtendAFullyCollectedChain) {
+  ASSERT_TRUE(cluster_.PutSync(table_, "k", "v1").ok());
+  cluster_.RunFor(Seconds(10));
+  const PgId pg =
+      static_cast<PgId>(table_ / RecoveryCluster().engine.pages_per_pg);
+  cluster_.CrashWriter();
+  ASSERT_TRUE(cluster_.RecoverSync().ok());
+  ASSERT_TRUE(cluster_.PutSync(table_, "k", "v2").ok());
+  cluster_.RunFor(Seconds(1));
+  for (size_t i = 0; i < cluster_.num_storage_nodes(); ++i) {
+    const Segment* seg = cluster_.storage_node(i)->segment(pg);
+    if (seg != nullptr) EXPECT_GE(seg->scl(), cluster_.writer()->vdl());
+  }
+  cluster_.writer()->buffer_pool()->Discard(table_);
+  cluster_.writer()->buffer_pool()->Discard(table_ + 1);  // the tree's root
+  auto got = cluster_.GetSync(table_, "k");
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(*got, "v2");
+  EXPECT_EQ(cluster_.writer()->stats().read_retries, 0u);
+}
+
 TEST_F(RecoveryTest, RecoveryToleratesTwoStorageNodesDown) {
   for (int i = 0; i < 50; ++i) {
     ASSERT_TRUE(cluster_.PutSync(table_, Key(i), "v").ok());

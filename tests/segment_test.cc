@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <vector>
 
 #include "common/random.h"
@@ -143,6 +144,59 @@ TEST(SegmentTest, CompletenessSnapshotAllowsIdlePgReads) {
   EXPECT_TRUE(lagging.GetPageAsOf(0, 9000).status().IsUnavailable());
 }
 
+TEST(SegmentTest, ReadTailWithinTheSclServesHigherReadPoints) {
+  Segment seg(0, 4096);
+  auto records = MakeChain(3);
+  for (const auto& r : records) seg.AddRecord(r);
+  const Lsn tail = records[2].lsn;
+  // The volume VDL moved far past this idle PG and no snapshot says so:
+  // only the reader's tail proves the segment complete at 9000.
+  EXPECT_TRUE(seg.GetPageAsOf(0, 9000).status().IsUnavailable());
+  EXPECT_TRUE(seg.CompleteAt(9000, tail));
+  auto page = seg.GetPageAsOf(0, 9000, tail);
+  ASSERT_TRUE(page.ok()) << page.status().ToString();
+  auto at_tail = seg.GetPageAsOf(0, tail);
+  ASSERT_TRUE(at_tail.ok());
+  EXPECT_EQ(page->raw(), at_tail->raw());
+  // 0 is a valid tail: a PG never written is complete anywhere.
+  Segment empty(1, 4096);
+  EXPECT_TRUE(empty.CompleteAt(9000, kInvalidLsn));
+  EXPECT_FALSE(empty.CompleteAt(9000, std::nullopt));
+  // A tail above the read point proves nothing.
+  EXPECT_FALSE(seg.CompleteAt(9000, 9500));
+}
+
+TEST(SegmentTest, ReadTailAboveTheSclIsRefused) {
+  auto records = MakeChain(3);
+  Segment lagging(0, 4096);
+  lagging.AddRecord(records[0]);
+  lagging.AddRecord(records[2]);  // record 1 missing: SCL stays at record 0
+  ASSERT_EQ(lagging.scl(), records[0].lsn);
+  EXPECT_TRUE(lagging.GetPageAsOf(0, 9000, records[2].lsn)
+                  .status()
+                  .IsUnavailable());
+  EXPECT_TRUE(lagging.GetPageAsOf(0, records[2].lsn, records[2].lsn)
+                  .status()
+                  .IsUnavailable());
+  lagging.AddRecord(records[1]);
+  EXPECT_TRUE(lagging.GetPageAsOf(0, 9000, records[2].lsn).ok());
+}
+
+TEST(SegmentTest, ReadTailContradictedByTheLogIsRefused) {
+  Segment seg(0, 4096);
+  auto records = MakeChain(3);
+  for (const auto& r : records) seg.AddRecord(r);
+  // The reader claims the PG's newest record at or below the read point is
+  // record 1, but this log holds record 2 in (tail, read_point]: refuse,
+  // even where the SCL alone would vouch for the read point.
+  const Lsn tail = records[1].lsn;
+  EXPECT_TRUE(seg.GetPageAsOf(0, 9000, tail).status().IsUnavailable());
+  EXPECT_TRUE(
+      seg.GetPageAsOf(0, records[2].lsn, tail).status().IsUnavailable());
+  // A read point below the contradicting record is consistent with it.
+  EXPECT_TRUE(seg.GetPageAsOf(0, records[2].lsn - 1, tail).ok());
+}
+
 TEST(SegmentTest, GarbageCollectionDropsAppliedRecordsBelowPgmrpl) {
   Segment seg(0, 4096);
   auto records = MakeChain(9);
@@ -173,6 +227,22 @@ TEST(SegmentTest, TruncateRemovesSuffixAndHonoursEpochs) {
   EXPECT_TRUE(seg.Truncate(cut, 4).IsStale());
   EXPECT_TRUE(seg.Truncate(cut, 5).ok());
   EXPECT_TRUE(seg.Truncate(cut, 6).ok());
+}
+
+TEST(SegmentTest, TruncateBetweenRecordsKeepsTheChainExtensible) {
+  Segment seg(0, 4096);
+  auto records = MakeChain(10);
+  for (const auto& r : records) seg.AddRecord(r);
+  // The cut falls between records 6 and 7 (another PG's LSN, say): the
+  // SCL drops to record 6, the PG's newest surviving record.
+  ASSERT_TRUE(seg.Truncate(records[6].lsn + 5, 5).ok());
+  EXPECT_EQ(seg.scl(), records[6].lsn);
+  EXPECT_FALSE(seg.has_gap());
+  // The next incarnation's record links to record 6 and extends the SCL.
+  LogRecord next = records[7];
+  next.lsn = 100000;
+  ASSERT_TRUE(seg.AddRecord(next));
+  EXPECT_EQ(seg.scl(), next.lsn);
 }
 
 TEST(SegmentTest, SerializeRoundTripPreservesEverything) {
@@ -283,6 +353,30 @@ TEST(WireTest, AllMessageTypesRoundTrip) {
     EXPECT_EQ(out.vdl_snapshot, 800u);
     EXPECT_EQ(out.pg_tail, 600u);
   }
+  for (std::optional<Lsn> tail :
+       {std::optional<Lsn>(), std::optional<Lsn>(kInvalidLsn),
+        std::optional<Lsn>(4321)}) {
+    ReadPageReqMsg m;
+    m.req_id = 11;
+    m.pg = 2;
+    m.page = 130;
+    m.read_point = 5000;
+    m.epoch = 3;
+    m.cfg_epoch = 4;
+    m.tail = tail;
+    std::string buf;
+    m.EncodeTo(&buf);
+    ReadPageReqMsg out;
+    out.tail = 99;  // decoding must clear a stale value
+    ASSERT_TRUE(ReadPageReqMsg::DecodeFrom(buf, &out).ok());
+    EXPECT_EQ(out.req_id, 11u);
+    EXPECT_EQ(out.pg, 2u);
+    EXPECT_EQ(out.page, 130u);
+    EXPECT_EQ(out.read_point, 5000u);
+    EXPECT_EQ(out.epoch, 3u);
+    EXPECT_EQ(out.cfg_epoch, 4u);
+    EXPECT_EQ(out.tail, tail);
+  }
   {
     ReplicaStreamMsg m;
     m.vdl = 123;
@@ -354,6 +448,24 @@ TEST(WireTest, TruncatedMessagesRejected) {
     WriteBatchMsg out;
     EXPECT_FALSE(
         WriteBatchMsg::DecodeFrom(Slice(buf.data(), cut), &out).ok());
+  }
+  // A read request is cut anywhere: inside a varint, before the tail's
+  // presence flag, or between the flag and the tail.
+  for (std::optional<Lsn> tail : {std::optional<Lsn>(), std::optional<Lsn>(300000)}) {
+    ReadPageReqMsg r;
+    r.req_id = 11;
+    r.pg = 2;
+    r.page = 130;
+    r.read_point = 5000;
+    r.tail = tail;
+    std::string rbuf;
+    r.EncodeTo(&rbuf);
+    for (size_t cut = 0; cut < rbuf.size(); ++cut) {
+      ReadPageReqMsg out;
+      EXPECT_FALSE(
+          ReadPageReqMsg::DecodeFrom(Slice(rbuf.data(), cut), &out).ok())
+          << "cut " << cut;
+    }
   }
 }
 
