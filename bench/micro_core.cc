@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the hot data-path primitives:
-// redo encode/decode, CRC32C, the log applicator, slotted-page ops and
-// B+-tree point operations. These bound the simulated engine's CPU cost
-// model and catch data-path regressions.
+// redo encode/decode, CRC32C, the log applicator, slotted-page ops, B+-tree
+// point operations and storage-node segment apply. These bound the
+// simulated engine's CPU cost model and catch data-path regressions.
 
 #include <benchmark/benchmark.h>
 
@@ -173,6 +173,111 @@ void BM_SegmentGetPageAsOf(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SegmentGetPageAsOf)->Arg(0)->Arg(1);
+
+// One sysbench-style update record of a PG whose records hit `pages`
+// pages round-robin.
+LogRecord SegmentRecord(Lsn lsn, Lsn prev, PageId pages) {
+  LogRecord r;
+  r.lsn = lsn;
+  r.prev_pg_lsn = prev;
+  r.prev_vol_lsn = lsn - 1;
+  r.page_id = lsn % pages;
+  r.txn_id = 1;
+  r.op = RedoOp::kUpdate;
+  r.payload = LogRecord::MakeKeyValuePayload(
+      "key" + std::to_string(lsn % 64), std::string(100, 'v'));
+  r.flags = kFlagCpl;
+  return r;
+}
+
+// Storage-node record intake (Figure 4 steps 1-2 bookkeeping): moving a
+// decoded 1,000-record write batch into a segment that already retains
+// range(0) records, which GC has not collected. range(1) = 0 delivers the
+// batch in LSN order; 1 swaps one adjacent pair in every 50 records, so 2%
+// of them arrive after their successor (jitter-reordered batches). Time is
+// per batch; truncating the batch off again between iterations is not
+// timed.
+void BM_SegmentAddRecord(benchmark::State& state) {
+  constexpr size_t kBatch = 1000;
+  constexpr PageId kPages = 1024;
+  const bool reorder = state.range(1) != 0;
+  Segment seg(0, 4096);
+  Lsn lsn = 0;
+  for (int64_t i = 0; i < state.range(0); ++i, ++lsn) {
+    seg.AddRecord(SegmentRecord(lsn + 1, lsn, kPages));
+  }
+  const Lsn retained = lsn;
+  std::vector<LogRecord> batch;
+  for (size_t i = 0; i < kBatch; ++i, ++lsn) {
+    batch.push_back(SegmentRecord(lsn + 1, lsn, kPages));
+  }
+  if (reorder) {
+    for (size_t i = 0; i + 1 < kBatch; i += 50) {
+      std::swap(batch[i], batch[i + 1]);
+    }
+  }
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::vector<LogRecord> records = batch;
+    state.ResumeTiming();
+    for (LogRecord& r : records) {
+      benchmark::DoNotOptimize(seg.AddRecord(std::move(r)));
+    }
+    state.PauseTiming();
+    (void)seg.Truncate(retained, 0);
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(state.iterations() * kBatch);
+}
+BENCHMARK(BM_SegmentAddRecord)
+    ->Args({10000, 0})
+    ->Args({10000, 1})
+    ->Args({500000, 0})
+    ->Args({500000, 1});
+
+// Storage-node materialization (Figure 4 step 5): one CoalesceStep at the
+// default budget of 512 records over 16 KiB pages, records spread over 8
+// pages. Delivering the records and collecting them afterwards is not
+// timed.
+void BM_SegmentCoalesceStep(benchmark::State& state) {
+  constexpr size_t kStep = 512;
+  constexpr PageId kPages = 8;
+  Segment seg(0, 16384);
+  Lsn lsn = 0;
+  for (PageId page = 0; page < kPages; ++page, ++lsn) {
+    LogRecord format = SegmentRecord(lsn + 1, lsn, kPages);
+    format.page_id = page;
+    format.op = RedoOp::kFormatPage;
+    format.payload = LogRecord::MakeFormatPayload(
+        static_cast<uint8_t>(PageType::kBTreeLeaf), 0);
+    seg.AddRecord(std::move(format));
+  }
+  for (int key = 0; key < 64; ++key) {
+    for (PageId page = 0; page < kPages; ++page, ++lsn) {
+      LogRecord insert = SegmentRecord(lsn + 1, lsn, kPages);
+      insert.page_id = page;
+      insert.op = RedoOp::kInsert;
+      insert.payload = LogRecord::MakeKeyValuePayload(
+          "key" + std::to_string(key), std::string(100, 'v'));
+      seg.AddRecord(std::move(insert));
+    }
+  }
+  for (auto _ : state) {
+    state.PauseTiming();
+    for (size_t i = 0; i < kStep; ++i, ++lsn) {
+      seg.AddRecord(SegmentRecord(lsn + 1, lsn, kPages));
+    }
+    seg.SetVdlHint(lsn);
+    seg.SetPgmrpl(lsn);
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(seg.CoalesceStep(kStep));
+    state.PauseTiming();
+    seg.GarbageCollect();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(state.iterations() * kStep);
+}
+BENCHMARK(BM_SegmentCoalesceStep);
 
 }  // namespace
 }  // namespace aurora

@@ -258,6 +258,9 @@ void AuroraCluster::RegisterAllMetrics() {
     m->RegisterGauge(base + "page_cache.bytes", [sn] {
       return static_cast<double>(sn->PageCacheBytes());
     });
+    m->RegisterGauge(base + "hot_log_records", [sn] {
+      return static_cast<double>(sn->HotLogRecords());
+    });
 
     sim::Disk* disk = sn->disk();
     m->RegisterCounter(base + "disk.writes", [disk] { return disk->writes(); });

@@ -8,50 +8,119 @@
 
 namespace aurora {
 
-bool Segment::AddRecord(const LogRecord& record) {
-  if (record.lsn == kInvalidLsn) return false;
+namespace {
+
+bool LsnBelow(const LogRecord& rec, Lsn lsn) { return rec.lsn < lsn; }
+bool LsnAbove(Lsn lsn, const LogRecord& rec) { return lsn < rec.lsn; }
+template <typename Backlink>
+bool PrevBelow(const Backlink& b, Lsn prev) {
+  return b.prev < prev;
+}
+
+}  // namespace
+
+bool Segment::AddRecord(LogRecord&& record) {
+  const Lsn lsn = record.lsn;
+  const Lsn prev = record.prev_pg_lsn;
+  const PageId page = record.page_id;
+  if (lsn == kInvalidLsn) return false;
   // Records at or below the applied floor are already reflected in base
   // pages (and possibly garbage collected); re-adding them (late gossip)
   // would leave unreclaimable junk.
-  if (record.lsn <= applied_lsn_) return false;
-  auto [it, inserted] = hot_log_.emplace(record.lsn, record);
-  if (!inserted) return false;
-  chain_[record.prev_pg_lsn] = record.lsn;
-  records_by_page_[record.page_id].insert(record.lsn);
-  if (record.lsn > max_lsn_) max_lsn_ = record.lsn;
+  if (lsn <= applied_lsn_) return false;
+  const bool newest = hot_log_.empty() || lsn > hot_log_.back().lsn;
+  if (!Insert(std::move(record))) return false;
+  if (lsn > max_lsn_) max_lsn_ = lsn;
   // A record above the cached entry's build point is picked up by partial
   // replay; one at or below it (late gossip filling a gap) means the cached
   // image was built without it — drop the entry.
   if (!page_cache_.empty()) {
-    auto cit = page_cache_.find(record.page_id);
-    if (cit != page_cache_.end() && record.lsn <= cit->second.built_lsn) {
+    auto cit = page_cache_.find(page);
+    if (cit != page_cache_.end() && lsn <= cit->second.built_lsn) {
       cache_lru_.erase(cit->second.stamp);
       page_cache_.erase(cit);
     }
   }
-  AdvanceScl();
+  // The newest record extending the chain ends it: every backlink points
+  // below its record, so nothing held can link on to it.
+  if (newest && prev == scl_) {
+    scl_ = lsn;
+  } else {
+    AdvanceScl();
+  }
+  return true;
+}
+
+bool Segment::Insert(LogRecord&& record) {
+  const Lsn lsn = record.lsn;
+  const Lsn prev = record.prev_pg_lsn;
+  const PageId page = record.page_id;
+  if (hot_log_.empty() || lsn > hot_log_.back().lsn) {
+    hot_log_.push_back(std::move(record));
+  } else {
+    auto it = std::lower_bound(hot_log_.begin(), hot_log_.end(), lsn, LsnBelow);
+    if (it->lsn == lsn) return false;
+    hot_log_.insert(it, std::move(record));
+  }
+  SetBacklink(prev, lsn);
+  PageLsns& lsns = records_by_page_[page];
+  if (lsns.empty() || lsn > lsns.back()) {
+    lsns.push_back(lsn);
+  } else {
+    lsns.insert(std::lower_bound(lsns.begin(), lsns.end(), lsn), lsn);
+  }
   return true;
 }
 
 void Segment::AdvanceScl() {
-  auto it = chain_.find(scl_);
-  while (it != chain_.end()) {
-    scl_ = it->second;
-    it = chain_.find(scl_);
+  for (auto it = FindBacklink(scl_); it != chain_.end();
+       it = FindBacklink(scl_)) {
+    scl_ = it->lsn;
   }
 }
 
 const LogRecord* Segment::RecordAt(Lsn lsn) const {
-  auto it = hot_log_.find(lsn);
-  return it == hot_log_.end() ? nullptr : &it->second;
+  auto it = std::lower_bound(hot_log_.begin(), hot_log_.end(), lsn, LsnBelow);
+  return it == hot_log_.end() || it->lsn != lsn ? nullptr : &*it;
+}
+
+Segment::HotLog::const_iterator Segment::FirstAbove(Lsn lsn) const {
+  return std::upper_bound(hot_log_.begin(), hot_log_.end(), lsn, LsnAbove);
+}
+
+Segment::Backlinks::const_iterator Segment::FindBacklink(Lsn prev) const {
+  auto it = std::lower_bound(chain_.begin(), chain_.end(), prev,
+                             PrevBelow<Backlink>);
+  return it == chain_.end() || it->prev != prev ? chain_.end() : it;
+}
+
+void Segment::SetBacklink(Lsn prev, Lsn lsn) {
+  if (chain_.empty() || prev > chain_.back().prev) {
+    chain_.push_back({prev, lsn});
+    return;
+  }
+  auto it = std::lower_bound(chain_.begin(), chain_.end(), prev,
+                             PrevBelow<Backlink>);
+  if (it->prev == prev) {
+    // Records sharing a backlink (an annulled record that gossip brought
+    // back beside its successor): the last one added wins.
+    it->lsn = lsn;
+  } else {
+    chain_.insert(it, {prev, lsn});
+  }
+}
+
+void Segment::EraseBacklink(Lsn prev) {
+  auto it = FindBacklink(prev);
+  if (it != chain_.end()) chain_.erase(it);
 }
 
 std::vector<const LogRecord*> Segment::RecordsAbove(Lsn from,
                                                     size_t max) const {
   std::vector<const LogRecord*> out;
-  for (auto it = hot_log_.upper_bound(from);
-       it != hot_log_.end() && out.size() < max; ++it) {
-    out.push_back(&it->second);
+  for (auto it = FirstAbove(from); it != hot_log_.end() && out.size() < max;
+       ++it) {
+    out.push_back(&*it);
   }
   return out;
 }
@@ -59,8 +128,8 @@ std::vector<const LogRecord*> Segment::RecordsAbove(Lsn from,
 std::vector<InventoryEntry> Segment::Inventory() const {
   std::vector<InventoryEntry> out;
   out.reserve(hot_log_.size());
-  for (const auto& [lsn, rec] : hot_log_) {
-    out.push_back({lsn, rec.prev_pg_lsn, rec.prev_vol_lsn, rec.flags});
+  for (const LogRecord& rec : hot_log_) {
+    out.push_back({rec.lsn, rec.prev_pg_lsn, rec.prev_vol_lsn, rec.flags});
   }
   return out;
 }
@@ -84,9 +153,11 @@ Page* Segment::BasePage(PageId page) {
 size_t Segment::CoalesceStep(size_t max_records) {
   const Lsn limit = MaterializationLimit();
   size_t applied = 0;
-  auto it = hot_log_.upper_bound(applied_lsn_);
-  while (it != hot_log_.end() && it->first <= limit && applied < max_records) {
-    const LogRecord& rec = it->second;
+  std::vector<PageId> touched;
+  for (auto it = FirstAbove(applied_lsn_);
+       it != hot_log_.end() && it->lsn <= limit && applied < max_records;
+       ++it) {
+    const LogRecord& rec = *it;
     Page* page = BasePage(rec.page_id);
     if (!page->IsFormatted() && rec.op != RedoOp::kFormatPage) {
       // The page's base image was dropped for repair after its format
@@ -100,11 +171,17 @@ size_t Segment::CoalesceStep(size_t max_records) {
     }
     Status s = LogApplicator::Apply(rec, page);
     AURORA_CHECK(s.ok(), "coalesce apply failed (non-deterministic redo?)");
-    page->UpdateCrc();
-    applied_lsn_ = it->first;
+    if (touched.empty() || touched.back() != rec.page_id) {
+      touched.push_back(rec.page_id);
+    }
+    applied_lsn_ = rec.lsn;
     ++applied;
-    ++it;
   }
+  // One CRC per page touched: nothing reads a base page within a step, so
+  // only the step's final bytes need one.
+  std::sort(touched.begin(), touched.end());
+  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+  for (PageId id : touched) base_pages_.at(id).UpdateCrc();
   return applied;
 }
 
@@ -112,8 +189,8 @@ bool Segment::CompleteAt(Lsn read_point, std::optional<Lsn> tail) const {
   if (tail.has_value()) {
     // A record of this PG in (tail, read_point] contradicts the reader's
     // tail: this log and the writer's disagree, so vouch for nothing.
-    auto next = hot_log_.upper_bound(*tail);
-    if (next != hot_log_.end() && next->first <= read_point) return false;
+    auto next = FirstAbove(*tail);
+    if (next != hot_log_.end() && next->lsn <= read_point) return false;
     // The PG has no records in (tail, read_point], so a chain that reaches
     // the tail covers the read point.
     if (*tail <= read_point && scl_ >= *tail) return true;
@@ -147,13 +224,8 @@ Result<Page> Segment::GetPageAsOf(PageId page, Lsn read_point,
       CacheEntry& entry = cit->second;
       if (read_point >= entry.built_lsn) {
         // Any records for this page in (built_lsn, read_point]?
-        auto recs_it = records_by_page_.find(page);
-        auto next = recs_it == records_by_page_.end()
-                        ? std::set<Lsn>::const_iterator()
-                        : recs_it->second.upper_bound(entry.built_lsn);
-        bool newer = recs_it != records_by_page_.end() &&
-                     next != recs_it->second.end() && *next <= read_point;
-        if (!newer) {
+        LsnRange newer = PageRecordsIn(page, entry.built_lsn, read_point);
+        if (newer.first == newer.second) {
           ++cache_stats_.hits;
           CacheTouch(&entry);
           return entry.image;
@@ -163,13 +235,8 @@ Result<Page> Segment::GetPageAsOf(PageId page, Lsn read_point,
         // results to a full rebuild (the cached image already reflects
         // everything <= built_lsn).
         Page result = entry.image;
-        for (auto it = next; it != recs_it->second.end() && *it <= read_point;
-             ++it) {
-          const LogRecord* rec = RecordAt(*it);
-          if (rec == nullptr) continue;  // already in the base image
-          Status s = LogApplicator::Apply(*rec, &result);
-          if (!s.ok()) return s;
-        }
+        Status s = Replay(newer, &result);
+        if (!s.ok()) return s;
         result.UpdateCrc();
         ++cache_stats_.partial_hits;
         CacheInsert(page, result, read_point);
@@ -193,16 +260,8 @@ Result<Page> Segment::GetPageAsOf(PageId page, Lsn read_point,
   } else if (synthesizer_) {
     synthesizer_(page, &result);
   }
-  auto recs_it = records_by_page_.find(page);
-  if (recs_it != records_by_page_.end()) {
-    for (Lsn lsn : recs_it->second) {
-      if (lsn > read_point) break;
-      const LogRecord* rec = RecordAt(lsn);
-      if (rec == nullptr) continue;  // already in the base image
-      Status s = LogApplicator::Apply(*rec, &result);
-      if (!s.ok()) return s;
-    }
-  }
+  Status s = Replay(PageRecordsIn(page, kInvalidLsn, read_point), &result);
+  if (!s.ok()) return s;
   if (!result.IsFormatted()) {
     return Status::NotFound("page never written");
   }
@@ -213,6 +272,25 @@ Result<Page> Segment::GetPageAsOf(PageId page, Lsn read_point,
     if (!historical) CacheInsert(page, result, read_point);
   }
   return result;
+}
+
+Segment::LsnRange Segment::PageRecordsIn(PageId page, Lsn after,
+                                         Lsn through) const {
+  auto it = records_by_page_.find(page);
+  if (it == records_by_page_.end()) return {};
+  const PageLsns& lsns = it->second;
+  auto first = std::upper_bound(lsns.begin(), lsns.end(), after);
+  return {first, std::upper_bound(first, lsns.end(), through)};
+}
+
+Status Segment::Replay(LsnRange lsns, Page* image) const {
+  for (auto it = lsns.first; it != lsns.second; ++it) {
+    const LogRecord* rec = RecordAt(*it);
+    if (rec == nullptr) continue;  // already in the base image
+    Status s = LogApplicator::Apply(*rec, image);
+    if (!s.ok()) return s;
+  }
+  return Status::OK();
 }
 
 void Segment::set_page_cache_budget(uint64_t bytes) {
@@ -274,16 +352,16 @@ void Segment::CacheClear() {
 size_t Segment::GarbageCollect() {
   const Lsn floor = std::min(applied_lsn_, pgmrpl_);
   size_t collected = 0;
-  auto it = hot_log_.begin();
-  while (it != hot_log_.end() && it->first <= floor) {
+  while (!hot_log_.empty() && hot_log_.front().lsn <= floor) {
+    const LogRecord& rec = hot_log_.front();
     // The chain head stays: recovery learns the PG's newest record (the
     // backlink of the next one) from this hot log's inventory.
-    if (it->first == scl_) break;
-    const LogRecord& rec = it->second;
-    chain_.erase(rec.prev_pg_lsn);
+    if (rec.lsn == scl_) break;
+    EraseBacklink(rec.prev_pg_lsn);
+    // The log's oldest record is also its page's oldest.
     auto page_it = records_by_page_.find(rec.page_id);
     if (page_it != records_by_page_.end()) {
-      page_it->second.erase(rec.lsn);
+      page_it->second.pop_front();
       if (page_it->second.empty()) records_by_page_.erase(page_it);
     }
     // Collecting this record can strand a cached image of its page:
@@ -307,7 +385,7 @@ size_t Segment::GarbageCollect() {
         }
       }
     }
-    it = hot_log_.erase(it);
+    hot_log_.pop_front();
     ++collected;
   }
   return collected;
@@ -320,21 +398,21 @@ Status Segment::Truncate(Lsn above, Epoch epoch) {
   epoch_ = epoch;
   AURORA_CHECK(applied_lsn_ <= above,
                "truncation below materialized pages — VDL went backwards");
-  auto it = hot_log_.upper_bound(above);
-  while (it != hot_log_.end()) {
-    const LogRecord& rec = it->second;
-    chain_.erase(rec.prev_pg_lsn);
+  while (!hot_log_.empty() && hot_log_.back().lsn > above) {
+    const LogRecord& rec = hot_log_.back();
+    EraseBacklink(rec.prev_pg_lsn);
+    // The log's newest record is also its page's newest.
     auto page_it = records_by_page_.find(rec.page_id);
     if (page_it != records_by_page_.end()) {
-      page_it->second.erase(rec.lsn);
+      page_it->second.pop_back();
       if (page_it->second.empty()) records_by_page_.erase(page_it);
     }
-    it = hot_log_.erase(it);
+    hot_log_.pop_back();
   }
   // The newest surviving record, not `above` itself: the writer's next
   // record of this PG links to it, and the chain must meet the SCL there.
   Lsn newest = applied_lsn_;
-  if (!hot_log_.empty()) newest = std::max(newest, hot_log_.rbegin()->first);
+  if (!hot_log_.empty()) newest = std::max(newest, hot_log_.back().lsn);
   if (scl_ > above) scl_ = newest;
   if (max_lsn_ > above) max_lsn_ = newest;
   if (backup_lsn_ > above) backup_lsn_ = above;
@@ -394,9 +472,9 @@ bool Segment::CorruptNthBasePage(uint64_t nth) {
 
 std::vector<const LogRecord*> Segment::UnbackedRecords(size_t max) const {
   std::vector<const LogRecord*> out;
-  for (auto it = hot_log_.upper_bound(backup_lsn_);
-       it != hot_log_.end() && it->first <= scl_ && out.size() < max; ++it) {
-    out.push_back(&it->second);
+  for (auto it = FirstAbove(backup_lsn_);
+       it != hot_log_.end() && it->lsn <= scl_ && out.size() < max; ++it) {
+    out.push_back(&*it);
   }
   return out;
 }
@@ -412,9 +490,7 @@ void Segment::SerializeTo(std::string* dst) const {
   PutVarint64(dst, epoch_);
   PutVarint64(dst, applied_lsn_);
   PutVarint64(dst, hot_log_.size());
-  for (const auto& [lsn, rec] : hot_log_) {
-    rec.EncodeTo(dst);
-  }
+  for (const LogRecord& rec : hot_log_) rec.EncodeTo(dst);
   PutVarint64(dst, base_pages_.size());
   for (const auto& [id, page] : base_pages_) {
     PutVarint64(dst, id);
@@ -444,9 +520,7 @@ Status Segment::DeserializeFrom(Slice input) {
     LogRecord rec;
     Status s = LogRecord::DecodeFrom(&input, &rec);
     if (!s.ok()) return s;
-    chain_[rec.prev_pg_lsn] = rec.lsn;
-    records_by_page_[rec.page_id].insert(rec.lsn);
-    hot_log_.emplace(rec.lsn, std::move(rec));
+    Insert(std::move(rec));
   }
   if (!GetVarint64(&input, &n_pages)) {
     return Status::Corruption("bad segment state pages");
@@ -467,7 +541,7 @@ Status Segment::DeserializeFrom(Slice input) {
 
 uint64_t Segment::ApproximateBytes() const {
   uint64_t bytes = 0;
-  for (const auto& [lsn, rec] : hot_log_) bytes += rec.EncodedSize();
+  for (const LogRecord& rec : hot_log_) bytes += rec.EncodedSize();
   bytes += base_pages_.size() * page_size_;
   return bytes;
 }

@@ -1,11 +1,13 @@
 #ifndef AURORA_STORAGE_SEGMENT_H_
 #define AURORA_STORAGE_SEGMENT_H_
 
+#include <deque>
 #include <functional>
 #include <map>
 #include <optional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -30,7 +32,7 @@ struct PageCacheStats {
 /// (disk persistence, gossip cadence, scrubbing) lives in StorageNode.
 ///
 /// State:
-///  - the hot log: redo records addressed to this PG, keyed by LSN;
+///  - the hot log: redo records addressed to this PG, in LSN order;
 ///  - the backlink chain index, from which the Segment Complete LSN (SCL) is
 ///    maintained: the highest LSN below which this replica has every record
 ///    of the PG (§4.2.1);
@@ -60,8 +62,12 @@ class Segment {
   // --- Hot log -------------------------------------------------------------
   /// Adds a record (from a writer batch or peer gossip); duplicates are
   /// ignored. Returns true if the record was new. Advances the SCL when the
-  /// backlink chain extends.
-  bool AddRecord(const LogRecord& record);
+  /// backlink chain extends. A record newer than every held one is appended
+  /// in O(1); an older one is placed by binary search.
+  bool AddRecord(LogRecord&& record);
+  bool AddRecord(const LogRecord& record) {
+    return AddRecord(LogRecord(record));
+  }
 
   /// Segment Complete LSN: every record of the PG with LSN <= scl() is here.
   Lsn scl() const { return scl_; }
@@ -70,13 +76,12 @@ class Segment {
   /// True when records exist above the SCL (a gap is open).
   bool has_gap() const { return max_lsn_ > scl_; }
 
-  bool HasRecord(Lsn lsn) const { return hot_log_.count(lsn) > 0; }
+  bool HasRecord(Lsn lsn) const { return RecordAt(lsn) != nullptr; }
   size_t hot_log_size() const { return hot_log_.size(); }
 
   /// Records this replica has with LSN > `from`, up to `max` of them, in
-  /// LSN order — the gossip-push payload. Returns views into the hot log
-  /// (std::map nodes are pointer-stable); valid until the hot log is next
-  /// mutated, so consume synchronously.
+  /// LSN order — the gossip-push payload. Returns views into the hot log,
+  /// valid until the hot log is next mutated, so consume synchronously.
   std::vector<const LogRecord*> RecordsAbove(Lsn from, size_t max) const;
 
   /// The recovery inventory: (lsn, prev, flags) of every hot-log record.
@@ -172,7 +177,9 @@ class Segment {
   /// replica whose contiguous prefix ends at `scl` — i.e., log shipping can
   /// still bridge that replica's gap. Once GC collects the successor, the
   /// gap is only healable by a full state copy.
-  bool CanBridgeFrom(Lsn scl) const { return chain_.count(scl) > 0; }
+  bool CanBridgeFrom(Lsn scl) const {
+    return FindBacklink(scl) != chain_.end();
+  }
 
   /// Removes every record with LSN > `above`. Stale if `epoch` is older than
   /// the segment's current epoch; otherwise adopts the epoch. Idempotent.
@@ -214,8 +221,32 @@ class Segment {
   uint64_t ApproximateBytes() const;
 
  private:
+  /// One backlink-index entry: the record `lsn` links back to `prev`.
+  struct Backlink {
+    Lsn prev;
+    Lsn lsn;
+  };
+  using HotLog = std::deque<LogRecord>;
+  using Backlinks = std::deque<Backlink>;
+  using PageLsns = std::deque<Lsn>;
+  using LsnRange =
+      std::pair<PageLsns::const_iterator, PageLsns::const_iterator>;
+
+  /// Places `record` in the hot log and both indexes; false if its LSN is
+  /// already there.
+  bool Insert(LogRecord&& record);
   void AdvanceScl();
   const LogRecord* RecordAt(Lsn lsn) const;
+  /// First hot-log record with LSN > `lsn`.
+  HotLog::const_iterator FirstAbove(Lsn lsn) const;
+  /// The backlink entry for `prev`, or chain_.end().
+  Backlinks::const_iterator FindBacklink(Lsn prev) const;
+  void SetBacklink(Lsn prev, Lsn lsn);
+  void EraseBacklink(Lsn prev);
+  /// LSNs of `page`'s hot-log records in (after, through], ascending.
+  LsnRange PageRecordsIn(PageId page, Lsn after, Lsn through) const;
+  /// Applies the records `lsns` names to `image`.
+  Status Replay(LsnRange lsns, Page* image) const;
 
   /// A reconstructed page image valid through built_lsn: it reflects every
   /// record of the page with LSN <= built_lsn and nothing above. Mutable
@@ -247,9 +278,13 @@ class Segment {
   PgId pg_;
   size_t page_size_;
 
-  std::map<Lsn, LogRecord> hot_log_;
-  std::map<Lsn, Lsn> chain_;  // prev lsn -> lsn
-  std::map<PageId, std::set<Lsn>> records_by_page_;
+  /// LSN-ordered sequences (DESIGN.md §5): records nearly always arrive as
+  /// the segment's newest, so inserts append; GC pops the front and
+  /// truncation the back.
+  HotLog hot_log_;
+  /// Sorted by prev; an equal prev keeps the last record added with it.
+  Backlinks chain_;
+  std::map<PageId, PageLsns> records_by_page_;
 
   /// Fetches the base page, creating it (empty or synthesized) on demand.
   Page* BasePage(PageId page);

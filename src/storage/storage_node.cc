@@ -119,6 +119,12 @@ uint64_t StorageNode::PageCacheBytes() const {
   return bytes;
 }
 
+uint64_t StorageNode::HotLogRecords() const {
+  uint64_t records = 0;
+  for (const auto& [pg, seg] : segments_) records += seg->hot_log_size();
+  return records;
+}
+
 bool StorageNode::Busy() const {
   return disk_.backlog() > options_.background_backlog_limit;
 }
@@ -293,9 +299,7 @@ void StorageNode::HandleWriteBatch(const sim::Message& msg) {
     seg->ObserveEpoch(batch.epoch);
     seg->SetVdlHint(batch.vdl_hint);
     seg->SetPgmrpl(batch.pgmrpl_hint);
-    for (const LogRecord& r : batch.records) {
-      seg->AddRecord(r);
-    }
+    for (LogRecord& r : batch.records) seg->AddRecord(std::move(r));
     // The device may have planted a latent sector fault under this write;
     // rot a materialized base page in response (the scrubber or a CRC-
     // verified read will catch it later). The RNG draw is gated on the
@@ -602,14 +606,14 @@ void StorageNode::HandleGossipPush(const sim::Message& msg) {
   // batches.
   const uint64_t gen = generation_;
   const uint64_t bytes = msg.payload_size();
-  disk_.Write(bytes, [this, gen, push = std::move(push)](Status s) {
+  disk_.Write(bytes, [this, gen, push = std::move(push)](Status s) mutable {
     if (gen != generation_ || crashed_ || !s.ok()) return;
     Segment* seg = segment(push.pg);
     if (seg == nullptr) return;
     seg->ObserveEpoch(push.epoch);
     uint64_t filled = 0;
-    for (const LogRecord& r : push.records) {
-      if (seg->AddRecord(r)) ++filled;
+    for (LogRecord& r : push.records) {
+      if (seg->AddRecord(std::move(r))) ++filled;
     }
     stats_.gossip_records_filled += filled;
     if (filled > 0) stats_.gossip_fill_batch.Record(filled);

@@ -148,6 +148,8 @@ class StorageNode {
   PageCacheStats PageCacheTotals() const;
   /// Current reconstruction-cache footprint across hosted segments.
   uint64_t PageCacheBytes() const;
+  /// Hot-log records held across hosted segments.
+  uint64_t HotLogRecords() const;
 
   /// For the repair manager: serialized segment state bytes.
   uint64_t SegmentBytes(PgId pg) const;

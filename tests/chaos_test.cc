@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "harness/cluster.h"
 #include "sim/chaos.h"
@@ -190,6 +193,208 @@ TEST_P(CrashLoopTest, AckedSurvivesUnackedRollsBack) {
   chaos.StopChecker();
   EXPECT_TRUE(chaos.checker()->violations().empty())
       << "first violation: " << chaos.checker()->violations().front();
+}
+
+// A torn multi-PG MTR: one write's MTR spans two PGs, the batch of the PG
+// without its CPL reaches quorum, and every copy of the batch holding the
+// CPL is lost. Recovery must annul the whole MTR: truncation removes the
+// surviving half, each SCL falls back to its PG's newest surviving record,
+// and the next incarnation's backlinks meet it there, so both PGs take
+// writes and serve cache-miss reads again.
+TEST(TornMtrChaosTest, LostCplBatchIsAnnulledAndBothPgsMoveOn) {
+  ClusterOptions o;
+  o.engine.page_size = 4096;
+  o.engine.pages_per_pg = 8;
+  o.engine.buffer_pool_pages = 2048;
+  o.storage_nodes_per_az = 4;
+  AuroraCluster cluster(o);
+  ASSERT_TRUE(cluster.BootstrapSync().ok());
+  const auto pg_of = [&](PageId page) {
+    return static_cast<PgId>(page / o.engine.pages_per_pg);
+  };
+  const auto live_segments = [&](PgId pg) {
+    std::vector<const Segment*> out;
+    for (sim::NodeId node : cluster.control_plane()->membership(pg).nodes) {
+      StorageNode* sn = cluster.storage_node_by_id(node);
+      if (sn != nullptr && !sn->crashed() && sn->segment(pg) != nullptr) {
+        out.push_back(sn->segment(pg));
+      }
+    }
+    return out;
+  };
+
+  // A write's MTR logs its transaction-table and undo rows to the system
+  // trees on pages 0-4 (PG A = 0) and ends, at the CPL, with the row's leaf:
+  // the root page that follows a table's anchor. Tables created one after
+  // another put their roots in PG 0, then PG 1, PG 2 and so on. PG B is the
+  // first PG past PG A that shares at most two hosts with it, so PG A keeps
+  // a 4/6 write quorum while the writer is cut off from PG B's six hosts.
+  const PgId pg_a = 0;
+  const PgMembership& members_a = cluster.control_plane()->membership(pg_a);
+  PageId table_a = kInvalidPage;
+  PageId table_b = kInvalidPage;
+  PgId pg_b = pg_a;
+  for (int i = 0; i < 32 && table_b == kInvalidPage; ++i) {
+    const std::string name = "t" + std::to_string(i);
+    ASSERT_TRUE(cluster.CreateTableSync(name).ok());
+    const PageId anchor = *cluster.TableAnchorSync(name);
+    const PgId pg = pg_of(anchor + 1);
+    if (pg == pg_a) {
+      if (table_a == kInvalidPage) table_a = anchor;
+      continue;
+    }
+    int shared = 0;
+    for (sim::NodeId node : cluster.control_plane()->membership(pg).nodes) {
+      shared += members_a.IndexOf(node) >= 0 ? 1 : 0;
+    }
+    if (shared <= 2) {
+      table_b = anchor;
+      pg_b = pg;
+    }
+  }
+  ASSERT_NE(table_a, kInvalidPage);
+  ASSERT_NE(table_b, kInvalidPage);
+
+  std::map<std::pair<PageId, std::string>, std::string> acked;
+  for (int i = 0; i < 10; ++i) {
+    for (PageId table : {table_a, table_b}) {
+      const std::string value = "v" + std::to_string(i);
+      ASSERT_TRUE(cluster.PutSync(table, Key(i), value).ok());
+      acked[{table, Key(i)}] = value;
+    }
+  }
+  cluster.RunFor(Seconds(1));
+
+  // An open transaction's write makes PG B's leaf the newest CPL, so the
+  // VDL the torn MTR leaves behind cuts PG A between two of its records.
+  Database* db = cluster.writer();
+  const TxnId open_txn = db->Begin();
+  bool open_put_done = false;
+  db->Put(open_txn, table_b, "open", "uncommitted", [&](Status s) {
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    open_put_done = true;
+  });
+  ASSERT_TRUE(cluster.RunUntil(
+      [&] { return open_put_done && db->vdl() == db->max_allocated_lsn(); },
+      Seconds(5)));
+  const Lsn vdl_before = db->vdl();
+  const auto newest_at_or_below = [&](PgId pg, Lsn lsn) {
+    Lsn newest = kInvalidLsn;
+    for (const Segment* seg : live_segments(pg)) {
+      for (const InventoryEntry& e : seg->Inventory()) {
+        if (e.lsn <= lsn) newest = std::max(newest, e.lsn);
+      }
+    }
+    return newest;
+  };
+  ASSERT_LT(newest_at_or_below(pg_a, vdl_before), vdl_before);
+
+  ChaosEngine chaos(&cluster);
+  chaos.StartChecker();
+  const sim::NodeId writer = cluster.writer_node();
+  const PgMembership members_b = cluster.control_plane()->membership(pg_b);
+  for (sim::NodeId node : members_b.nodes) {
+    cluster.network()->SetPartitionedOneWay(writer, node, true);
+  }
+  const TxnId txn = db->Begin();
+  bool put_done = false;
+  bool commit_done = false;
+  db->Put(txn, table_b, Key(0), "torn", [&](Status s) {
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    put_done = true;
+    db->Commit(txn, [&](Status) { commit_done = true; });
+  });
+  chaos.Run(Millis(500));
+  ASSERT_TRUE(put_done);
+  ASSERT_FALSE(commit_done);
+  ASSERT_EQ(db->vdl(), vdl_before);
+
+  // The MTR is torn: PG A's half is on a write quorum, and no segment of
+  // PG B holds anything above the VDL.
+  std::vector<Lsn> torn;
+  int a_holding = 0;
+  for (const Segment* seg : live_segments(pg_a)) {
+    const auto above = seg->RecordsAbove(vdl_before, SIZE_MAX);
+    if (above.empty()) continue;
+    ++a_holding;
+    if (torn.empty()) {
+      for (const LogRecord* r : above) torn.push_back(r->lsn);
+    }
+  }
+  EXPECT_GE(a_holding, 4);
+  ASSERT_FALSE(torn.empty());
+  for (const Segment* seg : live_segments(pg_b)) {
+    EXPECT_LE(seg->max_lsn(), vdl_before);
+  }
+
+  cluster.CrashWriter();
+  for (sim::NodeId node : members_b.nodes) {
+    cluster.network()->SetPartitionedOneWay(writer, node, false);
+  }
+  bool undo_done = false;
+  cluster.writer()->set_undo_complete_callback([&] { undo_done = true; });
+  ASSERT_TRUE(cluster.RecoverSync().ok());
+  ASSERT_TRUE(cluster.RunUntil([&] { return undo_done; }, Seconds(60)));
+  db = cluster.writer();
+  // Recovery annulled the surviving half everywhere, and the torn write
+  // never became visible.
+  for (const Segment* seg : live_segments(pg_a)) {
+    for (Lsn lsn : torn) EXPECT_FALSE(seg->HasRecord(lsn)) << lsn;
+  }
+  auto before_torn = cluster.GetSync(table_b, Key(0));
+  ASSERT_TRUE(before_torn.ok()) << before_torn.status().ToString();
+  const std::string& acked_value = acked[{table_b, Key(0)}];
+  EXPECT_EQ(*before_torn, acked_value);
+
+  // The next incarnation writes to both PGs.
+  const Lsn incarnation_floor = db->max_allocated_lsn();
+  for (int i = 0; i < 10; i += 3) {
+    for (PageId table : {table_a, table_b}) {
+      const std::string value = "w" + std::to_string(i);
+      ASSERT_TRUE(cluster.PutSync(table, Key(i), value).ok());
+      acked[{table, Key(i)}] = value;
+    }
+  }
+  chaos.Run(Seconds(1));
+
+  // Every live segment's chain runs through its PG's first record of the
+  // new incarnation.
+  for (PgId pg : {pg_a, pg_b}) {
+    Lsn first_new = kInvalidLsn;
+    for (const Segment* seg : live_segments(pg)) {
+      const auto above = seg->RecordsAbove(incarnation_floor, 1);
+      if (!above.empty() && (first_new == kInvalidLsn ||
+                             above.front()->lsn < first_new)) {
+        first_new = above.front()->lsn;
+      }
+    }
+    ASSERT_NE(first_new, kInvalidLsn) << "pg " << pg;
+    for (const Segment* seg : live_segments(pg)) {
+      EXPECT_GE(seg->scl(), first_new) << "pg " << pg;
+      EXPECT_FALSE(seg->has_gap()) << "pg " << pg;
+    }
+  }
+
+  // Every acked row reads back through a cache miss.
+  const uint64_t fetches = db->stats().storage_page_reads;
+  for (PageId table : {table_a, table_b}) {
+    db->buffer_pool()->Discard(table);
+    db->buffer_pool()->Discard(table + 1);
+  }
+  for (const auto& [where, value] : acked) {
+    auto got = cluster.GetSync(where.first, where.second);
+    ASSERT_TRUE(got.ok()) << where.second << ": " << got.status().ToString();
+    EXPECT_EQ(*got, value) << where.second;
+  }
+  EXPECT_GE(db->stats().storage_page_reads, fetches + 4);
+  // The open transaction was rolled back.
+  EXPECT_TRUE(cluster.GetSync(table_b, "open").status().IsNotFound());
+
+  chaos.StopChecker();
+  const auto& violations = chaos.checker()->violations();
+  EXPECT_TRUE(violations.empty())
+      << violations.size() << " violation(s), first: " << violations.front();
+  EXPECT_GT(chaos.checker()->checks(), 0u);
 }
 
 // Regression: Crash() must Cancel() every timer whose closure captures the
