@@ -5,7 +5,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -15,6 +17,7 @@
 #include "log/log_record.h"
 #include "page/btree.h"
 #include "page/page.h"
+#include "sim/network.h"
 #include "storage/segment.h"
 #include "tests/test_util.h"
 
@@ -190,13 +193,13 @@ LogRecord SegmentRecord(Lsn lsn, Lsn prev, PageId pages) {
   return r;
 }
 
-// Storage-node record intake (Figure 4 steps 1-2 bookkeeping): moving a
-// decoded 1,000-record write batch into a segment that already retains
-// range(0) records, which GC has not collected. range(1) = 0 delivers the
-// batch in LSN order; 1 swaps one adjacent pair in every 50 records, so 2%
-// of them arrive after their successor (jitter-reordered batches). Time is
-// per batch; truncating the batch off again between iterations is not
-// timed.
+// Storage-node record intake (Figure 4 steps 1-2 bookkeeping): adding a
+// decoded 1,000-record write batch (one shared owner, as a storage node
+// decodes it) to a segment that already retains range(0) records, which GC
+// has not collected. range(1) = 0 delivers the batch in LSN order; 1 swaps
+// one adjacent pair in every 50 records, so 2% of them arrive after their
+// successor (jitter-reordered batches). Time is per batch; truncating the
+// batch off again between iterations is not timed.
 void BM_SegmentAddRecord(benchmark::State& state) {
   constexpr size_t kBatch = 1000;
   constexpr PageId kPages = 1024;
@@ -216,12 +219,11 @@ void BM_SegmentAddRecord(benchmark::State& state) {
       std::swap(batch[i], batch[i + 1]);
     }
   }
+  const SharedRecords records =
+      std::make_shared<const std::vector<LogRecord>>(std::move(batch));
   for (auto _ : state) {
-    state.PauseTiming();
-    std::vector<LogRecord> records = batch;
-    state.ResumeTiming();
-    for (LogRecord& r : records) {
-      benchmark::DoNotOptimize(seg.AddRecord(std::move(r)));
+    for (const LogRecord& r : *records) {
+      benchmark::DoNotOptimize(seg.AddRecord({records, &r}));
     }
     state.PauseTiming();
     (void)seg.Truncate(retained, 0);
@@ -250,7 +252,7 @@ void BM_SegmentCoalesceStep(benchmark::State& state) {
     format.op = RedoOp::kFormatPage;
     format.payload = LogRecord::MakeFormatPayload(
         static_cast<uint8_t>(PageType::kBTreeLeaf), 0);
-    seg.AddRecord(std::move(format));
+    seg.AddRecord(format);
   }
   for (int key = 0; key < 64; ++key) {
     for (PageId page = 0; page < kPages; ++page, ++lsn) {
@@ -259,7 +261,7 @@ void BM_SegmentCoalesceStep(benchmark::State& state) {
       insert.op = RedoOp::kInsert;
       insert.payload = LogRecord::MakeKeyValuePayload(
           "key" + std::to_string(key), std::string(100, 'v'));
-      seg.AddRecord(std::move(insert));
+      seg.AddRecord(insert);
     }
   }
   for (auto _ : state) {
@@ -279,19 +281,72 @@ void BM_SegmentCoalesceStep(benchmark::State& state) {
 }
 BENCHMARK(BM_SegmentCoalesceStep);
 
+// Storage-node intake of one writer batch fan-out (Figure 4 step 1 on all
+// six replicas): a 235-record encoded batch (write_only's mean batch) is
+// decoded and added to six segments that each retain 10,000 records, the
+// way six StorageNode::HandleWriteBatch calls sharing one decode memo do.
+// Time is per batch; the ns_per_record counter divides it by the batch's
+// records, all six replicas included. Truncating the batch off again,
+// which frees it, is not timed.
+void BM_StorageWriteFanout(benchmark::State& state) {
+  constexpr size_t kBatch = 235;
+  constexpr PageId kPages = 1024;
+  constexpr Lsn kRetained = 10000;
+  std::vector<Segment> replicas(kReplicasPerPg, Segment(0, 4096));
+  for (Segment& seg : replicas) {
+    for (Lsn lsn = 0; lsn < kRetained; ++lsn) {
+      seg.AddRecord(SegmentRecord(lsn + 1, lsn, kPages));
+    }
+  }
+  std::vector<LogRecord> batch;
+  for (Lsn lsn = kRetained; lsn < kRetained + kBatch; ++lsn) {
+    batch.push_back(SegmentRecord(lsn + 1, lsn, kPages));
+  }
+  std::string blob;
+  EncodeRecordBatch(batch, &blob);
+  double timed_ns = 0;
+  for (auto _ : state) {
+    const auto start = std::chrono::steady_clock::now();
+    sim::DecodeMemo memo;
+    for (Segment& seg : replicas) {
+      const SharedRecords records = memo.Get<std::vector<LogRecord>>(
+          [&blob] { return DecodeSharedRecords(blob); });
+      for (const LogRecord& r : *records) {
+        benchmark::DoNotOptimize(seg.AddRecord({records, &r}));
+      }
+    }
+    timed_ns += std::chrono::duration<double, std::nano>(
+                    std::chrono::steady_clock::now() - start)
+                    .count();
+    state.PauseTiming();
+    for (Segment& seg : replicas) (void)seg.Truncate(kRetained, 0);
+    state.ResumeTiming();
+  }
+  state.counters["ns_per_record"] =
+      timed_ns / static_cast<double>(state.iterations() * kBatch);
+}
+BENCHMARK(BM_StorageWriteFanout);
+
 }  // namespace
 }  // namespace aurora
 
 namespace {
 
-/// Console reporter that additionally captures per-benchmark timings so
-/// they can be emitted through the metrics registry as BENCH_*.json.
+/// Console reporter that additionally captures per-benchmark timings and
+/// user counters so they can be emitted through the metrics registry as
+/// BENCH_*.json.
 class CaptureReporter : public benchmark::ConsoleReporter {
  public:
   void ReportRuns(const std::vector<Run>& runs) override {
     for (const Run& run : runs) {
       if (run.error_occurred) continue;
-      captured.emplace_back(run.benchmark_name(), run.GetAdjustedRealTime());
+      // Benchmark names ("BM_Crc32c/4096") become one leaf per benchmark.
+      captured.emplace_back(run.benchmark_name() + ".real_time_ns",
+                            run.GetAdjustedRealTime());
+      for (const auto& [name, counter] : run.counters) {
+        captured.emplace_back(run.benchmark_name() + "." + name,
+                              counter.value);
+      }
     }
     ConsoleReporter::ReportRuns(runs);
   }
@@ -308,9 +363,8 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks(&reporter);
 
   aurora::bench::BenchReport report("micro_core");
-  for (const auto& [name, real_time_ns] : reporter.captured) {
-    // Benchmark names ("BM_Crc32c/4096") become one leaf per benchmark.
-    report.Result(name + ".real_time_ns", real_time_ns);
+  for (const auto& [key, value] : reporter.captured) {
+    report.Result(key, value);
   }
   report.Write();
   return 0;

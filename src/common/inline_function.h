@@ -29,6 +29,13 @@ class InlineFunction;
 template <typename R, typename... Args, size_t kInlineBytes>
 class InlineFunction<R(Args...), kInlineBytes> {
  public:
+  /// True when a callable of type F lives in the inline buffer rather than
+  /// a heap cell; hot-path call sites static_assert it.
+  template <typename F>
+  static constexpr bool kStoresInline =
+      sizeof(F) <= kInlineBytes && alignof(F) <= alignof(std::max_align_t) &&
+      std::is_nothrow_move_constructible_v<F>;
+
   InlineFunction() = default;
   InlineFunction(std::nullptr_t) {}  // NOLINT
 
@@ -38,9 +45,7 @@ class InlineFunction<R(Args...), kInlineBytes> {
                 std::is_invocable_r_v<R, std::decay_t<F>&, Args...>>>
   InlineFunction(F&& f) {  // NOLINT
     using Decayed = std::decay_t<F>;
-    if constexpr (sizeof(Decayed) <= kInlineBytes &&
-                  alignof(Decayed) <= alignof(std::max_align_t) &&
-                  std::is_nothrow_move_constructible_v<Decayed>) {
+    if constexpr (kStoresInline<Decayed>) {
       ::new (static_cast<void*>(storage_)) Decayed(std::forward<F>(f));
       ops_ = &InlineOps<Decayed>::kOps;
     } else {

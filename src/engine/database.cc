@@ -392,11 +392,12 @@ void Database::SendBatch(OutstandingBatch* batch) {
   if (fenced_) return;
   const CachedConfig& cfg = PgConfig(batch->pg);
   const Lsn pgmrpl = ComputePgmrpl();
-  // Single-encode fan-out: the body (epoch, seq, hints, record blob) is
-  // identical for all replicas, so serialize it once and share the buffer
-  // across the un-acked sends; only the tiny pg+replica header is built per
-  // destination.
+  // Single-encode, single-decode fan-out: the body (epoch, seq, hints,
+  // record blob) is identical for all replicas, so serialize it once and
+  // share the buffer, with one decode memo, across the un-acked sends; only
+  // the tiny pg+replica header is built per destination.
   std::shared_ptr<const std::string> body;
+  std::shared_ptr<sim::DecodeMemo> memo;
   uint64_t sends = 0;
   for (int idx = 0; idx < kReplicasPerPg; ++idx) {
     if (batch->tracker.has_ack_from(idx)) continue;
@@ -405,6 +406,7 @@ void Database::SendBatch(OutstandingBatch* batch) {
       WriteBatchMsg::EncodeBody(volume_epoch_, cfg.config_epoch, batch->seq,
                                 vdl_, pgmrpl, batch->records, encoded.get());
       body = std::move(encoded);
+      memo = std::make_shared<sim::DecodeMemo>();
     }
     WriteBatchMsg header_msg;
     header_msg.pg = batch->pg;
@@ -412,7 +414,7 @@ void Database::SendBatch(OutstandingBatch* batch) {
     std::string header;
     header_msg.EncodeHeaderTo(&header);
     network_->Send(node_id_, cfg.nodes[idx], kMsgWriteBatch,
-                   std::move(header), body);
+                   std::move(header), body, memo);
     ++sends;
   }
   if (sends > 1) {

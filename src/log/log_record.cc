@@ -172,4 +172,10 @@ Status DecodeRecordBatch(Slice input, std::vector<LogRecord>* out) {
   return Status::OK();
 }
 
+SharedRecords DecodeSharedRecords(Slice input) {
+  auto records = std::make_shared<std::vector<LogRecord>>();
+  if (!DecodeRecordBatch(input, records.get()).ok()) return nullptr;
+  return records;
+}
+
 }  // namespace aurora

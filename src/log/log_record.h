@@ -2,6 +2,7 @@
 #define AURORA_LOG_LOG_RECORD_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -96,6 +97,13 @@ void EncodeRecordBatch(const std::vector<LogRecord>& records, std::string* dst);
 void EncodeRecordBatch(const std::vector<const LogRecord*>& records,
                        std::string* dst);
 Status DecodeRecordBatch(Slice input, std::vector<LogRecord>* out);
+
+/// One decoded batch under a single owner. Its records are immutable: the
+/// segment replicas that keep them hold aliasing pointers into the vector,
+/// so the batch is freed when the last holder drops its last record.
+using SharedRecords = std::shared_ptr<const std::vector<LogRecord>>;
+/// DecodeRecordBatch into a new owner; null if `input` is malformed.
+SharedRecords DecodeSharedRecords(Slice input);
 
 }  // namespace aurora
 

@@ -44,9 +44,10 @@ struct DiskOptions {
 class Disk {
  public:
   /// Completion callback. 104 inline bytes hold the storage hot path's
-  /// captures (this + generation + a decoded WriteBatchMsg + sender), and
-  /// the resulting 112-byte object still nests inside the completion
-  /// event's EventFn buffer — an IO costs zero heap allocations.
+  /// captures (this + generation + a write batch header, its shared
+  /// records and the sender), and the resulting 112-byte object still
+  /// nests inside the completion event's EventFn buffer — an IO costs zero
+  /// heap allocations.
   using Callback = InlineFunction<void(Status), 104>;
 
   Disk(EventLoop* loop, DiskOptions options, Random rng)

@@ -16,7 +16,7 @@ namespace aurora::sim {
 using EventId = uint64_t;
 
 /// Closure type for scheduled events. 128 inline bytes fit the kernel's
-/// composed hot-path closures (network delivery: this + a ~88-byte Message;
+/// composed hot-path closures (network delivery: this + a 112-byte Message;
 /// disk completion: this + a 112-byte Disk::Callback) without a heap
 /// allocation.
 using EventFn = InlineFunction<void(), 128>;

@@ -107,17 +107,20 @@ SimDuration Network::PropagationDelay(NodeId from, NodeId to) {
 
 void Network::Send(NodeId from, NodeId to, uint16_t type,
                    std::string payload) {
-  SendImpl(from, to, type, std::move(payload), nullptr);
+  SendImpl(from, to, type, std::move(payload), nullptr, nullptr);
 }
 
 void Network::Send(NodeId from, NodeId to, uint16_t type, std::string header,
-                   std::shared_ptr<const std::string> body) {
-  SendImpl(from, to, type, std::move(header), std::move(body));
+                   std::shared_ptr<const std::string> body,
+                   std::shared_ptr<DecodeMemo> memo) {
+  SendImpl(from, to, type, std::move(header), std::move(body),
+           std::move(memo));
 }
 
 void Network::SendImpl(NodeId from, NodeId to, uint16_t type,
                        std::string header,
-                       std::shared_ptr<const std::string> body) {
+                       std::shared_ptr<const std::string> body,
+                       std::shared_ptr<DecodeMemo> memo) {
   if (from >= handlers_.size()) Register(from, nullptr);
   if (to >= handlers_.size()) Register(to, nullptr);
 
@@ -158,6 +161,7 @@ void Network::SendImpl(NodeId from, NodeId to, uint16_t type,
   msg.type = type;
   msg.header = std::move(header);
   msg.body = std::move(body);
+  msg.memo = std::move(memo);
   msg.sent_at = ctx->now();
   // Frame checksum, stamped before any adversarial corruption so receivers
   // can tell a mangled frame from a clean one.
@@ -169,12 +173,14 @@ void Network::SendImpl(NodeId from, NodeId to, uint16_t type,
 
   // Adversary: bit-flip corruption. The body fragment may be shared with
   // other in-flight fan-out copies, so corruption first materializes a
-  // private single-fragment payload — never mutate the shared body.
+  // private single-fragment payload — never mutate the shared body — and
+  // drops the memo, which describes the clean bytes.
   if (rng.Bernoulli(corrupt_probability_) && wire_bytes > 0) {
     if (msg.body) {
       msg.header.append(*msg.body);
       msg.body.reset();
     }
+    msg.memo.reset();
     uint64_t bit = rng.Uniform(msg.header.size() * 8);
     msg.header[bit / 8] ^= static_cast<char>(1u << (bit % 8));
     adversary_.corrupted_injected++;
@@ -190,8 +196,9 @@ void Network::SendImpl(NodeId from, NodeId to, uint16_t type,
     }
   }
 
-  // Adversary: duplication. The copy shares the refcounted body and gets an
-  // independently drawn delivery time, so it can arrive before the original.
+  // Adversary: duplication. The copy shares the refcounted body and memo and
+  // gets an independently drawn delivery time, so it can arrive before the
+  // original.
   if (rng.Bernoulli(duplicate_probability_)) {
     SimTime dup_at = start + transmit + PropagationDelay(from, to);
     if (reorder_window_ > 0) dup_at += rng.UniformRange(0, reorder_window_);
@@ -209,7 +216,7 @@ void Network::ScheduleDelivery(SimTime at, Message msg) {
   // body is never copied per receiver (the refcount crossing shards is the
   // only synchronized touch), and the whole capture fits EventFn's inline
   // buffer (no allocation per message in steady state).
-  EventFn deliver = [this, msg = std::move(msg)]() {
+  auto deliver = [this, msg = std::move(msg)]() {
     // Re-check reachability at delivery time: a crash while the message
     // was in flight loses it.
     if (!Reachable(msg.from, msg.to)) {
@@ -222,6 +229,8 @@ void Network::ScheduleDelivery(SimTime at, Message msg) {
     stats_[msg.to].messages_received++;
     handlers_[msg.to](msg);
   };
+  static_assert(EventFn::kStoresInline<decltype(deliver)>,
+                "a delivery must not allocate: keep Message small");
   if (pdes_ == nullptr) {
     loop_->ScheduleAt(at, std::move(deliver));
     return;

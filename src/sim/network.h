@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
 #include <utility>
@@ -19,6 +20,34 @@
 namespace aurora::sim {
 
 class ShardedEventLoop;
+
+/// Decode-once memo for a shared message body (DESIGN.md §5). A fan-out
+/// sender creates one per body it shares; every receiver of those bytes
+/// decodes through it, so the first receiver decodes and the rest reuse its
+/// immutable result. Under PDES the receivers run on different shard
+/// threads; std::call_once lets exactly one of them decode.
+class DecodeMemo {
+ public:
+  /// The memoized decode of the body: runs `decode` (a callable returning
+  /// std::shared_ptr<const T>) unless a receiver already has. Every caller
+  /// of one memo asks for the same T.
+  template <typename T, typename Decode>
+  std::shared_ptr<const T> Get(Decode&& decode) {
+    std::call_once(once_, [&] {
+      value_ = decode();
+      ++decodes_;
+    });
+    return std::static_pointer_cast<const T>(value_);
+  }
+
+  /// How many times the body was decoded through this memo.
+  uint32_t decodes_for_testing() const { return decodes_.load(); }
+
+ private:
+  std::once_flag once_;
+  std::shared_ptr<const void> value_;
+  std::atomic<uint32_t> decodes_{0};
+};
 
 /// A message in flight between simulated hosts. Payloads are real serialized
 /// bytes so that byte/packet accounting (the paper's PPS and bandwidth
@@ -36,6 +65,9 @@ struct Message {
   uint16_t type = 0;
   std::string header;
   std::shared_ptr<const std::string> body;
+  /// Travels with `body`: the receivers' shared decode of it, if the sender
+  /// attached one. Absent when the fabric corrupted this copy.
+  std::shared_ptr<DecodeMemo> memo;
   SimTime sent_at = 0;
   /// CRC32C over header+body, stamped by the fabric at send time (before any
   /// adversarial corruption). Receivers verify via Network::VerifyFrame so a
@@ -64,7 +96,7 @@ struct Message {
   }
 
   /// The two raw fragments, for consumers that can decode them in place
-  /// (WriteBatchMsg::DecodeFrom(head, body)) without ever joining.
+  /// (WriteBatchMsg::DecodeHeader(head, body)) without ever joining.
   Slice head() const { return Slice(header); }
   Slice body_view() const { return body ? Slice(*body) : Slice(); }
 
@@ -140,9 +172,12 @@ class Network {
   /// per-destination `header` is owned per message. Receivers see a single
   /// contiguous payload of header + body, byte-identical to the plain Send —
   /// only the sender-side cost model changes (no per-replica re-encode).
-  /// Byte/packet accounting covers header + body, as on a real wire.
+  /// Byte/packet accounting covers header + body, as on a real wire. An
+  /// optional `memo` travels with the body so its receivers decode it once;
+  /// it is not on the wire and changes no accounting.
   void Send(NodeId from, NodeId to, uint16_t type, std::string header,
-            std::shared_ptr<const std::string> body);
+            std::shared_ptr<const std::string> body,
+            std::shared_ptr<DecodeMemo> memo = nullptr);
 
   // --- Fault injection ---------------------------------------------------
   void SetNodeDown(NodeId node, bool down);
@@ -191,7 +226,8 @@ class Network {
 
  private:
   void SendImpl(NodeId from, NodeId to, uint16_t type, std::string header,
-                std::shared_ptr<const std::string> body);
+                std::shared_ptr<const std::string> body,
+                std::shared_ptr<DecodeMemo> memo);
   void ScheduleDelivery(SimTime at, Message msg);
   /// Directional: `from` can currently get a packet to `to`.
   bool Reachable(NodeId from, NodeId to) const;

@@ -10,8 +10,14 @@ namespace aurora {
 
 namespace {
 
-bool LsnBelow(const LogRecord& rec, Lsn lsn) { return rec.lsn < lsn; }
-bool LsnAbove(Lsn lsn, const LogRecord& rec) { return lsn < rec.lsn; }
+template <typename Entry>
+bool LsnBelow(const Entry& e, Lsn lsn) {
+  return e.lsn < lsn;
+}
+template <typename Entry>
+bool LsnAbove(Lsn lsn, const Entry& e) {
+  return lsn < e.lsn;
+}
 template <typename Backlink>
 bool PrevBelow(const Backlink& b, Lsn prev) {
   return b.prev < prev;
@@ -19,10 +25,10 @@ bool PrevBelow(const Backlink& b, Lsn prev) {
 
 }  // namespace
 
-bool Segment::AddRecord(LogRecord&& record) {
-  const Lsn lsn = record.lsn;
-  const Lsn prev = record.prev_pg_lsn;
-  const PageId page = record.page_id;
+bool Segment::AddRecord(std::shared_ptr<const LogRecord> record) {
+  const Lsn lsn = record->lsn;
+  const Lsn prev = record->prev_pg_lsn;
+  const PageId page = record->page_id;
   if (lsn == kInvalidLsn) return false;
   // Records at or below the applied floor are already reflected in base
   // pages (and possibly garbage collected); re-adding them (late gossip)
@@ -51,16 +57,17 @@ bool Segment::AddRecord(LogRecord&& record) {
   return true;
 }
 
-bool Segment::Insert(LogRecord&& record) {
-  const Lsn lsn = record.lsn;
-  const Lsn prev = record.prev_pg_lsn;
-  const PageId page = record.page_id;
+bool Segment::Insert(std::shared_ptr<const LogRecord> record) {
+  const Lsn lsn = record->lsn;
+  const Lsn prev = record->prev_pg_lsn;
+  const PageId page = record->page_id;
   if (hot_log_.empty() || lsn > hot_log_.back().lsn) {
-    hot_log_.push_back(std::move(record));
+    hot_log_.push_back({lsn, std::move(record)});
   } else {
-    auto it = std::lower_bound(hot_log_.begin(), hot_log_.end(), lsn, LsnBelow);
+    auto it = std::lower_bound(hot_log_.begin(), hot_log_.end(), lsn,
+                               LsnBelow<HotEntry>);
     if (it->lsn == lsn) return false;
-    hot_log_.insert(it, std::move(record));
+    hot_log_.insert(it, {lsn, std::move(record)});
   }
   SetBacklink(prev, lsn);
   PageLsns& lsns = records_by_page_[page];
@@ -80,12 +87,14 @@ void Segment::AdvanceScl() {
 }
 
 const LogRecord* Segment::RecordAt(Lsn lsn) const {
-  auto it = std::lower_bound(hot_log_.begin(), hot_log_.end(), lsn, LsnBelow);
-  return it == hot_log_.end() || it->lsn != lsn ? nullptr : &*it;
+  auto it = std::lower_bound(hot_log_.begin(), hot_log_.end(), lsn,
+                             LsnBelow<HotEntry>);
+  return it == hot_log_.end() || it->lsn != lsn ? nullptr : it->rec.get();
 }
 
 Segment::HotLog::const_iterator Segment::FirstAbove(Lsn lsn) const {
-  return std::upper_bound(hot_log_.begin(), hot_log_.end(), lsn, LsnAbove);
+  return std::upper_bound(hot_log_.begin(), hot_log_.end(), lsn,
+                          LsnAbove<HotEntry>);
 }
 
 Segment::Backlinks::const_iterator Segment::FindBacklink(Lsn prev) const {
@@ -120,7 +129,7 @@ std::vector<const LogRecord*> Segment::RecordsAbove(Lsn from,
   std::vector<const LogRecord*> out;
   for (auto it = FirstAbove(from); it != hot_log_.end() && out.size() < max;
        ++it) {
-    out.push_back(&*it);
+    out.push_back(it->rec.get());
   }
   return out;
 }
@@ -128,8 +137,9 @@ std::vector<const LogRecord*> Segment::RecordsAbove(Lsn from,
 std::vector<InventoryEntry> Segment::Inventory() const {
   std::vector<InventoryEntry> out;
   out.reserve(hot_log_.size());
-  for (const LogRecord& rec : hot_log_) {
-    out.push_back({rec.lsn, rec.prev_pg_lsn, rec.prev_vol_lsn, rec.flags});
+  for (const HotEntry& e : hot_log_) {
+    out.push_back({e.lsn, e.rec->prev_pg_lsn, e.rec->prev_vol_lsn,
+                   e.rec->flags});
   }
   return out;
 }
@@ -157,7 +167,7 @@ size_t Segment::CoalesceStep(size_t max_records) {
   for (auto it = FirstAbove(applied_lsn_);
        it != hot_log_.end() && it->lsn <= limit && applied < max_records;
        ++it) {
-    const LogRecord& rec = *it;
+    const LogRecord& rec = *it->rec;
     Page* page = BasePage(rec.page_id);
     if (!page->IsFormatted() && rec.op != RedoOp::kFormatPage) {
       // The page's base image was dropped for repair after its format
@@ -353,7 +363,7 @@ size_t Segment::GarbageCollect() {
   const Lsn floor = std::min(applied_lsn_, pgmrpl_);
   size_t collected = 0;
   while (!hot_log_.empty() && hot_log_.front().lsn <= floor) {
-    const LogRecord& rec = hot_log_.front();
+    const LogRecord& rec = *hot_log_.front().rec;
     // The chain head stays: recovery learns the PG's newest record (the
     // backlink of the next one) from this hot log's inventory.
     if (rec.lsn == scl_) break;
@@ -399,7 +409,7 @@ Status Segment::Truncate(Lsn above, Epoch epoch) {
   AURORA_CHECK(applied_lsn_ <= above,
                "truncation below materialized pages — VDL went backwards");
   while (!hot_log_.empty() && hot_log_.back().lsn > above) {
-    const LogRecord& rec = hot_log_.back();
+    const LogRecord& rec = *hot_log_.back().rec;
     EraseBacklink(rec.prev_pg_lsn);
     // The log's newest record is also its page's newest.
     auto page_it = records_by_page_.find(rec.page_id);
@@ -474,7 +484,7 @@ std::vector<const LogRecord*> Segment::UnbackedRecords(size_t max) const {
   std::vector<const LogRecord*> out;
   for (auto it = FirstAbove(backup_lsn_);
        it != hot_log_.end() && it->lsn <= scl_ && out.size() < max; ++it) {
-    out.push_back(&*it);
+    out.push_back(it->rec.get());
   }
   return out;
 }
@@ -490,7 +500,7 @@ void Segment::SerializeTo(std::string* dst) const {
   PutVarint64(dst, epoch_);
   PutVarint64(dst, applied_lsn_);
   PutVarint64(dst, hot_log_.size());
-  for (const LogRecord& rec : hot_log_) rec.EncodeTo(dst);
+  for (const HotEntry& e : hot_log_) e.rec->EncodeTo(dst);
   PutVarint64(dst, base_pages_.size());
   for (const auto& [id, page] : base_pages_) {
     PutVarint64(dst, id);
@@ -516,12 +526,16 @@ Status Segment::DeserializeFrom(Slice input) {
   records_by_page_.clear();
   base_pages_.clear();
   CacheClear();
+  // One owner for the whole restored hot log, as for a decoded batch.
+  auto records = std::make_shared<std::vector<LogRecord>>();
   for (uint64_t i = 0; i < n_records; ++i) {
     LogRecord rec;
     Status s = LogRecord::DecodeFrom(&input, &rec);
     if (!s.ok()) return s;
-    Insert(std::move(rec));
+    records->push_back(std::move(rec));
   }
+  const SharedRecords owner = std::move(records);
+  for (const LogRecord& rec : *owner) Insert({owner, &rec});
   if (!GetVarint64(&input, &n_pages)) {
     return Status::Corruption("bad segment state pages");
   }
@@ -541,7 +555,7 @@ Status Segment::DeserializeFrom(Slice input) {
 
 uint64_t Segment::ApproximateBytes() const {
   uint64_t bytes = 0;
-  for (const LogRecord& rec : hot_log_) bytes += rec.EncodedSize();
+  for (const HotEntry& e : hot_log_) bytes += e.rec->EncodedSize();
   bytes += base_pages_.size() * page_size_;
   return bytes;
 }

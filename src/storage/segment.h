@@ -4,6 +4,7 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
 #include <string>
@@ -63,10 +64,13 @@ class Segment {
   /// Adds a record (from a writer batch or peer gossip); duplicates are
   /// ignored. Returns true if the record was new. Advances the SCL when the
   /// backlink chain extends. A record newer than every held one is appended
-  /// in O(1); an older one is placed by binary search.
-  bool AddRecord(LogRecord&& record);
+  /// in O(1); an older one is placed by binary search. The segment keeps
+  /// `record` itself, usually an aliasing pointer into a decoded batch that
+  /// other replicas keep too (SharedRecords): records are never modified.
+  bool AddRecord(std::shared_ptr<const LogRecord> record);
+  /// Adds a private copy of `record` (restore, tests, benchmarks).
   bool AddRecord(const LogRecord& record) {
-    return AddRecord(LogRecord(record));
+    return AddRecord(std::make_shared<const LogRecord>(record));
   }
 
   /// Segment Complete LSN: every record of the PG with LSN <= scl() is here.
@@ -80,8 +84,9 @@ class Segment {
   size_t hot_log_size() const { return hot_log_.size(); }
 
   /// Records this replica has with LSN > `from`, up to `max` of them, in
-  /// LSN order — the gossip-push payload. Returns views into the hot log,
-  /// valid until the hot log is next mutated, so consume synchronously.
+  /// LSN order — the gossip-push payload. Returns views of the held
+  /// records, valid until this segment drops them (GC, truncation, state
+  /// install), so consume synchronously.
   std::vector<const LogRecord*> RecordsAbove(Lsn from, size_t max) const;
 
   /// The recovery inventory: (lsn, prev, flags) of every hot-log record.
@@ -203,8 +208,8 @@ class Segment {
   bool CorruptNthBasePage(uint64_t nth);
 
   // --- Backup --------------------------------------------------------------
-  /// Records with LSN in (backup_lsn, scl] not yet staged to S3. Views into
-  /// the hot log, valid until the next mutation — consume synchronously.
+  /// Records with LSN in (backup_lsn, scl] not yet staged to S3. Views as
+  /// for RecordsAbove — consume synchronously.
   std::vector<const LogRecord*> UnbackedRecords(size_t max) const;
   void MarkBackedUp(Lsn through) {
     if (through > backup_lsn_) backup_lsn_ = through;
@@ -226,7 +231,12 @@ class Segment {
     Lsn prev;
     Lsn lsn;
   };
-  using HotLog = std::deque<LogRecord>;
+  /// One hot-log record; `lsn` is rec->lsn, kept inline for the searches.
+  struct HotEntry {
+    Lsn lsn;
+    std::shared_ptr<const LogRecord> rec;
+  };
+  using HotLog = std::deque<HotEntry>;
   using Backlinks = std::deque<Backlink>;
   using PageLsns = std::deque<Lsn>;
   using LsnRange =
@@ -234,7 +244,7 @@ class Segment {
 
   /// Places `record` in the hot log and both indexes; false if its LSN is
   /// already there.
-  bool Insert(LogRecord&& record);
+  bool Insert(std::shared_ptr<const LogRecord> record);
   void AdvanceScl();
   const LogRecord* RecordAt(Lsn lsn) const;
   /// First hot-log record with LSN > `lsn`.
@@ -280,7 +290,8 @@ class Segment {
 
   /// LSN-ordered sequences (DESIGN.md §5): records nearly always arrive as
   /// the segment's newest, so inserts append; GC pops the front and
-  /// truncation the back.
+  /// truncation the back. Entries share their records with the PG's other
+  /// replicas; dropping one only releases this replica's reference.
   HotLog hot_log_;
   /// Sorted by prev; an equal prev keeps the last record added with it.
   Backlinks chain_;

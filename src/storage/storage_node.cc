@@ -206,10 +206,13 @@ void StorageNode::HandleMessage(const sim::Message& msg) {
 }
 
 void StorageNode::HandleWriteBatch(const sim::Message& msg) {
-  WriteBatchMsg batch;
-  // Decode the header and shared-body fragments in place: the fan-out body
-  // is shared by all six in-flight copies and is never concatenated.
-  if (!WriteBatchMsg::DecodeFrom(msg.head(), msg.body_view(), &batch).ok()) {
+  WriteBatchHeader batch;
+  Slice blob;
+  // Header first, in place: the fan-out body is shared by all six in-flight
+  // copies and is never concatenated, and the fences below read no records,
+  // so a batch they turn away is never decoded.
+  if (!WriteBatchMsg::DecodeHeader(msg.head(), msg.body_view(), &batch, &blob)
+           .ok()) {
     return;
   }
   Segment* seg = EnsureSegment(batch.pg);
@@ -277,7 +280,14 @@ void StorageNode::HandleWriteBatch(const sim::Message& msg) {
     return;
   }
 
-  stats_.records_received += batch.records.size();
+  // Single decode: the writer's copies of one body share a memo, so the
+  // first replica to get here decodes it and the others keep the same
+  // immutable records.
+  auto decode = [blob] { return DecodeSharedRecords(blob); };
+  SharedRecords records =
+      msg.memo ? msg.memo->Get<std::vector<LogRecord>>(decode) : decode();
+  if (records == nullptr) return;
+  stats_.records_received += records->size();
 
   // Figure 4 steps 1-2: queue, persist on disk, then acknowledge. The disk
   // write covers the batch bytes; segment bookkeeping happens at completion
@@ -285,8 +295,8 @@ void StorageNode::HandleWriteBatch(const sim::Message& msg) {
   // durability contract — unacked writes may vanish).
   const uint64_t gen = generation_;
   const uint64_t bytes = msg.payload_size();
-  disk_.Write(bytes, [this, gen, batch = std::move(batch),
-                      from = msg.from](Status s) mutable {
+  disk_.Write(bytes, [this, gen, batch, records = std::move(records),
+                      from = msg.from](Status s) {
     if (gen != generation_ || crashed_) return;
     if (!s.ok()) {
       // A torn write means the batch never became durable; dropping the ack
@@ -299,7 +309,7 @@ void StorageNode::HandleWriteBatch(const sim::Message& msg) {
     seg->ObserveEpoch(batch.epoch);
     seg->SetVdlHint(batch.vdl_hint);
     seg->SetPgmrpl(batch.pgmrpl_hint);
-    for (LogRecord& r : batch.records) seg->AddRecord(std::move(r));
+    for (const LogRecord& r : *records) seg->AddRecord({records, &r});
     // The device may have planted a latent sector fault under this write;
     // rot a materialized base page in response (the scrubber or a CRC-
     // verified read will catch it later). The RNG draw is gated on the
@@ -606,14 +616,14 @@ void StorageNode::HandleGossipPush(const sim::Message& msg) {
   // batches.
   const uint64_t gen = generation_;
   const uint64_t bytes = msg.payload_size();
-  disk_.Write(bytes, [this, gen, push = std::move(push)](Status s) mutable {
+  disk_.Write(bytes, [this, gen, push = std::move(push)](Status s) {
     if (gen != generation_ || crashed_ || !s.ok()) return;
     Segment* seg = segment(push.pg);
     if (seg == nullptr) return;
     seg->ObserveEpoch(push.epoch);
     uint64_t filled = 0;
-    for (LogRecord& r : push.records) {
-      if (seg->AddRecord(std::move(r))) ++filled;
+    for (const LogRecord& r : *push.records) {
+      if (seg->AddRecord({push.records, &r})) ++filled;
     }
     stats_.gossip_records_filled += filled;
     if (filled > 0) stats_.gossip_fill_batch.Record(filled);

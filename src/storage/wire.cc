@@ -1,5 +1,7 @@
 #include "storage/wire.h"
 
+#include <utility>
+
 #include "common/coding.h"
 
 namespace aurora {
@@ -36,44 +38,35 @@ void WriteBatchMsg::EncodeBody(Epoch epoch, uint64_t cfg_epoch,
 }
 
 Status WriteBatchMsg::DecodeFrom(Slice input, WriteBatchMsg* out) {
-  uint32_t pg;
-  if (!GetVarint32(&input, &pg) || input.empty()) return Malformed("batch");
-  out->pg = pg;
-  out->replica = static_cast<ReplicaIdx>(input[0]);
-  input.remove_prefix(1);
-  Slice blob;
-  if (!GetVarint64(&input, &out->epoch) ||
-      !GetVarint64(&input, &out->cfg_epoch) ||
-      !GetVarint64(&input, &out->batch_seq) ||
-      !GetVarint64(&input, &out->vdl_hint) ||
-      !GetVarint64(&input, &out->pgmrpl_hint) ||
-      !GetLengthPrefixedSlice(&input, &blob)) {
-    return Malformed("batch");
-  }
-  return DecodeRecordBatch(blob, &out->records);
+  Slice records;
+  Status s = DecodeHeader(input, Slice(), out, &records);
+  if (!s.ok()) return s;
+  return DecodeRecordBatch(records, &out->records);
 }
 
-Status WriteBatchMsg::DecodeFrom(Slice head, Slice body, WriteBatchMsg* out) {
-  if (head.empty()) return DecodeFrom(body, out);
-  if (body.empty()) return DecodeFrom(head, out);
-  // True split: EncodeHeaderTo ends the header fragment exactly after the
-  // replica byte, so each field lives wholly in one fragment.
+Status WriteBatchMsg::DecodeHeader(Slice head, Slice body,
+                                   WriteBatchHeader* out, Slice* records) {
+  if (head.empty()) std::swap(head, body);  // one fragment
   uint32_t pg;
   if (!GetVarint32(&head, &pg) || head.empty()) return Malformed("batch");
   out->pg = pg;
   out->replica = static_cast<ReplicaIdx>(head[0]);
   head.remove_prefix(1);
-  if (!head.empty()) return Malformed("batch");
-  Slice blob;
-  if (!GetVarint64(&body, &out->epoch) ||
-      !GetVarint64(&body, &out->cfg_epoch) ||
-      !GetVarint64(&body, &out->batch_seq) ||
-      !GetVarint64(&body, &out->vdl_hint) ||
-      !GetVarint64(&body, &out->pgmrpl_hint) ||
-      !GetLengthPrefixedSlice(&body, &blob)) {
+  if (!body.empty()) {
+    // True split: EncodeHeaderTo ends the header fragment exactly after the
+    // replica byte, so every later field lives wholly in the body.
+    if (!head.empty()) return Malformed("batch");
+    head = body;
+  }
+  if (!GetVarint64(&head, &out->epoch) ||
+      !GetVarint64(&head, &out->cfg_epoch) ||
+      !GetVarint64(&head, &out->batch_seq) ||
+      !GetVarint64(&head, &out->vdl_hint) ||
+      !GetVarint64(&head, &out->pgmrpl_hint) ||
+      !GetLengthPrefixedSlice(&head, records)) {
     return Malformed("batch");
   }
-  return DecodeRecordBatch(blob, &out->records);
+  return Status::OK();
 }
 
 void WriteAckMsg::EncodeTo(std::string* dst) const {
@@ -308,15 +301,6 @@ Status GossipPullMsg::DecodeFrom(Slice input, GossipPullMsg* out) {
   return Status::OK();
 }
 
-void GossipPushMsg::EncodeTo(std::string* dst) const {
-  PutVarint32(dst, pg);
-  PutVarint64(dst, epoch);
-  PutVarint64(dst, cfg_epoch);
-  std::string blob;
-  EncodeRecordBatch(records, &blob);
-  PutLengthPrefixedSlice(dst, blob);
-}
-
 void GossipPushMsg::EncodeRecordsTo(PgId pg, Epoch epoch, uint64_t cfg_epoch,
                                     const std::vector<const LogRecord*>& records,
                                     std::string* dst) {
@@ -337,7 +321,8 @@ Status GossipPushMsg::DecodeFrom(Slice input, GossipPushMsg* out) {
     return Malformed("gossip push");
   }
   out->pg = pg;
-  return DecodeRecordBatch(blob, &out->records);
+  out->records = DecodeSharedRecords(blob);
+  return out->records ? Status::OK() : Malformed("gossip push");
 }
 
 void ReplicaStreamMsg::EncodeTo(std::string* dst) const {

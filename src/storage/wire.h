@@ -50,11 +50,9 @@ enum MsgType : uint16_t {
   kMsgStandbyAck = 27,
 };
 
-/// Writer -> segment replica: one ordered batch of redo records for a PG
-/// (Figure 3). `vdl_hint` piggybacks the writer's current VDL so storage can
-/// bound background materialization; `commit_lsn_hint` does the same for
-/// replicas.
-struct WriteBatchMsg {
+/// The fields of a write batch ahead of its records: everything the
+/// receiver's config, epoch and duplicate fences read.
+struct WriteBatchHeader {
   PgId pg = 0;
   ReplicaIdx replica = 0;
   Epoch epoch = 0;
@@ -66,24 +64,33 @@ struct WriteBatchMsg {
   uint64_t batch_seq = 0;
   Lsn vdl_hint = kInvalidLsn;
   Lsn pgmrpl_hint = kInvalidLsn;
+};
+
+/// Writer -> segment replica: one ordered batch of redo records for a PG
+/// (Figure 3). `vdl_hint` piggybacks the writer's current VDL so storage can
+/// bound background materialization; `pgmrpl_hint` does the same for
+/// replicas' read points.
+struct WriteBatchMsg : WriteBatchHeader {
   std::vector<LogRecord> records;
 
   void EncodeTo(std::string* dst) const;
   static Status DecodeFrom(Slice input, WriteBatchMsg* out);
 
-  /// Two-fragment decode for zero-copy delivery: `head` is the per-replica
-  /// header fragment (pg + replica index, possibly followed by body bytes
-  /// when the message arrived in one piece) and `body` the shared fragment.
-  /// Decodes the same byte stream as DecodeFrom(head + body) without ever
-  /// concatenating the fragments.
-  static Status DecodeFrom(Slice head, Slice body, WriteBatchMsg* out);
+  /// Header-first, two-fragment decode for zero-copy delivery: `head` is the
+  /// per-replica header fragment (pg + replica index, possibly followed by
+  /// body bytes when the message arrived in one piece) and `body` the shared
+  /// fragment. Parses every field but the records, without concatenating
+  /// the fragments, and points `records` at their encoded blob, so a
+  /// receiver fences a batch before it decodes any record.
+  static Status DecodeHeader(Slice head, Slice body, WriteBatchHeader* out,
+                             Slice* records);
 
-  /// Split encoding for single-encode fan-out: the header carries the only
-  /// per-replica field (pg + replica index) while the body — epoch, seq,
-  /// watermark hints, and the record blob — is identical across the 6
-  /// replicas and every retry, so the writer encodes it once and shares the
-  /// buffer. Concatenating header + body yields exactly the EncodeTo bytes;
-  /// DecodeFrom is unchanged.
+  /// Split encoding for single-encode fan-out: the header fragment carries
+  /// the only per-replica fields (pg + replica index) while the body —
+  /// epoch, seq, watermark hints, and the record blob — is identical across
+  /// the 6 replicas of one send, so the writer encodes it once and shares
+  /// the buffer. Concatenating header + body yields exactly the EncodeTo
+  /// bytes.
   void EncodeHeaderTo(std::string* dst) const;
   static void EncodeBody(Epoch epoch, uint64_t cfg_epoch, uint64_t batch_seq,
                          Lsn vdl_hint, Lsn pgmrpl_hint,
@@ -239,14 +246,13 @@ struct GossipPushMsg {
   PgId pg = 0;
   Epoch epoch = 0;
   uint64_t cfg_epoch = 0;  // sender's membership config epoch
-  std::vector<LogRecord> records;
+  /// Decoded into one owner, which the receiving segment keeps records of.
+  SharedRecords records;
 
-  void EncodeTo(std::string* dst) const;
   static Status DecodeFrom(Slice input, GossipPushMsg* out);
 
-  /// Encodes straight from hot-log record views (Segment::RecordsAbove) —
-  /// byte-identical to filling `records` and calling EncodeTo, minus the
-  /// deep copy of every record payload.
+  /// Encodes straight from hot-log record views (Segment::RecordsAbove),
+  /// without a deep copy of any record payload.
   static void EncodeRecordsTo(PgId pg, Epoch epoch, uint64_t cfg_epoch,
                               const std::vector<const LogRecord*>& records,
                               std::string* dst);

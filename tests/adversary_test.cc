@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -87,6 +88,35 @@ TEST(AdversaryFabricTest, CorruptedFramesAreDetectedAndDropped) {
   EXPECT_EQ(f.rejected_at_b, 25u);
   EXPECT_EQ(f.net.adversary().corrupted_injected, 25u);
   EXPECT_EQ(f.net.adversary().corrupted_dropped, 25u);
+}
+
+// A write batch's decode memo travels with its shared body: an adversary
+// duplicate keeps it, and a copy the fabric corrupts loses it, since the
+// memo describes the clean bytes.
+TEST(AdversaryFabricTest, DecodeMemoRidesDuplicatesButNotCorruptedCopies) {
+  RawFabric f(5);
+  std::vector<sim::Message> raw;
+  f.net.Register(f.b, [&raw](const sim::Message& m) { raw.push_back(m); });
+  auto body = std::make_shared<const std::string>("shared body");
+  auto memo = std::make_shared<sim::DecodeMemo>();
+  f.net.set_duplicate_probability(1.0);
+  f.net.Send(f.a, f.b, 1, "h", body, memo);
+  f.net.set_duplicate_probability(0.0);
+  f.net.set_corrupt_probability(1.0);
+  f.net.Send(f.a, f.b, 1, "h", body, memo);
+  f.loop.Run();
+  ASSERT_EQ(raw.size(), 3u);
+  int with_memo = 0;
+  for (const sim::Message& m : raw) {
+    if (m.memo == nullptr) {
+      EXPECT_FALSE(f.net.VerifyFrame(m));
+    } else {
+      EXPECT_EQ(m.memo, memo);
+      EXPECT_TRUE(f.net.VerifyFrame(m));
+      ++with_memo;
+    }
+  }
+  EXPECT_EQ(with_memo, 2);
 }
 
 TEST(AdversaryFabricTest, ReorderWindowScramblesButLosesNothing) {

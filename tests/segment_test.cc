@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
 #include <string>
@@ -551,35 +552,49 @@ std::string ReadOutcome(const Result<Page>& page) {
   return page.ok() ? page->raw() : page.status().ToString();
 }
 
-// One randomized schedule against three replicas of the same history: the
-// reference model, a Segment with the reconstruction cache off and one with
-// a cache small enough to evict. It plays the delivery shapes a storage node
-// sees (in-order batches, reordered batches, duplicates, late records below
-// the applied floor, gossip filling gaps, annulled records coming back and
-// sharing a backlink with the next incarnation) and every background step,
-// and requires the replicas to agree on every observable after each step.
+// One randomized schedule against two segment replicas of one PG, each
+// checked against its own reference model: one Segment with the
+// reconstruction cache off and one with a cache small enough to evict. Both
+// replicas are fed the same shared record objects, as a write fan-out feeds
+// them, but run their own watermark, coalesce, GC, truncation and state-
+// transfer schedules, so one replica dropping or rebuilding its records must
+// never change what the other sees. The schedule plays the delivery shapes
+// a storage node sees (in-order batches, reordered batches, duplicates,
+// late records below the applied floor, gossip filling gaps, annulled
+// records coming back and sharing a backlink with the next incarnation),
+// and each replica must agree with its model on every observable after
+// every step.
 class SegmentEquivalence {
  public:
   static constexpr size_t kPageSize = 4096;
   static constexpr PageId kPages = 5;
 
   explicit SegmentEquivalence(uint64_t seed)
-      : rng_(seed),
-        ref_(kPageSize),
-        plain_(0, kPageSize),
-        cached_(0, kPageSize) {
-    cached_.set_page_cache_budget(2 * kPageSize);
-  }
+      : rng_(seed), replicas_{Replica(false), Replica(true)} {}
 
   void Run(int steps) {
     for (step_ = 0; step_ < steps; ++step_) {
       Step();
-      ExpectEquivalent();
-      if (::testing::Test::HasFailure()) return;
+      for (Replica& r : replicas_) {
+        SCOPED_TRACE(r.cache ? "cache on" : "cache off");
+        ExpectEquivalent(r);
+        if (::testing::Test::HasFailure()) return;
+      }
     }
   }
 
  private:
+  // One segment replica and the reference model it must match.
+  struct Replica {
+    explicit Replica(bool with_cache)
+        : cache(with_cache), ref(kPageSize), seg(0, kPageSize) {
+      if (cache) seg.set_page_cache_budget(2 * kPageSize);
+    }
+    bool cache;
+    ReferenceSegment ref;
+    Segment seg;
+  };
+
   LogRecord Produce() {
     LogRecord r;
     next_lsn_ += 1 + rng_.Uniform(40);  // other PGs' records take the gaps
@@ -608,11 +623,16 @@ class SegmentEquivalence {
     return r;
   }
 
-  void Deliver(const LogRecord& r) {
-    const bool added = ref_.AddRecord(r);
-    EXPECT_EQ(plain_.AddRecord(r), added) << Where();
-    LogRecord moved = r;
-    EXPECT_EQ(cached_.AddRecord(std::move(moved)), added) << Where();
+  // Both replicas receive the same record object.
+  void Deliver(const std::shared_ptr<const LogRecord>& rec) {
+    for (Replica& r : replicas_) {
+      const bool added = r.ref.AddRecord(*rec);
+      EXPECT_EQ(r.seg.AddRecord(rec), added) << Where();
+    }
+  }
+  // A record decoded on its own (a gossip push, a late copy).
+  void Deliver(const LogRecord& rec) {
+    Deliver(std::make_shared<const LogRecord>(rec));
   }
 
   template <typename T>
@@ -642,11 +662,14 @@ class SegmentEquivalence {
             std::swap(batch[i - 1], batch[rng_.Uniform(i)]);
           }
         }
-        for (LogRecord& r : batch) {
+        // One decoded batch: both replicas keep pointers into it.
+        const SharedRecords owner =
+            std::make_shared<const std::vector<LogRecord>>(std::move(batch));
+        for (const LogRecord& r : *owner) {
           if (rng_.Bernoulli(0.1)) {
-            held_.push_back(std::move(r));  // lost to this replica for now
+            held_.push_back(r);  // lost to both replicas for now
           } else {
-            Deliver(r);
+            Deliver({owner, &r});
           }
         }
         break;
@@ -664,74 +687,83 @@ class SegmentEquivalence {
       case 5:  // gossip from a peer that missed the truncation
         if (!annulled_.empty()) Deliver(Pick(annulled_));
         break;
-      case 6: {  // watermarks
-        const Lsn vdl = Probe();
-        ref_.SetVdlHint(vdl);
-        plain_.SetVdlHint(vdl);
-        cached_.SetVdlHint(vdl);
-        const Lsn pgmrpl = std::min(vdl, Probe());
-        ref_.SetPgmrpl(pgmrpl);
-        plain_.SetPgmrpl(pgmrpl);
-        cached_.SetPgmrpl(pgmrpl);
-        const Lsn backed = std::min(ref_.scl(), Probe());
-        ref_.MarkBackedUp(backed);
-        plain_.MarkBackedUp(backed);
-        cached_.MarkBackedUp(backed);
-        const Lsn snap = Probe();
-        ref_.SetCompletenessSnapshot(snap, tail_);
-        plain_.SetCompletenessSnapshot(snap, tail_);
-        cached_.SetCompletenessSnapshot(snap, tail_);
+      case 6:  // watermarks, as each replica's own messages carry them
+        for (Replica& r : replicas_) {
+          if (rng_.Bernoulli(0.3)) continue;
+          const Lsn vdl = Probe();
+          r.ref.SetVdlHint(vdl);
+          r.seg.SetVdlHint(vdl);
+          const Lsn pgmrpl = std::min(vdl, Probe());
+          r.ref.SetPgmrpl(pgmrpl);
+          r.seg.SetPgmrpl(pgmrpl);
+          const Lsn backed = std::min(r.ref.scl(), Probe());
+          r.ref.MarkBackedUp(backed);
+          r.seg.MarkBackedUp(backed);
+          const Lsn snap = Probe();
+          r.ref.SetCompletenessSnapshot(snap, tail_);
+          r.seg.SetCompletenessSnapshot(snap, tail_);
+        }
         break;
-      }
       case 7:
-      case 8: {
-        const size_t budget = 1 + rng_.Uniform(12);
-        const size_t applied = ref_.CoalesceStep(budget);
-        EXPECT_EQ(plain_.CoalesceStep(budget), applied) << Where();
-        EXPECT_EQ(cached_.CoalesceStep(budget), applied) << Where();
+      case 8:
+        for (Replica& r : replicas_) {
+          if (rng_.Bernoulli(0.3)) continue;
+          const size_t budget = 1 + rng_.Uniform(12);
+          EXPECT_EQ(r.seg.CoalesceStep(budget), r.ref.CoalesceStep(budget))
+              << Where();
+        }
         break;
-      }
-      case 9: {
-        const size_t collected = ref_.GarbageCollect();
-        EXPECT_EQ(plain_.GarbageCollect(), collected) << Where();
-        EXPECT_EQ(cached_.GarbageCollect(), collected) << Where();
+      case 9:
+        for (Replica& r : replicas_) {
+          if (rng_.Bernoulli(0.3)) continue;
+          EXPECT_EQ(r.seg.GarbageCollect(), r.ref.GarbageCollect())
+              << Where();
+        }
         break;
-      }
       case 10:
         if (rng_.Bernoulli(0.3)) Truncate();
         break;
-      case 11: {  // state transfer: rebuild every replica from its blob
-        std::string blob;
-        ref_.SerializeTo(&blob);
-        ref_ = ReferenceSegment(kPageSize);
-        ref_.DeserializeFrom(blob);
-        std::string plain_blob;
-        plain_.SerializeTo(&plain_blob);
-        plain_ = Segment(0, kPageSize);
-        ASSERT_TRUE(plain_.DeserializeFrom(plain_blob).ok());
-        std::string cached_blob;
-        cached_.SerializeTo(&cached_blob);
-        cached_ = Segment(0, kPageSize);
-        cached_.set_page_cache_budget(2 * kPageSize);
-        ASSERT_TRUE(cached_.DeserializeFrom(cached_blob).ok());
+      case 11:  // state transfer: a replica rebuilds itself from its blob
+        for (Replica& r : replicas_) {
+          if (rng_.Bernoulli(0.5)) continue;
+          std::string ref_blob;
+          r.ref.SerializeTo(&ref_blob);
+          r.ref = ReferenceSegment(kPageSize);
+          r.ref.DeserializeFrom(ref_blob);
+          std::string blob;
+          r.seg.SerializeTo(&blob);
+          r.seg = Segment(0, kPageSize);
+          if (r.cache) r.seg.set_page_cache_budget(2 * kPageSize);
+          ASSERT_TRUE(r.seg.DeserializeFrom(blob).ok()) << Where();
+        }
         break;
-      }
     }
   }
 
-  // Recovery: annul everything above a cut at or above the applied floor;
-  // the next incarnation links to the newest record it keeps.
+  // Recovery: annul everything above a cut at or above every replica's
+  // applied floor; the next incarnation links to the newest record kept. A
+  // replica may miss the truncation, keeping the annulled records as one
+  // that slept through it would.
   void Truncate() {
-    const Lsn above =
-        ref_.applied_lsn() + rng_.Uniform(next_lsn_ - ref_.applied_lsn() + 1);
-    Epoch sent = ref_.epoch() + 1;
-    if (rng_.Bernoulli(0.2)) sent = ref_.epoch();  // a retried truncation
-    if (rng_.Bernoulli(0.1) && ref_.epoch() > 0) sent = ref_.epoch() - 1;
-    const Status s = ref_.Truncate(above, sent);
-    EXPECT_EQ(plain_.Truncate(above, sent).ToString(), s.ToString()) << Where();
-    EXPECT_EQ(cached_.Truncate(above, sent).ToString(), s.ToString())
-        << Where();
-    if (!s.ok()) return;
+    Lsn floor = kInvalidLsn;
+    Epoch epoch = 0;
+    for (const Replica& r : replicas_) {
+      floor = std::max(floor, r.ref.applied_lsn());
+      epoch = std::max(epoch, r.ref.epoch());
+    }
+    const Lsn above = floor + rng_.Uniform(next_lsn_ - floor + 1);
+    Epoch sent = epoch + 1;
+    if (rng_.Bernoulli(0.2)) sent = epoch;  // a retried truncation
+    if (rng_.Bernoulli(0.1) && epoch > 0) sent = epoch - 1;
+    bool annulled = false;
+    for (Replica& r : replicas_) {
+      if (rng_.Bernoulli(0.3)) continue;
+      const Status s = r.ref.Truncate(above, sent);
+      EXPECT_EQ(r.seg.Truncate(above, sent).ToString(), s.ToString())
+          << Where();
+      annulled |= s.ok();
+    }
+    if (!annulled) return;
     std::vector<LogRecord> kept;
     tail_ = kInvalidLsn;
     for (LogRecord& r : produced_) {
@@ -751,81 +783,80 @@ class SegmentEquivalence {
 
   std::string Where() const { return "step " + std::to_string(step_); }
 
-  void ExpectEquivalent() {
-    for (Segment* seg : {&plain_, &cached_}) {
-      SCOPED_TRACE(seg == &plain_ ? "cache off" : "cache on");
-      ASSERT_EQ(seg->scl(), ref_.scl()) << Where();
-      ASSERT_EQ(seg->max_lsn(), ref_.max_lsn()) << Where();
-      ASSERT_EQ(seg->applied_lsn(), ref_.applied_lsn()) << Where();
-      ASSERT_EQ(seg->backup_lsn(), ref_.backup_lsn()) << Where();
-      ASSERT_EQ(seg->hot_log_size(), ref_.hot_log_size()) << Where();
-      const auto inv = seg->Inventory();
-      const auto ref_inv = ref_.Inventory();
-      ASSERT_EQ(inv.size(), ref_inv.size()) << Where();
-      for (size_t i = 0; i < inv.size(); ++i) {
-        ASSERT_EQ(inv[i].lsn, ref_inv[i].lsn) << Where();
-        ASSERT_EQ(inv[i].prev, ref_inv[i].prev) << Where();
-        ASSERT_EQ(inv[i].vprev, ref_inv[i].vprev) << Where();
-        ASSERT_EQ(inv[i].flags, ref_inv[i].flags) << Where();
-      }
-      const size_t max = 1 + rng_.Uniform(8);
-      ASSERT_EQ(LsnsOf(seg->UnbackedRecords(SIZE_MAX)),
-                LsnsOf(ref_.UnbackedRecords(SIZE_MAX)))
-          << Where();
-      ASSERT_EQ(LsnsOf(seg->UnbackedRecords(max)),
-                LsnsOf(ref_.UnbackedRecords(max)))
-          << Where();
-      std::vector<Lsn> probes = {kInvalidLsn, ref_.scl(), ref_.max_lsn(),
-                                 ref_.applied_lsn(), tail_};
-      for (int i = 0; i < 6; ++i) probes.push_back(Probe());
-      for (Lsn from : probes) {
-        ASSERT_EQ(LsnsOf(seg->RecordsAbove(from, max)),
-                  LsnsOf(ref_.RecordsAbove(from, max)))
-            << Where();
-        ASSERT_EQ(seg->CanBridgeFrom(from), ref_.CanBridgeFrom(from))
-            << Where() << " from " << from;
-        for (std::optional<Lsn> tail :
-             {std::optional<Lsn>(), std::optional<Lsn>(tail_),
-              std::optional<Lsn>(Probe())}) {
-          ASSERT_EQ(seg->CheckReadPoint(from, tail).ToString(),
-                    ref_.CheckReadPoint(from, tail).ToString())
-              << Where();
-        }
-      }
-      for (PageId page = 0; page <= kPages; ++page) {
-        for (Lsn rp : {ref_.scl(), ref_.applied_lsn(), tail_, Probe()}) {
-          for (std::optional<Lsn> tail :
-               {std::optional<Lsn>(), std::optional<Lsn>(tail_)}) {
-            ASSERT_EQ(ReadOutcome(seg->GetPageAsOf(page, rp, tail)),
-                      ReadOutcome(ref_.GetPageAsOf(page, rp, tail)))
-                << Where() << " page " << page << " at " << rp;
-          }
-        }
-      }
-      // Records, watermarks and base pages, byte for byte.
-      std::string ref_blob, blob;
-      ref_.SerializeTo(&ref_blob);
-      seg->SerializeTo(&blob);
-      ASSERT_EQ(blob, ref_blob) << Where();
+  void ExpectEquivalent(Replica& r) {
+    Segment* seg = &r.seg;
+    ReferenceSegment& ref = r.ref;
+    ASSERT_EQ(seg->scl(), ref.scl()) << Where();
+    ASSERT_EQ(seg->max_lsn(), ref.max_lsn()) << Where();
+    ASSERT_EQ(seg->applied_lsn(), ref.applied_lsn()) << Where();
+    ASSERT_EQ(seg->backup_lsn(), ref.backup_lsn()) << Where();
+    ASSERT_EQ(seg->hot_log_size(), ref.hot_log_size()) << Where();
+    const auto inv = seg->Inventory();
+    const auto ref_inv = ref.Inventory();
+    ASSERT_EQ(inv.size(), ref_inv.size()) << Where();
+    for (size_t i = 0; i < inv.size(); ++i) {
+      ASSERT_EQ(inv[i].lsn, ref_inv[i].lsn) << Where();
+      ASSERT_EQ(inv[i].prev, ref_inv[i].prev) << Where();
+      ASSERT_EQ(inv[i].vprev, ref_inv[i].vprev) << Where();
+      ASSERT_EQ(inv[i].flags, ref_inv[i].flags) << Where();
     }
+    const size_t max = 1 + rng_.Uniform(8);
+    ASSERT_EQ(LsnsOf(seg->UnbackedRecords(SIZE_MAX)),
+              LsnsOf(ref.UnbackedRecords(SIZE_MAX)))
+        << Where();
+    ASSERT_EQ(LsnsOf(seg->UnbackedRecords(max)),
+              LsnsOf(ref.UnbackedRecords(max)))
+        << Where();
+    std::vector<Lsn> probes = {kInvalidLsn, ref.scl(), ref.max_lsn(),
+                               ref.applied_lsn(), tail_};
+    for (int i = 0; i < 6; ++i) probes.push_back(Probe());
+    for (Lsn from : probes) {
+      ASSERT_EQ(LsnsOf(seg->RecordsAbove(from, max)),
+                LsnsOf(ref.RecordsAbove(from, max)))
+          << Where();
+      ASSERT_EQ(seg->CanBridgeFrom(from), ref.CanBridgeFrom(from))
+          << Where() << " from " << from;
+      for (std::optional<Lsn> tail :
+           {std::optional<Lsn>(), std::optional<Lsn>(tail_),
+            std::optional<Lsn>(Probe())}) {
+        ASSERT_EQ(seg->CheckReadPoint(from, tail).ToString(),
+                  ref.CheckReadPoint(from, tail).ToString())
+            << Where();
+      }
+    }
+    for (PageId page = 0; page <= kPages; ++page) {
+      for (Lsn rp : {ref.scl(), ref.applied_lsn(), tail_, Probe()}) {
+        for (std::optional<Lsn> tail :
+             {std::optional<Lsn>(), std::optional<Lsn>(tail_)}) {
+          ASSERT_EQ(ReadOutcome(seg->GetPageAsOf(page, rp, tail)),
+                    ReadOutcome(ref.GetPageAsOf(page, rp, tail)))
+              << Where() << " page " << page << " at " << rp;
+        }
+      }
+    }
+    // Records, watermarks and base pages, byte for byte.
+    std::string ref_blob, blob;
+    ref.SerializeTo(&ref_blob);
+    seg->SerializeTo(&blob);
+    ASSERT_EQ(blob, ref_blob) << Where();
   }
 
   Random rng_;
-  ReferenceSegment ref_;
-  Segment plain_;
-  Segment cached_;
+  std::array<Replica, 2> replicas_;
   int step_ = 0;
   Lsn next_lsn_ = 100;
   Lsn tail_ = kInvalidLsn;  // the current incarnation's newest record
   std::vector<LogRecord> produced_;  // this incarnation's records, sent or not
-  std::vector<LogRecord> held_;      // sent, but not yet to this replica
+  std::vector<LogRecord> held_;      // sent, but not yet to the replicas
   std::vector<LogRecord> annulled_;  // cut by a truncation
   std::array<Lsn, kPages> formatted_{};  // each page's format record, if kept
   std::array<int, kPages> inserts_{};
 };
 
 // The LSN-ordered hot log and its indexes behave exactly like the ordered
-// trees they replaced, across every delivery shape and background step.
+// trees they replaced, across every delivery shape and background step, and
+// replicas sharing record objects never see each other's GC, truncation or
+// rebuild.
 TEST(SegmentEquivalenceTest, RandomSchedulesMatchTheTreeModel) {
   for (uint64_t seed = 1; seed <= 24; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
