@@ -48,7 +48,6 @@ class BinlogReplica {
   bool Lookup(PageId table, const std::string& key, std::string* value) const;
 
   const BinlogReplicaStats& stats() const { return stats_; }
-  BinlogReplicaStats* mutable_stats() { return &stats_; }
 
  private:
   struct Statement {

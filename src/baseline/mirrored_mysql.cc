@@ -213,7 +213,7 @@ void MirroredMySql::FinishWalFlush(Lsn flushed_through) {
       continue;
     }
     Txn* t = FindTxn(it->txn);
-    if (t != nullptr && options_.binlog && !t->binlog.empty()) {
+    if (t != nullptr && !t->binlog.empty()) {
       binlog_blob += t->binlog;
     }
     ready.push_back(std::move(*it));
@@ -246,7 +246,7 @@ void MirroredMySql::FinishWalFlush(Lsn flushed_through) {
     }
     if (!wal_buffer_.empty() || !commit_waiters_.empty()) StartWalFlush();
   };
-  if (options_.binlog && !binlog_blob.empty()) {
+  if (!binlog_blob.empty()) {
     ++stats_.binlog_writes;
     char key[40];
     snprintf(key, sizeof(key), "binlog/%018llu",
@@ -357,16 +357,12 @@ void MirroredMySql::CheckpointTick() {
     }
   };
 
-  if (options_.double_write) {
-    // One aggregated double-write-buffer write preceding the page writes
-    // (torn-page protection — more bytes down the same synchronous chains).
-    std::string dwb;
-    for (const Capture& cap : *batch) dwb += cap.bytes;
-    ++stats_.dwb_writes;
-    ChainWrite("dwb", std::move(dwb), write_pages);
-  } else {
-    write_pages(Status::OK());
-  }
+  // One aggregated double-write-buffer write preceding the page writes
+  // (torn-page protection — more bytes down the same synchronous chains).
+  std::string dwb;
+  for (const Capture& cap : *batch) dwb += cap.bytes;
+  ++stats_.dwb_writes;
+  ChainWrite("dwb", std::move(dwb), write_pages);
 }
 
 void MirroredMySql::FlushOnePage(PageId id, std::function<void(Status)> done) {
@@ -406,12 +402,8 @@ void MirroredMySql::FlushOnePage(PageId id, std::function<void(Status)> done) {
       done(ps);
     });
   };
-  if (options_.double_write) {
-    ++stats_.dwb_writes;
-    ChainWrite("dwb", bytes, std::move(after_dwb));
-  } else {
-    after_dwb(Status::OK());
-  }
+  ++stats_.dwb_writes;
+  ChainWrite("dwb", bytes, std::move(after_dwb));
 }
 
 // ---------------------------------------------------------------------------
@@ -886,12 +878,10 @@ Status MirroredMySql::WriteRowAttempt(Txn* txn, PageId table,
   txn->commit_lsn = mtr.commit_lsn();
   txn->undo.push_back({table, key, had_old, std::move(old)});
   // Binlog (statement) event.
-  if (options_.binlog) {
-    txn->binlog.push_back(value != nullptr ? 'P' : 'D');
-    PutVarint64(&txn->binlog, table);
-    PutLengthPrefixedSlice(&txn->binlog, key);
-    PutLengthPrefixedSlice(&txn->binlog, value != nullptr ? *value : "");
-  }
+  txn->binlog.push_back(value != nullptr ? 'P' : 'D');
+  PutVarint64(&txn->binlog, table);
+  PutLengthPrefixedSlice(&txn->binlog, key);
+  PutLengthPrefixedSlice(&txn->binlog, value != nullptr ? *value : "");
   return Status::OK();
 }
 

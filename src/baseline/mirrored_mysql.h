@@ -31,10 +31,6 @@ struct MirroredMysqlOptions {
   /// Checkpoint cadence and batch size (dirty-page flushing).
   SimDuration checkpoint_interval = Millis(250);
   size_t checkpoint_batch_pages = 64;
-  /// Torn-page protection: write pages to the double-write area first.
-  bool double_write = true;
-  /// Write a binary log (required for replication / PITR), archived to S3.
-  bool binlog = true;
   /// Per-statement CPU penalty per concurrent connection (models mutex and
   /// scheduler contention that collapses MySQL beyond ~500 connections,
   /// Table 3). Microseconds per connection.
@@ -131,7 +127,6 @@ class MirroredMySql : public WalSink, public PageProvider {
 
   // --- Introspection ----------------------------------------------------------
   const MysqlStats& stats() const { return stats_; }
-  MysqlStats* mutable_stats() { return &stats_; }
   Lsn flushed_lsn() const { return flushed_lsn_; }
   Lsn checkpoint_lsn() const { return checkpoint_lsn_; }
   size_t dirty_pages() const { return dirty_since_.size(); }
@@ -190,7 +185,6 @@ class MirroredMySql : public WalSink, public PageProvider {
                          const std::string* value);
   Txn* FindTxn(TxnId id);
   void FinishRollback(Txn* txn, std::function<void(Status)> done);
-  void MarkDirty(const MiniTransaction& mtr);
   void ReplayWal(std::shared_ptr<std::vector<LogRecord>> records, size_t idx,
                  std::function<void(Status)> done);
 

@@ -395,26 +395,28 @@ void Database::SendBatch(OutstandingBatch* batch) {
   // Single-encode, single-decode fan-out: the body (epoch, seq, hints,
   // record blob) is identical for all replicas, so serialize it once and
   // share the buffer, with one decode memo, across the un-acked sends; only
-  // the tiny pg+replica header is built per destination.
+  // the tiny pg+replica head is built per destination.
   std::shared_ptr<const std::string> body;
   std::shared_ptr<sim::DecodeMemo> memo;
   uint64_t sends = 0;
   for (int idx = 0; idx < kReplicasPerPg; ++idx) {
     if (batch->tracker.has_ack_from(idx)) continue;
     if (!body) {
-      auto encoded = std::make_shared<std::string>();
-      WriteBatchMsg::EncodeBody(volume_epoch_, cfg.config_epoch, batch->seq,
-                                vdl_, pgmrpl, batch->records, encoded.get());
-      body = std::move(encoded);
+      std::string records;
+      EncodeRecordBatch(batch->records, &records);
+      body = std::make_shared<const std::string>(
+          wire::Encode(WriteBatchBody{.epoch = volume_epoch_,
+                                      .cfg_epoch = cfg.config_epoch,
+                                      .batch_seq = batch->seq,
+                                      .vdl_hint = vdl_,
+                                      .pgmrpl_hint = pgmrpl,
+                                      .records = records}));
       memo = std::make_shared<sim::DecodeMemo>();
     }
-    WriteBatchMsg header_msg;
-    header_msg.pg = batch->pg;
-    header_msg.replica = static_cast<ReplicaIdx>(idx);
-    std::string header;
-    header_msg.EncodeHeaderTo(&header);
+    const WriteBatchHead head{.pg = batch->pg,
+                              .replica = static_cast<ReplicaIdx>(idx)};
     network_->Send(node_id_, cfg.nodes[idx], kMsgWriteBatch,
-                   std::move(header), body, memo);
+                   wire::Encode(head), body, memo);
     ++sends;
   }
   if (sends > 1) {
@@ -437,7 +439,7 @@ void Database::SendBatch(OutstandingBatch* batch) {
 
 void Database::HandleWriteAck(const sim::Message& msg) {
   WriteAckMsg ack;
-  if (!WriteAckMsg::DecodeFrom(msg.payload(), &ack).ok()) return;
+  if (!wire::Decode(msg.payload(), &ack).ok()) return;
   // Guard against our *cached* view, not the control plane: a kStaleConfig
   // NAK arrives precisely from hosts our stale cache still believes in.
   const CachedConfig& cfg = PgConfig(ack.pg);
@@ -1413,8 +1415,7 @@ void Database::PgmrplTick() {
       m.vdl_snapshot = vdl_;
       m.pg_tail = tail;
     }
-    std::string payload;
-    m.EncodeTo(&payload);
+    const std::string payload = wire::Encode(m);
     const PgMembership& members = control_plane_->membership(pg);
     for (sim::NodeId node : members.nodes) {
       network_->Send(node_id_, node, kMsgPgmrplUpdate, payload);
@@ -1471,13 +1472,6 @@ void Database::AttachReplica(sim::NodeId replica_node) {
   replicas_.push_back(replica_node);
 }
 
-void Database::DetachReplica(sim::NodeId replica_node) {
-  replicas_.erase(std::remove(replicas_.begin(), replicas_.end(),
-                              replica_node),
-                  replicas_.end());
-  replica_read_points_.erase(replica_node);
-}
-
 void Database::ReplicaShipTick() {
   const uint64_t gen = generation_;
   ship_timer_ = loop_->Schedule(options_.replica_ship_interval, [this, gen] {
@@ -1492,18 +1486,17 @@ void Database::ReplicaShipTick() {
       vdl_ == last_shipped_vdl_) {
     return;
   }
-  ReplicaStreamMsg msg;
-  msg.vdl = vdl_;
-  msg.records = std::move(replica_stream_buffer_);
-  msg.commits = std::move(replica_commit_buffer_);
+  std::string records;
+  EncodeRecordBatch(replica_stream_buffer_, &records);
+  const ReplicaStreamMsg msg{.vdl = vdl_,
+                             .records = records,
+                             .commits = std::move(replica_commit_buffer_)};
   replica_stream_buffer_.clear();
   replica_commit_buffer_.clear();
   last_shipped_vdl_ = vdl_;
-  std::string payload;
-  msg.EncodeTo(&payload);
   // One encoded stream shared by every replica copy: the fan-out neither
   // re-encodes nor re-copies the record blob per receiver.
-  auto body = std::make_shared<const std::string>(std::move(payload));
+  auto body = std::make_shared<const std::string>(wire::Encode(msg));
   for (sim::NodeId node : replicas_) {
     network_->Send(node_id_, node, kMsgReplicaLogStream, std::string(), body);
   }
@@ -1511,7 +1504,7 @@ void Database::ReplicaShipTick() {
 
 void Database::HandleReplicaReadPoint(const sim::Message& msg) {
   ReplicaReadPointMsg m;
-  if (!ReplicaReadPointMsg::DecodeFrom(msg.payload(), &m).ok()) return;
+  if (!wire::Decode(msg.payload(), &m).ok()) return;
   replica_read_points_[msg.from] = m.read_point;
 }
 
@@ -1544,12 +1537,8 @@ void Database::RecoveryCollectInventories(std::shared_ptr<RecoveryState> rs) {
         static_cast<size_t>(options_.quorum.read_quorum)) {
       continue;
     }
-    InventoryReqMsg req;
-    req.req_id = rs->req_id;
-    req.pg = pg;
-    std::string payload;
-    req.EncodeTo(&payload);
-    auto body = std::make_shared<const std::string>(std::move(payload));
+    const InventoryReqMsg req{.req_id = rs->req_id, .pg = pg};
+    auto body = std::make_shared<const std::string>(wire::Encode(req));
     const PgMembership& members = control_plane_->membership(pg);
     for (sim::NodeId node : members.nodes) {
       network_->Send(node_id_, node, kMsgInventoryReq, std::string(), body);
@@ -1564,7 +1553,7 @@ void Database::RecoveryCollectInventories(std::shared_ptr<RecoveryState> rs) {
 
 void Database::HandleInventoryResp(const sim::Message& msg) {
   InventoryRespMsg resp;
-  if (!InventoryRespMsg::DecodeFrom(msg.payload(), &resp).ok()) return;
+  if (!wire::Decode(msg.payload(), &resp).ok()) return;
   auto rs = recovery_;
   if (!rs || rs->phase != 1 || resp.req_id != rs->req_id) return;
   auto& entries = rs->union_entries[resp.pg];
@@ -1653,15 +1642,12 @@ void Database::RecoveryResendTruncates(std::shared_ptr<RecoveryState> rs) {
         static_cast<size_t>(options_.quorum.write_quorum)) {
       continue;
     }
-    TruncateReqMsg req;
-    req.req_id = rs->req_id;
-    req.pg = pg;
-    req.epoch = rs->new_epoch;
-    req.truncate_above = rs->new_vdl;
-    std::string payload;
-    req.EncodeTo(&payload);
+    const TruncateReqMsg req{.req_id = rs->req_id,
+                             .pg = pg,
+                             .epoch = rs->new_epoch,
+                             .truncate_above = rs->new_vdl};
     // All six copies share one encoded request (zero-copy fan-out).
-    auto body = std::make_shared<const std::string>(std::move(payload));
+    auto body = std::make_shared<const std::string>(wire::Encode(req));
     const PgMembership& members = control_plane_->membership(pg);
     for (sim::NodeId node : members.nodes) {
       network_->Send(node_id_, node, kMsgTruncateReq, std::string(), body);
@@ -1677,7 +1663,7 @@ void Database::RecoveryResendTruncates(std::shared_ptr<RecoveryState> rs) {
 
 void Database::HandleTruncateAck(const sim::Message& msg) {
   TruncateAckMsg ack;
-  if (!TruncateAckMsg::DecodeFrom(msg.payload(), &ack).ok()) return;
+  if (!wire::Decode(msg.payload(), &ack).ok()) return;
   auto rs = recovery_;
   if (!rs || rs->phase != 2 || ack.req_id != rs->req_id) return;
   if (ack.status_code != static_cast<uint8_t>(Status::Code::kOk)) return;

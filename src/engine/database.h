@@ -191,7 +191,6 @@ class Database : public WalSink, public PageProvider, private FetchPolicy {
 
   // --- Replication -----------------------------------------------------------
   void AttachReplica(sim::NodeId replica_node);
-  void DetachReplica(sim::NodeId replica_node);
 
   // --- Introspection ----------------------------------------------------------
   Lsn vdl() const { return vdl_; }
@@ -215,7 +214,6 @@ class Database : public WalSink, public PageProvider, private FetchPolicy {
   }
   size_t active_txns() const { return txns_.size(); }
   const EngineStats& stats() const { return stats_; }
-  EngineStats* mutable_stats() { return &stats_; }
   BufferPool* buffer_pool() { return &pool_; }
   LockManager* lock_manager() { return &locks_; }
   const EngineOptions& options() const { return options_; }

@@ -108,9 +108,7 @@ void PageFetcher::SendRequest(uint64_t req_id) {
   req.read_point = pr.read_point;
   req.tail = pr.tail;
   policy_->StampEpochs(&req);
-  std::string payload;
-  req.EncodeTo(&payload);
-  network_->Send(self_, target, kMsgReadPageReq, std::move(payload));
+  network_->Send(self_, target, kMsgReadPageReq, wire::Encode(req));
 
   const uint64_t gen = generation_;
   pr.timer =
@@ -126,7 +124,7 @@ void PageFetcher::SendRequest(uint64_t req_id) {
 
 void PageFetcher::HandleResponse(const sim::Message& msg) {
   ReadPageRespMsg resp;
-  if (!ReadPageRespMsg::DecodeFrom(msg.payload(), &resp).ok()) return;
+  if (!wire::Decode(msg.payload(), &resp).ok()) return;
   auto it = pending_.find(resp.req_id);
   if (it == pending_.end()) return;  // late duplicate
   PendingRead& pr = it->second;

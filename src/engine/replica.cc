@@ -69,9 +69,13 @@ void ReadReplica::Restart() {
 
 void ReadReplica::HandleLogStream(const sim::Message& msg) {
   ReplicaStreamMsg stream;
-  if (!ReplicaStreamMsg::DecodeFrom(msg.payload(), &stream).ok()) return;
+  std::vector<LogRecord> records;
+  if (!wire::Decode(msg.payload(), &stream).ok() ||
+      !DecodeRecordBatch(stream.records, &records).ok()) {
+    return;
+  }
   if (stream.vdl > vdl_) vdl_ = stream.vdl;
-  for (LogRecord& r : stream.records) {
+  for (LogRecord& r : records) {
     pending_stream_.push_back(std::move(r));
   }
   for (const auto& [lsn, time] : stream.commits) {
@@ -209,12 +213,9 @@ void ReadReplica::ReportReadPointTick() {
     ReportReadPointTick();
   });
   if (applied_vdl_ == kInvalidLsn) return;
-  ReplicaReadPointMsg m;
-  m.read_point = applied_vdl_;
-  std::string payload;
-  m.EncodeTo(&payload);
+  const ReplicaReadPointMsg m{.read_point = applied_vdl_};
   network_->Send(node_id_, writer_node_, kMsgReplicaReadPoint,
-                 std::move(payload));
+                 wire::Encode(m));
 }
 
 }  // namespace aurora

@@ -72,7 +72,6 @@ class ReadReplica : public PageProvider, private FetchPolicy {
   void Restart();
 
   const ReplicaStats& stats() const { return stats_; }
-  ReplicaStats* mutable_stats() { return &stats_; }
   BufferPool* buffer_pool() { return &pool_; }
 
   // --- PageProvider ---------------------------------------------------------

@@ -96,7 +96,7 @@ struct Message {
   }
 
   /// The two raw fragments, for consumers that can decode them in place
-  /// (WriteBatchMsg::DecodeHeader(head, body)) without ever joining.
+  /// (wire::Decode(head, body, &msg)) without ever joining.
   Slice head() const { return Slice(header); }
   Slice body_view() const { return body ? Slice(*body) : Slice(); }
 

@@ -180,17 +180,14 @@ void RepairManager::TryDispatch(const PendingRepair& q) {
 }
 
 void RepairManager::RequestChunk(Repair* r) {
-  SegmentChunkReqMsg req;
-  req.req_id = r->req_id;
-  req.pg = r->pg;
-  req.chunk_index = r->next_chunk;
-  req.chunk_bytes = options_.chunk_bytes;
-  std::string payload;
-  req.EncodeTo(&payload);
+  const SegmentChunkReqMsg req{.req_id = r->req_id,
+                               .pg = r->pg,
+                               .chunk_index = r->next_chunk,
+                               .chunk_bytes = options_.chunk_bytes};
   // Spoofed source: the donor's chunk responses route straight to the
   // replacement target, which reassembles and reports progress to us.
   network_->Send(r->target, r->donor, kMsgSegmentChunkReq,
-                 std::move(payload));
+                 wire::Encode(req));
   ArmChunkTimeout(r);
 }
 

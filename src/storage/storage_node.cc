@@ -1,6 +1,7 @@
 #include "storage/storage_node.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/crc32c.h"
 #include "common/logging.h"
@@ -187,9 +188,6 @@ void StorageNode::HandleMessage(const sim::Message& msg) {
     case kMsgGossipPush:
       HandleGossipPush(msg);
       break;
-    case kMsgSegmentStateReq:
-      HandleSegmentStateReq(msg);
-      break;
     case kMsgSegmentStateResp:
       HandleSegmentStateResp(msg);
       break;
@@ -206,15 +204,11 @@ void StorageNode::HandleMessage(const sim::Message& msg) {
 }
 
 void StorageNode::HandleWriteBatch(const sim::Message& msg) {
-  WriteBatchHeader batch;
-  Slice blob;
+  WriteBatchMsg batch;
   // Header first, in place: the fan-out body is shared by all six in-flight
   // copies and is never concatenated, and the fences below read no records,
   // so a batch they turn away is never decoded.
-  if (!WriteBatchMsg::DecodeHeader(msg.head(), msg.body_view(), &batch, &blob)
-           .ok()) {
-    return;
-  }
+  if (!wire::Decode(msg.head(), msg.body_view(), &batch).ok()) return;
   Segment* seg = EnsureSegment(batch.pg);
   if (seg == nullptr) return;  // not a member (anymore)
   ++stats_.batches_received;
@@ -226,17 +220,7 @@ void StorageNode::HandleWriteBatch(const sim::Message& msg) {
   // toward quorum; NAK with the current config epoch so it refreshes.
   if (members.IndexOf(id_) < 0 || batch.cfg_epoch < members.config_epoch) {
     ++stats_.stale_config_rejects;
-    WriteAckMsg nak;
-    nak.pg = batch.pg;
-    nak.replica = batch.replica;
-    nak.batch_seq = batch.batch_seq;
-    nak.scl = seg->scl();
-    nak.status_code = static_cast<uint8_t>(Status::Code::kStaleConfig);
-    nak.epoch = seg->epoch();
-    nak.cfg_epoch = members.config_epoch;
-    std::string payload;
-    nak.EncodeTo(&payload);
-    network_->Send(id_, msg.from, kMsgWriteAck, std::move(payload));
+    SendWriteAck(msg.from, batch, *seg, Status::Code::kStaleConfig);
     return;
   }
 
@@ -245,17 +229,7 @@ void StorageNode::HandleWriteBatch(const sim::Message& msg) {
   // tell the sender which epoch fenced it so it can demote itself.
   if (batch.epoch < seg->epoch()) {
     ++stats_.stale_epoch_rejects;
-    WriteAckMsg nak;
-    nak.pg = batch.pg;
-    nak.replica = batch.replica;
-    nak.batch_seq = batch.batch_seq;
-    nak.scl = seg->scl();
-    nak.status_code = static_cast<uint8_t>(Status::Code::kFenced);
-    nak.epoch = seg->epoch();
-    nak.cfg_epoch = members.config_epoch;
-    std::string payload;
-    nak.EncodeTo(&payload);
-    network_->Send(id_, msg.from, kMsgWriteAck, std::move(payload));
+    SendWriteAck(msg.from, batch, *seg, Status::Code::kFenced);
     return;
   }
 
@@ -266,23 +240,15 @@ void StorageNode::HandleWriteBatch(const sim::Message& msg) {
   auto dup = seen.find(batch.batch_seq);
   if (dup != seen.end() && dup->second == batch.epoch) {
     ++stats_.duplicate_batches;
-    WriteAckMsg ack;
-    ack.pg = batch.pg;
-    ack.replica = batch.replica;
-    ack.batch_seq = batch.batch_seq;
-    ack.scl = seg->scl();
-    ack.epoch = seg->epoch();
-    ack.cfg_epoch = members.config_epoch;
-    std::string payload;
-    ack.EncodeTo(&payload);
-    network_->Send(id_, msg.from, kMsgWriteAck, std::move(payload));
-    ++stats_.acks_sent;
+    SendWriteAck(msg.from, batch, *seg, Status::Code::kOk);
     return;
   }
 
   // Single decode: the writer's copies of one body share a memo, so the
   // first replica to get here decodes it and the others keep the same
-  // immutable records.
+  // immutable records. The blob is a view into this message, so it leaves
+  // `batch` before the disk callback below copies it.
+  const Slice blob = std::exchange(batch.records, Slice());
   auto decode = [blob] { return DecodeSharedRecords(blob); };
   SharedRecords records =
       msg.memo ? msg.memo->Get<std::vector<LogRecord>>(decode) : decode();
@@ -323,23 +289,27 @@ void StorageNode::HandleWriteBatch(const sim::Message& msg) {
     auto& applied = applied_batches_[batch.pg];
     applied[batch.batch_seq] = batch.epoch;
     while (applied.size() > 4096) applied.erase(applied.begin());
-    WriteAckMsg ack;
-    ack.pg = batch.pg;
-    ack.replica = batch.replica;
-    ack.batch_seq = batch.batch_seq;
-    ack.scl = seg->scl();
-    ack.epoch = seg->epoch();
-    ack.cfg_epoch = control_plane_->membership(batch.pg).config_epoch;
-    std::string payload;
-    ack.EncodeTo(&payload);
-    network_->Send(id_, from, kMsgWriteAck, std::move(payload));
-    ++stats_.acks_sent;
+    SendWriteAck(from, batch, *seg, Status::Code::kOk);
   });
+}
+
+void StorageNode::SendWriteAck(sim::NodeId to, const WriteBatchMsg& batch,
+                               const Segment& seg, Status::Code code) {
+  const WriteAckMsg ack{
+      .pg = batch.pg,
+      .replica = batch.replica,
+      .batch_seq = batch.batch_seq,
+      .scl = seg.scl(),
+      .status_code = static_cast<uint8_t>(code),
+      .epoch = seg.epoch(),
+      .cfg_epoch = control_plane_->membership(batch.pg).config_epoch};
+  network_->Send(id_, to, kMsgWriteAck, wire::Encode(ack));
+  if (code == Status::Code::kOk) ++stats_.acks_sent;
 }
 
 void StorageNode::HandleReadPage(const sim::Message& msg) {
   ReadPageReqMsg req;
-  if (!ReadPageReqMsg::DecodeFrom(msg.payload(), &req).ok()) return;
+  if (!wire::Decode(msg.payload(), &req).ok()) return;
   // Refuse on arrival what cannot be served: a refusal costs no device
   // read.
   Segment* seg = EnsureSegment(req.pg);
@@ -431,19 +401,16 @@ void StorageNode::ReplyToRead(sim::NodeId to, uint64_t req_id,
   if (code != Status::Code::kOk && code != Status::Code::kIOError) {
     ++stats_.page_read_errors;
   }
-  ReadPageRespMsg resp;
-  resp.req_id = req_id;
-  resp.status_code = static_cast<uint8_t>(code);
-  resp.page_lsn = page_lsn;
-  resp.page_bytes = std::move(page_bytes);
-  std::string payload;
-  resp.EncodeTo(&payload);
-  network_->Send(id_, to, kMsgReadPageResp, std::move(payload));
+  const ReadPageRespMsg resp{.req_id = req_id,
+                             .status_code = static_cast<uint8_t>(code),
+                             .page_lsn = page_lsn,
+                             .page_bytes = std::move(page_bytes)};
+  network_->Send(id_, to, kMsgReadPageResp, wire::Encode(resp));
 }
 
 void StorageNode::HandleInventory(const sim::Message& msg) {
   InventoryReqMsg req;
-  if (!InventoryReqMsg::DecodeFrom(msg.payload(), &req).ok()) return;
+  if (!wire::Decode(msg.payload(), &req).ok()) return;
   Segment* seg = EnsureSegment(req.pg);
   if (seg == nullptr) return;
   InventoryRespMsg resp;
@@ -455,14 +422,12 @@ void StorageNode::HandleInventory(const sim::Message& msg) {
   resp.scl = seg->scl();
   resp.vdl_hint = seg->vdl_hint();
   resp.entries = seg->Inventory();
-  std::string payload;
-  resp.EncodeTo(&payload);
-  network_->Send(id_, msg.from, kMsgInventoryResp, std::move(payload));
+  network_->Send(id_, msg.from, kMsgInventoryResp, wire::Encode(resp));
 }
 
 void StorageNode::HandleTruncate(const sim::Message& msg) {
   TruncateReqMsg req;
-  if (!TruncateReqMsg::DecodeFrom(msg.payload(), &req).ok()) return;
+  if (!wire::Decode(msg.payload(), &req).ok()) return;
   Segment* seg = EnsureSegment(req.pg);
   if (seg == nullptr) return;
   Status s = seg->Truncate(req.truncate_above, req.epoch);
@@ -471,22 +436,20 @@ void StorageNode::HandleTruncate(const sim::Message& msg) {
   const uint64_t gen = generation_;
   disk_.Write(64, [this, gen, req, s, from = msg.from](Status ds) {
     if (gen != generation_ || crashed_) return;
-    TruncateAckMsg ack;
-    ack.req_id = req.req_id;
-    ack.pg = req.pg;
-    ack.replica = static_cast<ReplicaIdx>(
-        std::max(0, control_plane_->membership(req.pg).IndexOf(id_)));
-    ack.status_code = static_cast<uint8_t>(
-        !ds.ok() ? Status::Code::kIOError : s.code());
-    std::string payload;
-    ack.EncodeTo(&payload);
-    network_->Send(id_, from, kMsgTruncateAck, std::move(payload));
+    const TruncateAckMsg ack{
+        .req_id = req.req_id,
+        .pg = req.pg,
+        .replica = static_cast<ReplicaIdx>(
+            std::max(0, control_plane_->membership(req.pg).IndexOf(id_))),
+        .status_code = static_cast<uint8_t>(
+            !ds.ok() ? Status::Code::kIOError : s.code())};
+    network_->Send(id_, from, kMsgTruncateAck, wire::Encode(ack));
   });
 }
 
 void StorageNode::HandlePgmrpl(const sim::Message& msg) {
   PgmrplMsg m;
-  if (!PgmrplMsg::DecodeFrom(msg.payload(), &m).ok()) return;
+  if (!wire::Decode(msg.payload(), &m).ok()) return;
   Segment* seg = EnsureSegment(m.pg);
   if (seg == nullptr) return;
   seg->SetPgmrpl(m.pgmrpl);
@@ -523,17 +486,14 @@ void StorageNode::GossipTick() {
     // case.
     int peer_idx = static_cast<int>(rng_.Uniform(kReplicasPerPg - 1));
     if (peer_idx >= self) ++peer_idx;
-    GossipPullMsg pull;
-    pull.pg = pg;
-    pull.replica = static_cast<ReplicaIdx>(self);
-    pull.epoch = seg->epoch();
-    pull.cfg_epoch = members.config_epoch;
-    pull.scl = seg->scl();
-    pull.max_lsn = seg->max_lsn();
-    std::string payload;
-    pull.EncodeTo(&payload);
+    const GossipPullMsg pull{.pg = pg,
+                             .replica = static_cast<ReplicaIdx>(self),
+                             .epoch = seg->epoch(),
+                             .cfg_epoch = members.config_epoch,
+                             .scl = seg->scl(),
+                             .max_lsn = seg->max_lsn()};
     network_->Send(id_, members.nodes[peer_idx], kMsgGossipPull,
-                   std::move(payload));
+                   wire::Encode(pull));
     ++stats_.gossip_rounds;
   }
   for (PgId pg : evicted) {
@@ -545,7 +505,7 @@ void StorageNode::GossipTick() {
 
 void StorageNode::HandleGossipPull(const sim::Message& msg) {
   GossipPullMsg pull;
-  if (!GossipPullMsg::DecodeFrom(msg.payload(), &pull).ok()) return;
+  if (!wire::Decode(msg.payload(), &pull).ok()) return;
   Segment* seg = EnsureSegment(pull.pg);
   if (seg == nullptr) return;
   // Membership fence: a pull from an evicted host (or one stamped before a
@@ -573,11 +533,9 @@ void StorageNode::HandleGossipPull(const sim::Message& msg) {
     seg->SerializeTo(&resp.state);
     const uint64_t gen = generation_;
     disk_.Read(resp.state.size(), [this, gen, resp = std::move(resp),
-                                   from = msg.from](Status s) mutable {
+                                   from = msg.from](Status s) {
       if (gen != generation_ || crashed_ || !s.ok()) return;
-      std::string payload;
-      resp.EncodeTo(&payload);
-      network_->Send(id_, from, kMsgSegmentStateResp, std::move(payload));
+      network_->Send(id_, from, kMsgSegmentStateResp, wire::Encode(resp));
     });
     return;
   }
@@ -585,15 +543,21 @@ void StorageNode::HandleGossipPull(const sim::Message& msg) {
       seg->RecordsAbove(pull.scl, options_.gossip_max_records);
   if (records.empty()) return;
   stats_.gossip_records_sent += records.size();
-  std::string payload;
-  GossipPushMsg::EncodeRecordsTo(pull.pg, seg->epoch(),
-                                 members.config_epoch, records, &payload);
-  network_->Send(id_, msg.from, kMsgGossipPush, std::move(payload));
+  std::string blob;
+  EncodeRecordBatch(records, &blob);
+  const GossipPushMsg push{.pg = pull.pg,
+                           .epoch = seg->epoch(),
+                           .cfg_epoch = members.config_epoch,
+                           .records = blob};
+  network_->Send(id_, msg.from, kMsgGossipPush, wire::Encode(push));
 }
 
 void StorageNode::HandleGossipPush(const sim::Message& msg) {
   GossipPushMsg push;
-  if (!GossipPushMsg::DecodeFrom(msg.payload(), &push).ok()) return;
+  if (!wire::Decode(msg.payload(), &push).ok()) return;
+  // Decoded into one owner, which the receiving segment keeps records of.
+  SharedRecords records = DecodeSharedRecords(push.records);
+  if (records == nullptr) return;
   Segment* seg = EnsureSegment(push.pg);
   if (seg == nullptr) return;
   // Membership fence: a push from an evicted donor (or from before a
@@ -616,14 +580,15 @@ void StorageNode::HandleGossipPush(const sim::Message& msg) {
   // batches.
   const uint64_t gen = generation_;
   const uint64_t bytes = msg.payload_size();
-  disk_.Write(bytes, [this, gen, push = std::move(push)](Status s) {
+  disk_.Write(bytes, [this, gen, pg = push.pg, epoch = push.epoch,
+                      records = std::move(records)](Status s) {
     if (gen != generation_ || crashed_ || !s.ok()) return;
-    Segment* seg = segment(push.pg);
+    Segment* seg = segment(pg);
     if (seg == nullptr) return;
-    seg->ObserveEpoch(push.epoch);
+    seg->ObserveEpoch(epoch);
     uint64_t filled = 0;
-    for (const LogRecord& r : *push.records) {
-      if (seg->AddRecord({push.records, &r})) ++filled;
+    for (const LogRecord& r : *records) {
+      if (seg->AddRecord({records, &r})) ++filled;
     }
     stats_.gossip_records_filled += filled;
     if (filled > 0) stats_.gossip_fill_batch.Record(filled);
@@ -764,31 +729,11 @@ void StorageNode::BackupTick() {
   }
 }
 
-void StorageNode::HandleSegmentStateReq(const sim::Message& msg) {
-  SegmentStateReqMsg req;
-  if (!SegmentStateReqMsg::DecodeFrom(msg.payload(), &req).ok()) return;
-  Segment* seg = segment(req.pg);
-  if (seg == nullptr) return;
-  SegmentStateRespMsg resp;
-  resp.req_id = req.req_id;
-  resp.pg = req.pg;
-  seg->SerializeTo(&resp.state);
-  const uint64_t gen = generation_;
-  // Reading the whole segment off disk to serve the copy.
-  disk_.Read(resp.state.size(), [this, gen, resp = std::move(resp),
-                                 from = msg.from](Status s) mutable {
-    if (gen != generation_ || crashed_ || !s.ok()) return;
-    std::string payload;
-    resp.EncodeTo(&payload);
-    network_->Send(id_, from, kMsgSegmentStateResp, std::move(payload));
-  });
-}
-
 void StorageNode::HandleSegmentStateResp(const sim::Message& msg) {
   SegmentStateRespMsg resp;
-  if (!SegmentStateRespMsg::DecodeFrom(msg.payload(), &resp).ok()) return;
-  // Persist the received copy, then install it. This path now serves only
-  // gossip's state-transfer backstop; repair uses the chunked transfer.
+  if (!wire::Decode(msg.payload(), &resp).ok()) return;
+  // A peer's gossip state-transfer backstop sent this copy unasked (repair
+  // uses the chunked transfer): persist it, then install it.
   const uint64_t gen = generation_;
   disk_.Write(resp.state.size(), [this, gen,
                                   resp = std::move(resp)](Status s) {
@@ -841,7 +786,7 @@ void StorageNode::NotifyRepairProgress(PgId pg, RepairProgress progress) {
 
 void StorageNode::HandleSegmentChunkReq(const sim::Message& msg) {
   SegmentChunkReqMsg req;
-  if (!SegmentChunkReqMsg::DecodeFrom(msg.payload(), &req).ok()) return;
+  if (!wire::Decode(msg.payload(), &req).ok()) return;
   if (req.chunk_bytes == 0) return;
   Segment* seg = segment(req.pg);
   // No segment to donate (evicted, or this host never had one): stay
@@ -888,17 +833,15 @@ void StorageNode::HandleSegmentChunkReq(const sim::Message& msg) {
   const uint64_t gen = generation_;
   // One device read to page the slice off disk.
   disk_.Read(resp.data.size() + 64, [this, gen, resp = std::move(resp),
-                                     from = msg.from](Status s) mutable {
+                                     from = msg.from](Status s) {
     if (gen != generation_ || crashed_ || !s.ok()) return;
-    std::string payload;
-    resp.EncodeTo(&payload);
-    network_->Send(id_, from, kMsgSegmentChunkResp, std::move(payload));
+    network_->Send(id_, from, kMsgSegmentChunkResp, wire::Encode(resp));
   });
 }
 
 void StorageNode::HandleSegmentChunkResp(const sim::Message& msg) {
   SegmentChunkRespMsg resp;
-  if (!SegmentChunkRespMsg::DecodeFrom(msg.payload(), &resp).ok()) return;
+  if (!wire::Decode(msg.payload(), &resp).ok()) return;
   auto it = repair_sessions_.find({resp.pg, resp.req_id});
   if (it == repair_sessions_.end()) return;  // aborted or unknown transfer
   // Per-chunk payload CRC: a flipped bit the fabric checksum missed (or a

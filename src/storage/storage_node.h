@@ -34,9 +34,6 @@ struct StorageNodeOptions {
   /// Background work is deferred while the disk backlog exceeds this —
   /// §3.3's negative correlation between background and foreground load.
   SimDuration background_backlog_limit = Millis(5);
-  /// Ack batches without waiting for the disk (testing only; default off —
-  /// the paper requires persistence before acknowledgement).
-  bool unsafe_ack_before_persist = false;
   /// Per-segment byte budget for the reconstructed-page cache (§4.2.3:
   /// materialization is "simply a cache of the log application"). Applied to
   /// every segment this node creates or installs; 0 disables caching.
@@ -196,10 +193,15 @@ class StorageNode {
   void HandlePgmrpl(const sim::Message& msg);
   void HandleGossipPull(const sim::Message& msg);
   void HandleGossipPush(const sim::Message& msg);
-  void HandleSegmentStateReq(const sim::Message& msg);
   void HandleSegmentStateResp(const sim::Message& msg);
   void HandleSegmentChunkReq(const sim::Message& msg);
   void HandleSegmentChunkResp(const sim::Message& msg);
+
+  /// Answers `batch` with `code` (kOk, kFenced or kStaleConfig), stamped
+  /// with `seg`'s SCL and epoch and the PG's config epoch; only a kOk ack
+  /// counts in `acks_sent`.
+  void SendWriteAck(sim::NodeId to, const WriteBatchMsg& batch,
+                    const Segment& seg, Status::Code code);
 
   /// Why a read of `req` from `seg` must be refused now, or OK: no segment,
   /// a fenced volume epoch, a stale config epoch, or the segment's own

@@ -4,11 +4,12 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/coding.h"
 #include "common/slice.h"
 #include "common/status.h"
-#include "log/log_record.h"
 #include "log/types.h"
 
 namespace aurora {
@@ -30,7 +31,6 @@ enum MsgType : uint16_t {
   // Storage node <-> storage node.
   kMsgGossipPull = 10,
   kMsgGossipPush = 11,
-  kMsgSegmentStateReq = 12,
   kMsgSegmentStateResp = 13,
   // Writer -> read replica instance (§4.2.4).
   kMsgReplicaLogStream = 14,
@@ -50,11 +50,36 @@ enum MsgType : uint16_t {
   kMsgStandbyAck = 27,
 };
 
-/// The fields of a write batch ahead of its records: everything the
-/// receiver's config, epoch and duplicate fences read.
-struct WriteBatchHeader {
+// Every message states its format once: `Fields(f)` lists its fields in
+// wire order, and wire::Encode and wire::Decode both walk that list. A
+// field's C++ type picks its encoding (DESIGN.md §5.2):
+//   uint8_t, bool         one byte
+//   uint32_t              varint32
+//   uint64_t              varint64
+//   std::string, Slice    length-prefixed bytes; a decoded Slice points
+//                         into the input
+//   std::optional<T>      presence byte, then T
+//   std::vector<T>        varint64 count, then each T
+//   std::pair<A, B>       A, then B
+//   a struct              its own field list
+// Record batches travel as EncodeRecordBatch blobs in a Slice field.
+
+/// Writer -> segment replica: one ordered batch of redo records for a PG
+/// (Figure 3), sent as two fragments. The head holds the only fields that
+/// differ between a batch's six copies; the writer encodes the body once
+/// and shares it (DESIGN.md §5). Head then body is the whole message.
+struct WriteBatchHead {
   PgId pg = 0;
   ReplicaIdx replica = 0;
+
+  template <typename F>
+  void Fields(F& f) { f(pg, replica); }
+};
+
+/// `vdl_hint` piggybacks the writer's current VDL so storage can bound
+/// background materialization; `pgmrpl_hint` does the same for replicas'
+/// read points.
+struct WriteBatchBody {
   Epoch epoch = 0;
   /// The PG membership config epoch the sender believes current; storage
   /// NAKs (kStaleConfig) batches stamped below its own view, so a writer
@@ -64,38 +89,21 @@ struct WriteBatchHeader {
   uint64_t batch_seq = 0;
   Lsn vdl_hint = kInvalidLsn;
   Lsn pgmrpl_hint = kInvalidLsn;
+  Slice records;
+
+  template <typename F>
+  void Fields(F& f) {
+    f(epoch, cfg_epoch, batch_seq, vdl_hint, pgmrpl_hint, records);
+  }
 };
 
-/// Writer -> segment replica: one ordered batch of redo records for a PG
-/// (Figure 3). `vdl_hint` piggybacks the writer's current VDL so storage can
-/// bound background materialization; `pgmrpl_hint` does the same for
-/// replicas' read points.
-struct WriteBatchMsg : WriteBatchHeader {
-  std::vector<LogRecord> records;
-
-  void EncodeTo(std::string* dst) const;
-  static Status DecodeFrom(Slice input, WriteBatchMsg* out);
-
-  /// Header-first, two-fragment decode for zero-copy delivery: `head` is the
-  /// per-replica header fragment (pg + replica index, possibly followed by
-  /// body bytes when the message arrived in one piece) and `body` the shared
-  /// fragment. Parses every field but the records, without concatenating
-  /// the fragments, and points `records` at their encoded blob, so a
-  /// receiver fences a batch before it decodes any record.
-  static Status DecodeHeader(Slice head, Slice body, WriteBatchHeader* out,
-                             Slice* records);
-
-  /// Split encoding for single-encode fan-out: the header fragment carries
-  /// the only per-replica fields (pg + replica index) while the body —
-  /// epoch, seq, watermark hints, and the record blob — is identical across
-  /// the 6 replicas of one send, so the writer encodes it once and shares
-  /// the buffer. Concatenating header + body yields exactly the EncodeTo
-  /// bytes.
-  void EncodeHeaderTo(std::string* dst) const;
-  static void EncodeBody(Epoch epoch, uint64_t cfg_epoch, uint64_t batch_seq,
-                         Lsn vdl_hint, Lsn pgmrpl_hint,
-                         const std::vector<LogRecord>& records,
-                         std::string* dst);
+/// The whole batch, as a storage node decodes it from both fragments.
+struct WriteBatchMsg : WriteBatchHead, WriteBatchBody {
+  template <typename F>
+  void Fields(F& f) {
+    WriteBatchHead::Fields(f);
+    WriteBatchBody::Fields(f);
+  }
 };
 
 /// Segment replica -> writer: batch persisted on disk (Figure 4 step 2), or
@@ -113,8 +121,10 @@ struct WriteAckMsg {
   /// a kStaleConfig NAK this tells the writer how far behind it is.
   uint64_t cfg_epoch = 0;
 
-  void EncodeTo(std::string* dst) const;
-  static Status DecodeFrom(Slice input, WriteAckMsg* out);
+  template <typename F>
+  void Fields(F& f) {
+    f(pg, replica, batch_seq, scl, status_code, epoch, cfg_epoch);
+  }
 };
 
 /// Writer -> segment replica: serve a page as of `read_point` (§4.2.3 —
@@ -139,8 +149,10 @@ struct ReadPageReqMsg {
   /// read replicas send none and rely on the SCL or a completeness snapshot.
   std::optional<Lsn> tail;
 
-  void EncodeTo(std::string* dst) const;
-  static Status DecodeFrom(Slice input, ReadPageReqMsg* out);
+  template <typename F>
+  void Fields(F& f) {
+    f(req_id, pg, page, read_point, epoch, cfg_epoch, tail);
+  }
 };
 
 struct ReadPageRespMsg {
@@ -149,8 +161,8 @@ struct ReadPageRespMsg {
   Lsn page_lsn = kInvalidLsn;
   std::string page_bytes;
 
-  void EncodeTo(std::string* dst) const;
-  static Status DecodeFrom(Slice input, ReadPageRespMsg* out);
+  template <typename F>
+  void Fields(F& f) { f(req_id, status_code, page_lsn, page_bytes); }
 };
 
 /// Recovery: writer asks each reachable replica of a PG for its log-chain
@@ -159,8 +171,8 @@ struct InventoryReqMsg {
   uint64_t req_id = 0;
   PgId pg = 0;
 
-  void EncodeTo(std::string* dst) const;
-  static Status DecodeFrom(Slice input, InventoryReqMsg* out);
+  template <typename F>
+  void Fields(F& f) { f(req_id, pg); }
 };
 
 struct InventoryEntry {
@@ -168,6 +180,9 @@ struct InventoryEntry {
   Lsn prev = kInvalidLsn;   // per-PG backlink
   Lsn vprev = kInvalidLsn;  // volume-wide backlink
   uint8_t flags = 0;
+
+  template <typename F>
+  void Fields(F& f) { f(lsn, prev, vprev, flags); }
 };
 
 struct InventoryRespMsg {
@@ -181,8 +196,8 @@ struct InventoryRespMsg {
   Lsn vdl_hint = kInvalidLsn;
   std::vector<InventoryEntry> entries;  // all hot-log records (lsn,prev,flags)
 
-  void EncodeTo(std::string* dst) const;
-  static Status DecodeFrom(Slice input, InventoryRespMsg* out);
+  template <typename F>
+  void Fields(F& f) { f(req_id, pg, replica, epoch, scl, vdl_hint, entries); }
 };
 
 /// Recovery: truncate every log record above `truncate_above`, stamped with
@@ -193,8 +208,8 @@ struct TruncateReqMsg {
   Epoch epoch = 0;
   Lsn truncate_above = kInvalidLsn;
 
-  void EncodeTo(std::string* dst) const;
-  static Status DecodeFrom(Slice input, TruncateReqMsg* out);
+  template <typename F>
+  void Fields(F& f) { f(req_id, pg, epoch, truncate_above); }
 };
 
 struct TruncateAckMsg {
@@ -203,8 +218,8 @@ struct TruncateAckMsg {
   ReplicaIdx replica = 0;
   uint8_t status_code = 0;
 
-  void EncodeTo(std::string* dst) const;
-  static Status DecodeFrom(Slice input, TruncateAckMsg* out);
+  template <typename F>
+  void Fields(F& f) { f(req_id, pg, replica, status_code); }
 };
 
 /// Writer -> storage: advance the PG's minimum read point (GC low-water
@@ -220,8 +235,11 @@ struct PgmrplMsg {
   Lsn pg_tail = kInvalidLsn;
   bool has_snapshot = false;
 
-  void EncodeTo(std::string* dst) const;
-  static Status DecodeFrom(Slice input, PgmrplMsg* out);
+  template <typename F>
+  void Fields(F& f) {
+    f(pg, pgmrpl, has_snapshot);
+    if (has_snapshot) f(vdl_snapshot, pg_tail);
+  }
 };
 
 /// Peer gossip: "here is my SCL; push me anything newer you have"
@@ -234,8 +252,8 @@ struct GossipPullMsg {
   Lsn scl = kInvalidLsn;
   Lsn max_lsn = kInvalidLsn;
 
-  void EncodeTo(std::string* dst) const;
-  static Status DecodeFrom(Slice input, GossipPullMsg* out);
+  template <typename F>
+  void Fields(F& f) { f(pg, replica, epoch, cfg_epoch, scl, max_lsn); }
 };
 
 /// Peer gossip fill. Carries the sender's segment epoch: a receiver on a
@@ -246,16 +264,10 @@ struct GossipPushMsg {
   PgId pg = 0;
   Epoch epoch = 0;
   uint64_t cfg_epoch = 0;  // sender's membership config epoch
-  /// Decoded into one owner, which the receiving segment keeps records of.
-  SharedRecords records;
+  Slice records;
 
-  static Status DecodeFrom(Slice input, GossipPushMsg* out);
-
-  /// Encodes straight from hot-log record views (Segment::RecordsAbove),
-  /// without a deep copy of any record payload.
-  static void EncodeRecordsTo(PgId pg, Epoch epoch, uint64_t cfg_epoch,
-                              const std::vector<const LogRecord*>& records,
-                              std::string* dst);
+  template <typename F>
+  void Fields(F& f) { f(pg, epoch, cfg_epoch, records); }
 };
 
 /// Writer -> read replica: the redo stream plus watermark metadata
@@ -264,11 +276,11 @@ struct GossipPushMsg {
 /// pairs for snapshot visibility and lag measurement.
 struct ReplicaStreamMsg {
   Lsn vdl = kInvalidLsn;
-  std::vector<LogRecord> records;
+  Slice records;
   std::vector<std::pair<Lsn, uint64_t>> commits;
 
-  void EncodeTo(std::string* dst) const;
-  static Status DecodeFrom(Slice input, ReplicaStreamMsg* out);
+  template <typename F>
+  void Fields(F& f) { f(vdl, records, commits); }
 };
 
 /// Replica -> writer: the replica's minimum read point, folded into the
@@ -276,27 +288,19 @@ struct ReplicaStreamMsg {
 struct ReplicaReadPointMsg {
   Lsn read_point = kInvalidLsn;
 
-  void EncodeTo(std::string* dst) const;
-  static Status DecodeFrom(Slice input, ReplicaReadPointMsg* out);
+  template <typename F>
+  void Fields(F& f) { f(read_point); }
 };
 
-/// Repair: a replacement node asks a healthy peer for the full segment
-/// state (§2.2 — MTTR is segment transfer time).
-struct SegmentStateReqMsg {
-  uint64_t req_id = 0;
-  PgId pg = 0;
-
-  void EncodeTo(std::string* dst) const;
-  static Status DecodeFrom(Slice input, SegmentStateReqMsg* out);
-};
-
+/// A full segment copy, sent unsolicited by gossip's state-transfer
+/// backstop to a peer whose gap log shipping can no longer close.
 struct SegmentStateRespMsg {
   uint64_t req_id = 0;
   PgId pg = 0;
   std::string state;  // Segment::SerializeTo blob
 
-  void EncodeTo(std::string* dst) const;
-  static Status DecodeFrom(Slice input, SegmentStateRespMsg* out);
+  template <typename F>
+  void Fields(F& f) { f(req_id, pg, state); }
 };
 
 /// Chunked repair: the replacement host requests one fixed-size slice of a
@@ -309,8 +313,8 @@ struct SegmentChunkReqMsg {
   uint32_t chunk_index = 0;
   uint32_t chunk_bytes = 0;  // slice size the requester wants
 
-  void EncodeTo(std::string* dst) const;
-  static Status DecodeFrom(Slice input, SegmentChunkReqMsg* out);
+  template <typename F>
+  void Fields(F& f) { f(req_id, pg, chunk_index, chunk_bytes); }
 };
 
 /// One chunk of a donor's segment snapshot. Every response repeats the
@@ -328,10 +332,150 @@ struct SegmentChunkRespMsg {
   uint32_t chunk_crc = 0;  // masked CRC32C of `data`
   std::string data;
 
-  void EncodeTo(std::string* dst) const;
-  static Status DecodeFrom(Slice input, SegmentChunkRespMsg* out);
+  template <typename F>
+  void Fields(F& f) {
+    f(req_id, pg, chunk_index, total_chunks, total_bytes, blob_crc,
+      chunk_crc, data);
+  }
 };
 
+namespace wire {
+
+/// Appends the encoding of each field to a string.
+class Writer {
+ public:
+  explicit Writer(std::string* dst) : dst_(dst) {}
+
+  template <typename... T>
+  void operator()(const T&... fields) { (Put(fields), ...); }
+
+ private:
+  void Put(uint8_t v) { dst_->push_back(static_cast<char>(v)); }
+  void Put(bool v) { Put(static_cast<uint8_t>(v)); }
+  void Put(uint32_t v) { PutVarint32(dst_, v); }
+  void Put(uint64_t v) { PutVarint64(dst_, v); }
+  void Put(Slice v) { PutLengthPrefixedSlice(dst_, v); }
+  void Put(const std::string& v) { Put(Slice(v)); }
+  template <typename T>
+  void Put(const std::optional<T>& v) {
+    Put(v.has_value());
+    if (v.has_value()) Put(*v);
+  }
+  template <typename T>
+  void Put(const std::vector<T>& v) {
+    Put(static_cast<uint64_t>(v.size()));
+    for (const T& e : v) Put(e);
+  }
+  template <typename A, typename B>
+  void Put(const std::pair<A, B>& v) {
+    Put(v.first);
+    Put(v.second);
+  }
+  /// A struct's field list serves both directions; encoding only reads
+  /// through it.
+  template <typename T>
+  void Put(const T& fields) { const_cast<T&>(fields).Fields(*this); }
+
+  std::string* dst_;
+};
+
+/// Reads fields in place from a message's head fragment, then its body
+/// fragment; a field never straddles the two. The first short or malformed
+/// field fails the read and turns every later one into a no-op, so any
+/// strict prefix of a message is rejected.
+class Reader {
+ public:
+  Reader(Slice head, Slice body) : in_(head), rest_(body) {}
+
+  template <typename... T>
+  void operator()(T&... fields) { (Get(fields), ...); }
+
+  bool ok() const { return ok_; }
+
+ private:
+  Slice* In() {
+    if (in_.empty()) std::swap(in_, rest_);
+    return &in_;
+  }
+  void Get(uint8_t& v) {
+    Slice* in = In();
+    if (!ok_ || in->empty()) {
+      ok_ = false;
+      return;
+    }
+    v = static_cast<uint8_t>((*in)[0]);
+    in->remove_prefix(1);
+  }
+  void Get(bool& v) {
+    uint8_t byte = 0;
+    Get(byte);
+    v = byte != 0;
+  }
+  void Get(uint32_t& v) { ok_ = ok_ && GetVarint32(In(), &v); }
+  void Get(uint64_t& v) { ok_ = ok_ && GetVarint64(In(), &v); }
+  void Get(Slice& v) { ok_ = ok_ && GetLengthPrefixedSlice(In(), &v); }
+  void Get(std::string& v) {
+    Slice bytes;
+    Get(bytes);
+    v.assign(bytes.data(), bytes.size());
+  }
+  template <typename T>
+  void Get(std::optional<T>& v) {
+    bool present = false;
+    Get(present);
+    v.reset();
+    if (present) Get(v.emplace());
+  }
+  template <typename T>
+  void Get(std::vector<T>& v) {
+    uint64_t n = 0;
+    Get(n);
+    v.clear();
+    // Every element takes at least one byte, so a corrupt count fails here
+    // instead of reserving more than the rest of the input could hold.
+    if (!ok_ || n > in_.size() + rest_.size()) {
+      ok_ = false;
+      return;
+    }
+    v.reserve(n);
+    while (ok_ && v.size() < n) Get(v.emplace_back());
+  }
+  template <typename A, typename B>
+  void Get(std::pair<A, B>& v) {
+    Get(v.first);
+    Get(v.second);
+  }
+  template <typename T>
+  void Get(T& fields) { fields.Fields(*this); }
+
+  Slice in_;
+  Slice rest_;
+  bool ok_ = true;
+};
+
+template <typename Msg>
+std::string Encode(const Msg& msg) {
+  std::string dst;
+  Writer writer(&dst);
+  writer(msg);
+  return dst;
+}
+
+/// Decodes a message sent as a head fragment plus a body fragment, without
+/// joining them. Either fragment may be empty.
+template <typename Msg>
+Status Decode(Slice head, Slice body, Msg* out) {
+  Reader reader(head, body);
+  reader(*out);
+  return reader.ok() ? Status::OK() : Status::Corruption("malformed message");
+}
+
+template <typename Msg>
+Status Decode(Slice input, Msg* out) {
+  return Decode(input, Slice(), out);
+}
+
+}  // namespace wire
 }  // namespace aurora
 
 #endif  // AURORA_STORAGE_WIRE_H_

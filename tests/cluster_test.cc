@@ -446,13 +446,11 @@ TEST(ReadTailTest, RefusedReadCostsNoDeviceRead) {
   req.page = table;
   req.read_point = scl + 1000;  // beyond the SCL, no snapshot covers it
   req.tail = scl + 500;         // and a tail the chain has not reached
-  std::string payload;
-  req.EncodeTo(&payload);
   const uint64_t disk_reads = node->disk()->reads();
   const uint64_t errors = node->stats().page_read_errors;
   const uint64_t incomplete = node->stats().read_errors_incomplete;
   cluster.network()->Send(cluster.writer_node(), node->id(), kMsgReadPageReq,
-                          std::move(payload));
+                          wire::Encode(req));
   cluster.RunFor(Millis(10));
   EXPECT_EQ(node->disk()->reads(), disk_reads);
   EXPECT_EQ(node->stats().page_read_errors, errors + 1);

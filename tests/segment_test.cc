@@ -7,6 +7,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/coding.h"
@@ -865,25 +866,208 @@ TEST(SegmentEquivalenceTest, RandomSchedulesMatchTheTreeModel) {
   }
 }
 
+// A record batch blob for the messages that carry one.
+const std::string& ChainBlob() {
+  static const std::string blob = [] {
+    std::string b;
+    EncodeRecordBatch(MakeChain(2), &b);
+    return b;
+  }();
+  return blob;
+}
+
+WriteBatchMsg SampleWriteBatch(Slice records) {
+  WriteBatchMsg m;
+  m.pg = 300;
+  m.replica = 5;
+  m.epoch = 7;
+  m.cfg_epoch = 2;
+  m.batch_seq = uint64_t{1} << 40;
+  m.vdl_hint = 100000;
+  m.pgmrpl_hint = 90000;
+  m.records = records;
+  return m;
+}
+
+ReadPageReqMsg SampleReadPageReq(std::optional<Lsn> tail) {
+  return {.req_id = uint64_t{1} << 33,
+          .pg = 2,
+          .page = 130,
+          .read_point = 5000,
+          .epoch = 3,
+          .cfg_epoch = 4,
+          .tail = tail};
+}
+
+uint8_t Code(Status::Code code) { return static_cast<uint8_t>(code); }
+
+// Calls f(name, message, hex) for one instance of every live message type,
+// with multi-byte varints where a field allows them, and for the absent
+// form of each optional, conditional, vector or string field. `hex` is the
+// instance's encoding as captured from the original hand-written
+// per-message codec, before the field lists replaced it.
+template <typename F>
+void ForEachSample(F&& f) {
+  f("WriteBatch", SampleWriteBatch(ChainBlob()),
+    "ac02050702808080808020a08d0690bf051c80bc73eb640000000101000201006df708"
+    "c86e646401010100020100");
+  std::string no_records;
+  EncodeRecordBatch(std::vector<LogRecord>(), &no_records);
+  f("WriteBatchNoRecords", SampleWriteBatch(no_records),
+    "ac02050702808080808020a08d0690bf0500");
+  f("WriteAck",
+    WriteAckMsg{.pg = 300,
+                .replica = 4,
+                .batch_seq = uint64_t{1} << 40,
+                .scl = 123456,
+                .status_code = Code(Status::Code::kStaleConfig),
+                .epoch = 9,
+                .cfg_epoch = 200},
+    "ac0204808080808020c0c4070d09c801");
+  f("ReadPageReq", SampleReadPageReq(4321), "80808080200282018827030401e121");
+  f("ReadPageReqTailZero", SampleReadPageReq(kInvalidLsn),
+    "8080808020028201882703040100");
+  f("ReadPageReqNoTail", SampleReadPageReq(std::nullopt),
+    "80808080200282018827030400");
+  f("ReadPageResp",
+    ReadPageRespMsg{.req_id = 77,
+                    .status_code = Code(Status::Code::kOk),
+                    .page_lsn = 65536,
+                    .page_bytes = std::string("pg\0\xff", 4)},
+    "4d0080800404706700ff");
+  f("ReadPageRespNoPage",
+    ReadPageRespMsg{.req_id = 77,
+                    .status_code = Code(Status::Code::kNotFound),
+                    .page_lsn = kInvalidLsn,
+                    .page_bytes = ""},
+    "4d010000");
+  f("InventoryReq", InventoryReqMsg{.req_id = 9, .pg = 70000}, "09f0a204");
+  const InventoryRespMsg inventory{
+      .req_id = 9,
+      .pg = 2,
+      .replica = 1,
+      .epoch = 3,
+      .scl = 500,
+      .vdl_hint = 450,
+      .entries = {{100, 90, 95, kFlagCpl}, {110, 100, 100, 0}}};
+  f("InventoryResp", inventory, "09020103f403c20302645a5f016e646400");
+  InventoryRespMsg no_entries = inventory;
+  no_entries.entries.clear();
+  f("InventoryRespNoEntries", no_entries, "09020103f403c20300");
+  f("TruncateReq",
+    TruncateReqMsg{.req_id = 5, .pg = 4, .epoch = 9, .truncate_above = 1234},
+    "050409d209");
+  f("TruncateAck",
+    TruncateAckMsg{.req_id = 5,
+                   .pg = 4,
+                   .replica = 3,
+                   .status_code = Code(Status::Code::kStale)},
+    "0504030b");
+  f("Pgmrpl",
+    PgmrplMsg{.pg = 1,
+              .pgmrpl = 777,
+              .vdl_snapshot = 800,
+              .pg_tail = 600,
+              .has_snapshot = true},
+    "01890601a006d804");
+  f("PgmrplNoSnapshot", PgmrplMsg{.pg = 1, .pgmrpl = 777}, "01890600");
+  f("GossipPull",
+    GossipPullMsg{.pg = 12,
+                  .replica = 2,
+                  .epoch = 3,
+                  .cfg_epoch = 4,
+                  .scl = 5000,
+                  .max_lsn = 6000},
+    "0c0203048827f02e");
+  f("GossipPush",
+    GossipPushMsg{.pg = 12, .epoch = 3, .cfg_epoch = 4, .records = ChainBlob()},
+    "0c03041c80bc73eb640000000101000201006df708c86e646401010100020100");
+  f("ReplicaStream",
+    ReplicaStreamMsg{.vdl = 123,
+                     .records = ChainBlob(),
+                     .commits = {{50, 1111}, {60, 2222}}},
+    "7b1c80bc73eb640000000101000201006df708c86e6464010101000201000232d708"
+    "3cae11");
+  f("ReplicaStreamEmpty",
+    ReplicaStreamMsg{.vdl = 123, .records = Slice(), .commits = {}},
+    "7b0000");
+  f("ReplicaReadPoint", ReplicaReadPointMsg{.read_point = 99999}, "9f8d06");
+  f("SegmentStateResp",
+    SegmentStateRespMsg{.req_id = 0, .pg = 8, .state = "state"},
+    "0008057374617465");
+  f("SegmentChunkReq",
+    SegmentChunkReqMsg{.req_id = uint64_t{1} << 20,
+                       .pg = 8,
+                       .chunk_index = 3,
+                       .chunk_bytes = 65536},
+    "8080400803808004");
+  const SegmentChunkRespMsg chunk{.req_id = uint64_t{1} << 20,
+                                  .pg = 8,
+                                  .chunk_index = 3,
+                                  .total_chunks = 10,
+                                  .total_bytes = 600000,
+                                  .blob_crc = 0xdeadbeef,
+                                  .chunk_crc = 0x12345678,
+                                  .data = "chunk"};
+  f("SegmentChunkResp", chunk,
+    "80804008030ac0cf24effdb6f50df8acd19101056368756e6b");
+  SegmentChunkRespMsg no_data = chunk;
+  no_data.chunk_index = 12;
+  no_data.chunk_crc = 0;
+  no_data.data.clear();
+  f("SegmentChunkRespNoData", no_data, "808040080c0ac0cf24effdb6f50d0000");
+}
+
+std::string Hex(const std::string& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (unsigned char c : bytes) {
+    hex.push_back(kDigits[c >> 4]);
+    hex.push_back(kDigits[c & 15]);
+  }
+  return hex;
+}
+
+// No wire byte moved when the per-message codecs gave way to field lists.
+TEST(WireTest, EncodingMatchesGoldenBytes) {
+  ForEachSample([](const char* name, const auto& msg, const char* hex) {
+    EXPECT_EQ(Hex(wire::Encode(msg)), hex) << name;
+  });
+  // The write batch as the writer sends it: a per-replica head plus the
+  // body it shares between all six copies.
+  const WriteBatchMsg batch = SampleWriteBatch(ChainBlob());
+  EXPECT_EQ(Hex(wire::Encode(static_cast<const WriteBatchHead&>(batch))),
+            "ac0205");
+  EXPECT_EQ(Hex(wire::Encode(static_cast<const WriteBatchBody&>(batch))),
+            "0702808080808020a08d0690bf051c80bc73eb640000000101000201006df708"
+            "c86e646401010100020100");
+}
+
 TEST(WireTest, AllMessageTypesRoundTrip) {
+  ForEachSample([](const char* name, const auto& msg, const char*) {
+    SCOPED_TRACE(name);
+    const std::string bytes = wire::Encode(msg);
+    std::decay_t<decltype(msg)> out;
+    ASSERT_TRUE(wire::Decode(bytes, &out).ok());
+    // Every encoding is prefix-free, so equal bytes mean equal fields.
+    EXPECT_EQ(wire::Encode(out), bytes);
+  });
   {
-    WriteBatchMsg m;
-    m.pg = 3;
-    m.replica = 5;
-    m.epoch = 7;
-    m.batch_seq = 42;
-    m.vdl_hint = 1000;
-    m.pgmrpl_hint = 900;
-    m.records = MakeChain(3);
-    std::string buf;
-    m.EncodeTo(&buf);
+    const WriteBatchMsg m = SampleWriteBatch(ChainBlob());
+    const std::string bytes = wire::Encode(m);  // `out.records` points here
     WriteBatchMsg out;
-    ASSERT_TRUE(WriteBatchMsg::DecodeFrom(buf, &out).ok());
+    ASSERT_TRUE(wire::Decode(bytes, &out).ok());
     EXPECT_EQ(out.pg, m.pg);
     EXPECT_EQ(out.replica, m.replica);
+    EXPECT_EQ(out.epoch, m.epoch);
+    EXPECT_EQ(out.cfg_epoch, m.cfg_epoch);
     EXPECT_EQ(out.batch_seq, m.batch_seq);
-    EXPECT_EQ(out.records.size(), 3u);
-    EXPECT_EQ(out.records[2].lsn, m.records[2].lsn);
+    EXPECT_EQ(out.vdl_hint, m.vdl_hint);
+    EXPECT_EQ(out.pgmrpl_hint, m.pgmrpl_hint);
+    std::vector<LogRecord> records;
+    ASSERT_TRUE(DecodeRecordBatch(out.records, &records).ok());
+    ASSERT_EQ(records.size(), 2u);
+    EXPECT_EQ(records[1].lsn, MakeChain(2)[1].lsn);
   }
   {
     InventoryRespMsg m;
@@ -894,10 +1078,8 @@ TEST(WireTest, AllMessageTypesRoundTrip) {
     m.scl = 500;
     m.vdl_hint = 450;
     m.entries = {{100, 90, 95, kFlagCpl}, {110, 100, 100, 0}};
-    std::string buf;
-    m.EncodeTo(&buf);
     InventoryRespMsg out;
-    ASSERT_TRUE(InventoryRespMsg::DecodeFrom(buf, &out).ok());
+    ASSERT_TRUE(wire::Decode(wire::Encode(m), &out).ok());
     EXPECT_EQ(out.vdl_hint, 450u);
     ASSERT_EQ(out.entries.size(), 2u);
     EXPECT_EQ(out.entries[0].vprev, 95u);
@@ -910,10 +1092,8 @@ TEST(WireTest, AllMessageTypesRoundTrip) {
     m.has_snapshot = true;
     m.vdl_snapshot = 800;
     m.pg_tail = 600;
-    std::string buf;
-    m.EncodeTo(&buf);
     PgmrplMsg out;
-    ASSERT_TRUE(PgmrplMsg::DecodeFrom(buf, &out).ok());
+    ASSERT_TRUE(wire::Decode(wire::Encode(m), &out).ok());
     EXPECT_TRUE(out.has_snapshot);
     EXPECT_EQ(out.vdl_snapshot, 800u);
     EXPECT_EQ(out.pg_tail, 600u);
@@ -929,11 +1109,9 @@ TEST(WireTest, AllMessageTypesRoundTrip) {
     m.epoch = 3;
     m.cfg_epoch = 4;
     m.tail = tail;
-    std::string buf;
-    m.EncodeTo(&buf);
     ReadPageReqMsg out;
     out.tail = 99;  // decoding must clear a stale value
-    ASSERT_TRUE(ReadPageReqMsg::DecodeFrom(buf, &out).ok());
+    ASSERT_TRUE(wire::Decode(wire::Encode(m), &out).ok());
     EXPECT_EQ(out.req_id, 11u);
     EXPECT_EQ(out.pg, 2u);
     EXPECT_EQ(out.page, 130u);
@@ -945,12 +1123,10 @@ TEST(WireTest, AllMessageTypesRoundTrip) {
   {
     ReplicaStreamMsg m;
     m.vdl = 123;
-    m.records = MakeChain(2);
+    m.records = ChainBlob();
     m.commits = {{50, 1111}, {60, 2222}};
-    std::string buf;
-    m.EncodeTo(&buf);
     ReplicaStreamMsg out;
-    ASSERT_TRUE(ReplicaStreamMsg::DecodeFrom(buf, &out).ok());
+    ASSERT_TRUE(wire::Decode(wire::Encode(m), &out).ok());
     EXPECT_EQ(out.vdl, 123u);
     EXPECT_EQ(out.commits.size(), 2u);
     EXPECT_EQ(out.commits[1].second, 2222u);
@@ -961,37 +1137,26 @@ TEST(WireTest, AllMessageTypesRoundTrip) {
     m.pg = 4;
     m.epoch = 9;
     m.truncate_above = 1234;
-    std::string buf;
-    m.EncodeTo(&buf);
     TruncateReqMsg out;
-    ASSERT_TRUE(TruncateReqMsg::DecodeFrom(buf, &out).ok());
+    ASSERT_TRUE(wire::Decode(wire::Encode(m), &out).ok());
     EXPECT_EQ(out.truncate_above, 1234u);
     EXPECT_EQ(out.epoch, 9u);
   }
 }
 
-TEST(WireTest, WriteBatchHeaderPlusBodyMatchesEncodeTo) {
+TEST(WireTest, WriteBatchHeadPlusBodyMatchesWholeEncoding) {
   // The single-encode fan-out path splits the message at the per-replica
-  // boundary; concatenating the two halves must reproduce EncodeTo exactly
-  // so receivers decode with the unchanged DecodeFrom.
-  WriteBatchMsg m;
-  m.pg = 3;
-  m.replica = 5;
-  m.epoch = 7;
-  m.cfg_epoch = 2;
-  m.batch_seq = 42;
-  m.vdl_hint = 1000;
-  m.pgmrpl_hint = 900;
-  m.records = MakeChain(3);
-  std::string whole;
-  m.EncodeTo(&whole);
-  std::string split;
-  m.EncodeHeaderTo(&split);
-  WriteBatchMsg::EncodeBody(m.epoch, m.cfg_epoch, m.batch_seq, m.vdl_hint,
-                            m.pgmrpl_hint, m.records, &split);
-  EXPECT_EQ(split, whole);
+  // boundary; concatenating the two fragments must reproduce the whole
+  // encoding, and decoding the fragments in place must give the same
+  // message as decoding the whole.
+  const WriteBatchMsg m = SampleWriteBatch(ChainBlob());
+  const std::string whole = wire::Encode(m);
+  const std::string head = wire::Encode(static_cast<const WriteBatchHead&>(m));
+  const std::string body = wire::Encode(static_cast<const WriteBatchBody&>(m));
+  EXPECT_EQ(head + body, whole);
   WriteBatchMsg out;
-  ASSERT_TRUE(WriteBatchMsg::DecodeFrom(split, &out).ok());
+  ASSERT_TRUE(wire::Decode(head, body, &out).ok());
+  EXPECT_EQ(wire::Encode(out), whole);
   EXPECT_EQ(out.pg, m.pg);
   EXPECT_EQ(out.replica, m.replica);
   EXPECT_EQ(out.epoch, m.epoch);
@@ -999,39 +1164,51 @@ TEST(WireTest, WriteBatchHeaderPlusBodyMatchesEncodeTo) {
   EXPECT_EQ(out.batch_seq, m.batch_seq);
   EXPECT_EQ(out.vdl_hint, m.vdl_hint);
   EXPECT_EQ(out.pgmrpl_hint, m.pgmrpl_hint);
-  ASSERT_EQ(out.records.size(), 3u);
-  EXPECT_EQ(out.records[2].lsn, m.records[2].lsn);
+  // The records stay in the shared body, undecoded and uncopied.
+  EXPECT_EQ(out.records.data(), body.data() + body.size() - ChainBlob().size());
+  std::vector<LogRecord> records;
+  ASSERT_TRUE(DecodeRecordBatch(out.records, &records).ok());
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[1].lsn, MakeChain(2)[1].lsn);
+  // The whole message in the body fragment decodes the same.
+  WriteBatchMsg single;
+  ASSERT_TRUE(wire::Decode(Slice(), whole, &single).ok());
+  EXPECT_EQ(wire::Encode(single), whole);
 }
 
 TEST(WireTest, TruncatedMessagesRejected) {
-  WriteBatchMsg m;
-  m.pg = 1;
-  m.records = MakeChain(2);
-  std::string buf;
-  m.EncodeTo(&buf);
-  for (size_t cut : {size_t{0}, size_t{1}, buf.size() / 2, buf.size() - 1}) {
-    WriteBatchMsg out;
-    EXPECT_FALSE(
-        WriteBatchMsg::DecodeFrom(Slice(buf.data(), cut), &out).ok());
-  }
-  // A read request is cut anywhere: inside a varint, before the tail's
-  // presence flag, or between the flag and the tail.
-  for (std::optional<Lsn> tail : {std::optional<Lsn>(), std::optional<Lsn>(300000)}) {
-    ReadPageReqMsg r;
-    r.req_id = 11;
-    r.pg = 2;
-    r.page = 130;
-    r.read_point = 5000;
-    r.tail = tail;
-    std::string rbuf;
-    r.EncodeTo(&rbuf);
-    for (size_t cut = 0; cut < rbuf.size(); ++cut) {
-      ReadPageReqMsg out;
-      EXPECT_FALSE(
-          ReadPageReqMsg::DecodeFrom(Slice(rbuf.data(), cut), &out).ok())
-          << "cut " << cut;
+  // Every type, cut anywhere: inside a varint, inside a length-prefixed
+  // blob, before a presence flag or a count, or between a flag and what it
+  // announces.
+  ForEachSample([](const char* name, const auto& msg, const char*) {
+    const std::string bytes = wire::Encode(msg);
+    for (size_t cut = 0; cut < bytes.size(); ++cut) {
+      std::decay_t<decltype(msg)> out;
+      EXPECT_FALSE(wire::Decode(Slice(bytes.data(), cut), &out).ok())
+          << name << " cut " << cut;
     }
+  });
+  // A write batch whose shared body is cut anywhere, behind an intact head.
+  const WriteBatchMsg m = SampleWriteBatch(ChainBlob());
+  const std::string head = wire::Encode(static_cast<const WriteBatchHead&>(m));
+  const std::string body = wire::Encode(static_cast<const WriteBatchBody&>(m));
+  for (size_t cut = 0; cut < body.size(); ++cut) {
+    WriteBatchMsg out;
+    EXPECT_FALSE(wire::Decode(head, Slice(body.data(), cut), &out).ok())
+        << "body cut " << cut;
   }
+}
+
+TEST(WireTest, CorruptCountIsRejectedBeforeAnyReserve) {
+  // An inventory response whose entry count claims far more entries than
+  // the rest of the input could hold.
+  std::string bytes = wire::Encode(InventoryRespMsg{});
+  bytes.pop_back();  // the empty vector's count
+  PutVarint64(&bytes, uint64_t{1} << 60);
+  bytes += wire::Encode(InventoryEntry{100, 90, 95, kFlagCpl});
+  InventoryRespMsg out;
+  EXPECT_FALSE(wire::Decode(bytes, &out).ok());
+  EXPECT_EQ(out.entries.capacity(), 0u);
 }
 
 }  // namespace

@@ -79,23 +79,24 @@ class WriteFanoutTest : public ::testing::TestWithParam<int> {
       prev = r.lsn;
       records_.push_back(r);
     }
-    auto body = std::make_shared<std::string>();
-    WriteBatchMsg::EncodeBody(epoch, Members().config_epoch, kBatchSeq,
-                              cluster_.writer()->vdl(), kInvalidLsn,
-                              records_, body.get());
-    body_ = std::move(body);
+    std::string records;
+    EncodeRecordBatch(records_, &records);
+    body_ = std::make_shared<const std::string>(
+        wire::Encode(WriteBatchBody{.epoch = epoch,
+                                    .cfg_epoch = Members().config_epoch,
+                                    .batch_seq = kBatchSeq,
+                                    .vdl_hint = cluster_.writer()->vdl(),
+                                    .pgmrpl_hint = kInvalidLsn,
+                                    .records = records}));
     memo_ = std::make_shared<sim::DecodeMemo>();
   }
 
   // Sends the batch to member `idx` the way the writer's SendBatch does.
   void SendTo(int idx) {
-    WriteBatchMsg header;
-    header.pg = 0;
-    header.replica = static_cast<ReplicaIdx>(idx);
-    std::string bytes;
-    header.EncodeHeaderTo(&bytes);
+    const WriteBatchHead head{.pg = 0,
+                              .replica = static_cast<ReplicaIdx>(idx)};
     cluster_.network()->Send(cluster_.writer_node(), Members().nodes[idx],
-                             kMsgWriteBatch, std::move(bytes), body_, memo_);
+                             kMsgWriteBatch, wire::Encode(head), body_, memo_);
   }
   void SendToAll() {
     for (int idx = 0; idx < kReplicasPerPg; ++idx) SendTo(idx);
