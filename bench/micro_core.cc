@@ -1,11 +1,13 @@
 // Micro-benchmarks (google-benchmark) for the hot data-path primitives:
 // redo encode/decode, CRC32C, the log applicator, slotted-page ops, B+-tree
-// point operations and storage-node segment apply. These bound the
+// point operations, the engine's lock table and buffer pool, and
+// storage-node segment apply. These bound the
 // simulated engine's CPU cost model and catch data-path regressions.
 
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <utility>
@@ -13,10 +15,13 @@
 
 #include "bench/bench_util.h"
 #include "common/crc32c.h"
+#include "engine/buffer_pool.h"
+#include "engine/lock_manager.h"
 #include "log/applicator.h"
 #include "log/log_record.h"
 #include "page/btree.h"
 #include "page/page.h"
+#include "sim/event_loop.h"
 #include "sim/network.h"
 #include "storage/segment.h"
 #include "tests/test_util.h"
@@ -136,6 +141,57 @@ void BM_BTreeInsert(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BTreeInsert);
+
+std::string RowKey(uint64_t row) {
+  char buf[32];
+  snprintf(buf, sizeof(buf), "key%016llu",
+           static_cast<unsigned long long>(row));
+  return buf;
+}
+
+// The lock path of one read_only_cached transaction: ten shared locks on
+// distinct 19-byte row keys, then ReleaseAll, against a table that already
+// holds the locks of 127 other transactions (128 connections).
+void BM_LockManagerUncontended(benchmark::State& state) {
+  constexpr int kLocksPerTxn = 10;
+  sim::EventLoop loop;
+  LockManager locks(&loop, Seconds(5));
+  uint64_t row = 0;
+  for (TxnId other = 1000; other < 1127; ++other) {
+    for (int i = 0; i < kLocksPerTxn; ++i) {
+      (void)locks.Lock(other, 1, RowKey(row++ * 7919 % 1000003),
+                       LockMode::kShared);
+    }
+  }
+  std::vector<std::string> keys;
+  for (int i = 0; i < kLocksPerTxn; ++i) {
+    keys.push_back(RowKey(row++ * 7919 % 1000003));
+  }
+  TxnId txn = 1;
+  for (auto _ : state) {
+    for (const std::string& key : keys) {
+      Status s = locks.Lock(txn, 1, key, LockMode::kShared);
+      benchmark::DoNotOptimize(s);
+    }
+    locks.ReleaseAll(txn++);
+  }
+  state.SetItemsProcessed(state.iterations() * kLocksPerTxn);
+}
+BENCHMARK(BM_LockManagerUncontended);
+
+// A buffer-pool hit (lookup plus LRU touch) over 4,096 resident pages.
+void BM_BufferPoolHit(benchmark::State& state) {
+  constexpr PageId kPages = 4096;
+  Lsn vdl = 0;
+  BufferPool pool(kPages, 4096, &vdl);
+  for (PageId id = 0; id < kPages; ++id) pool.InstallNew(id);
+  PageId id = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(pool.Lookup(id));
+    id = (id + 997) % kPages;
+  }
+}
+BENCHMARK(BM_BufferPoolHit);
 
 // Storage-node page reconstruction with the LSN-versioned cache off (arg 0)
 // vs on (arg 1). Cache off replays the page's full redo chain on every

@@ -922,8 +922,12 @@ void MirroredMySql::Put(TxnId txn, PageId table, const std::string& key,
         done(s);
       });
     };
-    Status s = locks_.Lock(txn, table, key, LockMode::kExclusive, with_lock);
-    if (!s.IsBusy()) with_lock(s);
+    Status s = locks_.Lock(txn, table, key, LockMode::kExclusive);
+    if (s.IsBusy()) {
+      locks_.OnGrant(txn, std::move(with_lock));
+    } else {
+      with_lock(s);
+    }
   });
 }
 
@@ -956,8 +960,12 @@ void MirroredMySql::Get(TxnId txn, PageId table, const std::string& key,
         }
       });
     };
-    Status s = locks_.Lock(txn, table, key, LockMode::kShared, with_lock);
-    if (!s.IsBusy()) with_lock(s);
+    Status s = locks_.Lock(txn, table, key, LockMode::kShared);
+    if (s.IsBusy()) {
+      locks_.OnGrant(txn, std::move(with_lock));
+    } else {
+      with_lock(s);
+    }
   });
 }
 
@@ -985,8 +993,12 @@ void MirroredMySql::Delete(TxnId txn, PageId table, const std::string& key,
       };
       RunWithRetries(attempt, done);
     };
-    Status s = locks_.Lock(txn, table, key, LockMode::kExclusive, with_lock);
-    if (!s.IsBusy()) with_lock(s);
+    Status s = locks_.Lock(txn, table, key, LockMode::kExclusive);
+    if (s.IsBusy()) {
+      locks_.OnGrant(txn, std::move(with_lock));
+    } else {
+      with_lock(s);
+    }
   });
 }
 

@@ -23,15 +23,18 @@ bool GetFixed64(Slice* input, uint64_t* value) {
   return true;
 }
 
-void PutVarint32(std::string* dst, uint32_t v) {
-  unsigned char buf[5];
-  int n = 0;
+char* EncodeVarint32(char* dst, uint32_t v) {
   while (v >= 0x80) {
-    buf[n++] = static_cast<unsigned char>(v) | 0x80;
+    *dst++ = static_cast<char>(v | 0x80);
     v >>= 7;
   }
-  buf[n++] = static_cast<unsigned char>(v);
-  dst->append(reinterpret_cast<char*>(buf), n);
+  *dst++ = static_cast<char>(v);
+  return dst;
+}
+
+void PutVarint32(std::string* dst, uint32_t v) {
+  char buf[5];
+  dst->append(buf, EncodeVarint32(buf, v) - buf);
 }
 
 void PutVarint64(std::string* dst, uint64_t v) {
@@ -45,14 +48,14 @@ void PutVarint64(std::string* dst, uint64_t v) {
   dst->append(reinterpret_cast<char*>(buf), n);
 }
 
-bool GetVarint32(Slice* input, uint32_t* value) {
+bool GetVarint32Slow(Slice* input, uint32_t* value) {
   uint64_t v64;
-  if (!GetVarint64(input, &v64) || v64 > UINT32_MAX) return false;
+  if (!GetVarint64Slow(input, &v64) || v64 > UINT32_MAX) return false;
   *value = static_cast<uint32_t>(v64);
   return true;
 }
 
-bool GetVarint64(Slice* input, uint64_t* value) {
+bool GetVarint64Slow(Slice* input, uint64_t* value) {
   uint64_t result = 0;
   const char* p = input->data();
   const char* limit = p + input->size();

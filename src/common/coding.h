@@ -58,8 +58,33 @@ bool GetFixed64(Slice* input, uint64_t* value);
 /// LEB128-style varints (max 10 bytes for 64-bit).
 void PutVarint32(std::string* dst, uint32_t v);
 void PutVarint64(std::string* dst, uint64_t v);
-bool GetVarint32(Slice* input, uint32_t* value);
-bool GetVarint64(Slice* input, uint64_t* value);
+/// Writes `v` at `dst` (room for five bytes) and returns the byte after it.
+char* EncodeVarint32(char* dst, uint32_t v);
+
+/// The general decoders, for varints of two bytes or more (and for
+/// truncated input); GetVarint32/GetVarint64 below handle one byte inline.
+bool GetVarint32Slow(Slice* input, uint32_t* value);
+bool GetVarint64Slow(Slice* input, uint64_t* value);
+
+// Every key and value length on a page, and most length prefixes in a log
+// record, fit in one byte, so the common case decodes without a call.
+inline bool GetVarint32(Slice* input, uint32_t* value) {
+  if (!input->empty() && static_cast<unsigned char>((*input)[0]) < 0x80) {
+    *value = static_cast<unsigned char>((*input)[0]);
+    input->remove_prefix(1);
+    return true;
+  }
+  return GetVarint32Slow(input, value);
+}
+
+inline bool GetVarint64(Slice* input, uint64_t* value) {
+  if (!input->empty() && static_cast<unsigned char>((*input)[0]) < 0x80) {
+    *value = static_cast<unsigned char>((*input)[0]);
+    input->remove_prefix(1);
+    return true;
+  }
+  return GetVarint64Slow(input, value);
+}
 
 /// Length-prefixed byte strings: varint32 length followed by the bytes.
 void PutLengthPrefixedSlice(std::string* dst, const Slice& value);

@@ -5,35 +5,44 @@
 namespace aurora {
 
 Page* BufferPool::Lookup(PageId id) {
-  auto it = entries_.find(id);
-  if (it == entries_.end()) {
+  Slot slot = Find(id);
+  if (slot == SlotIndex::kNone) {
     ++stats_.misses;
     return nullptr;
   }
   ++stats_.hits;
-  Touch(&it->second, id);
-  return &it->second.page;
+  Touch(&slots_[slot]);
+  return &slots_[slot].page;
 }
 
-void BufferPool::Touch(Entry* e, PageId id) {
-  lru_.erase(e->lru_it);
-  lru_.push_front(id);
-  e->lru_it = lru_.begin();
+void BufferPool::Touch(Entry* e) {
+  lru_.splice(lru_.begin(), lru_, e->lru_it);
 }
 
 Page* BufferPool::Install(PageId id, Page page) {
   ++stats_.installs;
-  auto it = entries_.find(id);
-  if (it != entries_.end()) {
+  Slot slot = Find(id);
+  if (slot != SlotIndex::kNone) {
     // Already resident (duplicate fetch landed); keep the resident copy,
     // which may be newer (it absorbs writes).
-    Touch(&it->second, id);
-    return &it->second.page;
+    Touch(&slots_[slot]);
+    return &slots_[slot].page;
   }
-  auto [new_it, inserted] = entries_.emplace(id, Entry(std::move(page)));
-  lru_.push_front(id);
-  new_it->second.lru_it = lru_.begin();
-  return &new_it->second.page;
+  if (free_slots_.empty()) {
+    slot = static_cast<Slot>(slots_.size());
+    slots_.emplace_back(page_size_);
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  Entry& e = slots_[slot];
+  e.id = id;
+  e.page = std::move(page);
+  e.pinned = false;
+  lru_.push_front(slot);
+  e.lru_it = lru_.begin();
+  index_.Insert(Mix64(id), slot);
+  return &e.page;
 }
 
 Page* BufferPool::InstallNew(PageId id) {
@@ -41,61 +50,66 @@ Page* BufferPool::InstallNew(PageId id) {
 }
 
 void BufferPool::Pin(PageId id) {
-  auto it = entries_.find(id);
-  if (it != entries_.end()) it->second.pinned = true;
+  Slot slot = Find(id);
+  if (slot != SlotIndex::kNone) slots_[slot].pinned = true;
 }
 
 void BufferPool::Unpin(PageId id) {
-  auto it = entries_.find(id);
-  if (it != entries_.end()) it->second.pinned = false;
+  Slot slot = Find(id);
+  if (slot != SlotIndex::kNone) slots_[slot].pinned = false;
+}
+
+void BufferPool::Free(Slot slot) {
+  Entry& e = slots_[slot];
+  index_.Erase(Mix64(e.id), slot);
+  lru_.erase(e.lru_it);
+  free_slots_.push_back(slot);
 }
 
 void BufferPool::Discard(PageId id) {
-  auto it = entries_.find(id);
-  if (it == entries_.end()) return;
-  lru_.erase(it->second.lru_it);
-  entries_.erase(it);
+  Slot slot = Find(id);
+  if (slot != SlotIndex::kNone) Free(slot);
 }
 
 void BufferPool::Clear() {
-  entries_.clear();
+  slots_.clear();
+  free_slots_.clear();
+  index_.Clear();
   lru_.clear();
 }
 
 void BufferPool::EvictExcess() { MaybeEvict(); }
 
 void BufferPool::MaybeEvict() {
-  if (entries_.size() <= capacity_) return;
+  if (size() <= capacity_) return;
   // Scan from coldest; skip pinned pages and pages whose latest change is
   // not yet durable (page LSN > VDL) — those must stay, even over capacity.
   auto it = lru_.end();
   size_t scanned = 0;
-  while (entries_.size() > capacity_ && it != lru_.begin() &&
-         scanned < entries_.size()) {
+  while (size() > capacity_ && it != lru_.begin() && scanned < size()) {
     --it;
     ++scanned;
-    PageId id = *it;
-    Entry& e = entries_.at(id);
+    Entry& e = slots_[*it];
     if (e.pinned) continue;
     if (e.page.IsFormatted() && e.page.page_lsn() > *vdl_) {
       ++stats_.eviction_blocked;
       continue;
     }
-    if (evict_filter_ && !evict_filter_(id, e.page)) {
+    if (evict_filter_ && !evict_filter_(e.id, e.page)) {
       ++stats_.eviction_blocked;
       continue;
     }
-    auto to_erase = it++;
-    lru_.erase(to_erase);
-    entries_.erase(id);
+    Slot victim = *it++;
+    Free(victim);
     ++stats_.evictions;
   }
 }
 
 size_t BufferPool::CountAboveVdl() const {
   size_t n = 0;
-  for (const auto& [id, e] : entries_) {
-    if (e.page.IsFormatted() && e.page.page_lsn() > *vdl_) ++n;
+  for (Slot slot : lru_) {
+    const Page& page = slots_[slot].page;
+    if (page.IsFormatted() && page.page_lsn() > *vdl_) ++n;
   }
   return n;
 }

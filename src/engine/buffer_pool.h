@@ -1,12 +1,13 @@
 #ifndef AURORA_ENGINE_BUFFER_POOL_H_
 #define AURORA_ENGINE_BUFFER_POOL_H_
 
-#include <functional>
+#include <deque>
 #include <list>
-#include <map>
-#include <set>
+#include <vector>
 
+#include "common/inline_function.h"
 #include "common/result.h"
+#include "common/slot_index.h"
 #include "log/types.h"
 #include "page/page.h"
 
@@ -44,7 +45,7 @@ class BufferPool {
 
   /// Returns the resident page (touching LRU) or nullptr on miss.
   Page* Lookup(PageId id);
-  bool Contains(PageId id) const { return entries_.count(id) > 0; }
+  bool Contains(PageId id) const { return Find(id) != SlotIndex::kNone; }
 
   /// Makes a fetched page resident. Never evicts synchronously — callers
   /// invoke EvictExcess() at a safe point (no operation holding raw page
@@ -66,7 +67,8 @@ class BufferPool {
   /// Additional eviction veto (the mirrored-MySQL baseline vetoes dirty
   /// pages, which must be flushed before leaving the pool). Return false to
   /// keep the page resident.
-  void set_evict_filter(std::function<bool(PageId, const Page&)> filter) {
+  using EvictFilter = InlineFunction<bool(PageId, const Page&)>;
+  void set_evict_filter(EvictFilter filter) {
     evict_filter_ = std::move(filter);
   }
 
@@ -76,7 +78,7 @@ class BufferPool {
   /// Drops everything (crash simulation).
   void Clear();
 
-  size_t size() const { return entries_.size(); }
+  size_t size() const { return index_.size(); }
   size_t capacity() const { return capacity_; }
   void set_capacity(size_t pages) { capacity_ = pages; }
   const BufferPoolStats& stats() const { return stats_; }
@@ -87,22 +89,40 @@ class BufferPool {
   size_t CountAboveVdl() const;
 
  private:
+  using Slot = uint32_t;
+
+  /// A resident page. Entries sit in stable slots (Page pointers handed out
+  /// stay valid until eviction); a freed slot is reused by the next install.
   struct Entry {
+    PageId id = kInvalidPage;
     Page page;
-    std::list<PageId>::iterator lru_it;
+    std::list<Slot>::iterator lru_it;
     bool pinned = false;
-    explicit Entry(Page p) : page(std::move(p)) {}
+    explicit Entry(size_t page_size) : page(page_size) {}
   };
 
-  void Touch(Entry* e, PageId id);
+  /// The slot holding `id`, or SlotIndex::kNone.
+  Slot Find(PageId id) const {
+    return index_.Find(Mix64(id),
+                       [&](Slot s) { return slots_[s].id == id; });
+  }
+  /// Moves `e` to the most-recent end of the LRU list (relinks its node;
+  /// a hit allocates nothing).
+  void Touch(Entry* e);
+  /// Drops the page in `slot` from the index and the LRU list.
+  void Free(Slot slot);
   void MaybeEvict();
 
   size_t capacity_;
   size_t page_size_;
   const Lsn* vdl_;
-  std::function<bool(PageId, const Page&)> evict_filter_;
-  std::map<PageId, Entry> entries_;
-  std::list<PageId> lru_;  // front = most recent
+  EvictFilter evict_filter_;
+  /// Resident pages live in `slots_` (a deque: slots never move) and are
+  /// found through `index_`, by a fixed hash of the page id.
+  std::deque<Entry> slots_;
+  std::vector<Slot> free_slots_;
+  SlotIndex index_;
+  std::list<Slot> lru_;  // front = most recent
   BufferPoolStats stats_;
 };
 

@@ -732,17 +732,20 @@ Status Database::AdmitStatement(TxnId txn) {
 }
 
 template <typename AttemptFn, typename FinishFn, typename DoneFn>
-void Database::LockAndRun(TxnId txn, PageId table, const std::string& key,
+void Database::LockAndRun(TxnId txn, PageId table, std::string key,
                           LockMode mode, AttemptFn attempt, FinishFn finish,
                           DoneFn done) {
-  // Runs exactly once (the lock manager keeps its copy only when it queues
-  // the request), so it may move its captures out.
-  auto with_lock = [this, txn, attempt = std::move(attempt),
-                    finish = std::move(finish),
+  Status s = locks_.Lock(txn, table, key, mode);
+  // Runs exactly once, so it may move its captures out. It is handed to the
+  // lock manager only when the request queues.
+  auto with_lock = [this, txn, key = std::move(key),
+                    attempt = std::move(attempt), finish = std::move(finish),
                     done = std::move(done)](Status ls) mutable {
     if (ls.ok()) {
       fetcher_.RunWithRetries(
-          std::move(attempt),
+          [key = std::move(key), attempt = std::move(attempt)]() {
+            return attempt(key);
+          },
           [finish = std::move(finish), done = std::move(done)](Status s) {
             finish(s, done);
           });
@@ -755,11 +758,14 @@ void Database::LockAndRun(TxnId txn, PageId table, const std::string& key,
       done(ls);
     }
   };
-  Status s = locks_.Lock(txn, table, key, mode, with_lock);
-  if (!s.IsBusy()) with_lock(s);
+  if (s.IsBusy()) {
+    locks_.OnGrant(txn, std::move(with_lock));
+    return;
+  }
+  with_lock(s);
 }
 
-void Database::ChargeCpu(SimDuration cost, std::function<void()> then) {
+void Database::ChargeCpu(SimDuration cost, sim::EventFn then) {
   instance_->Execute(cost, std::move(then));
 }
 
@@ -1006,18 +1012,21 @@ void Database::Put(TxnId txn, PageId table, const std::string& key,
   }
   // ZDP holds post-watermark transactions at the door; the LAL holds all.
   if ((paused_ && txn >= pause_watermark_) || in_backpressure()) {
-    DeferForBackpressure([this, txn, table, key, value, done]() {
-      Put(txn, table, key, value, done);
-    });
+    DeferForBackpressure(
+        [this, txn, table, key, value, done = std::move(done)]() mutable {
+          Put(txn, table, key, value, std::move(done));
+        });
     return;
   }
   ++stats_.writes;
   SimTime started = loop_->now();
-  ChargeCpu(options_.cpu_per_statement, [this, txn, table, key, value, done,
-                                         started]() {
+  // Init-captures make owned, non-const copies that can be moved on.
+  auto run = [this, txn, table, key = key, value = value,
+              done = std::move(done), started]() mutable {
     LockAndRun(
-        txn, table, key, LockMode::kExclusive,
-        [this, txn, table, key, value]() -> Status {
+        txn, table, std::move(key), LockMode::kExclusive,
+        [this, txn, table,
+         value = std::move(value)](const std::string& key) -> Status {
           Txn* t = FindTxn(txn);
           if (t == nullptr || t->state != TxnState::kActive) {
             return Status::Aborted("transaction gone");
@@ -1028,8 +1037,10 @@ void Database::Put(TxnId txn, PageId table, const std::string& key,
           stats_.write_latency_us.Record(loop_->now() - started);
           done(s);
         },
-        done);
-  });
+        std::move(done));
+  };
+  static_assert(sim::EventFn::kStoresInline<decltype(run)>);
+  ChargeCpu(options_.cpu_per_statement, std::move(run));
 }
 
 void Database::Delete(TxnId txn, PageId table, const std::string& key,
@@ -1039,23 +1050,27 @@ void Database::Delete(TxnId txn, PageId table, const std::string& key,
     return;
   }
   if ((paused_ && txn >= pause_watermark_) || in_backpressure()) {
-    DeferForBackpressure(
-        [this, txn, table, key, done]() { Delete(txn, table, key, done); });
+    DeferForBackpressure([this, txn, table, key,
+                          done = std::move(done)]() mutable {
+      Delete(txn, table, key, std::move(done));
+    });
     return;
   }
   ++stats_.deletes;
-  ChargeCpu(options_.cpu_per_statement, [this, txn, table, key, done]() {
+  auto run = [this, txn, table, key = key, done = std::move(done)]() mutable {
     LockAndRun(
-        txn, table, key, LockMode::kExclusive,
-        [this, txn, table, key]() -> Status {
+        txn, table, std::move(key), LockMode::kExclusive,
+        [this, txn, table](const std::string& key) -> Status {
           Txn* t = FindTxn(txn);
           if (t == nullptr || t->state != TxnState::kActive) {
             return Status::Aborted("transaction gone");
           }
           return WriteRowAttempt(t, table, key, nullptr);
         },
-        [](Status s, const auto& done) { done(s); }, done);
-  });
+        [](Status s, const auto& done) { done(s); }, std::move(done));
+  };
+  static_assert(sim::EventFn::kStoresInline<decltype(run)>);
+  ChargeCpu(options_.cpu_per_statement, std::move(run));
 }
 
 void Database::Get(TxnId txn, PageId table, const std::string& key,
@@ -1066,17 +1081,19 @@ void Database::Get(TxnId txn, PageId table, const std::string& key,
   }
   if (paused_ && txn >= pause_watermark_) {
     DeferForBackpressure(
-        [this, txn, table, key, done]() { Get(txn, table, key, done); });
+        [this, txn, table, key, done = std::move(done)]() mutable {
+          Get(txn, table, key, std::move(done));
+        });
     return;
   }
   ++stats_.reads;
   SimTime started = loop_->now();
-  ChargeCpu(options_.cpu_per_statement, [this, txn, table, key, done,
-                                         started]() {
+  auto run = [this, txn, table, key = key, done = std::move(done),
+              started]() mutable {
     auto result = std::make_shared<std::string>();
     LockAndRun(
-        txn, table, key, LockMode::kShared,
-        [this, table, key, result]() -> Status {
+        txn, table, std::move(key), LockMode::kShared,
+        [this, table, result](const std::string& key) -> Status {
           BTree tree(this, table);
           return tree.Get(key, result.get());
         },
@@ -1084,8 +1101,10 @@ void Database::Get(TxnId txn, PageId table, const std::string& key,
           stats_.read_latency_us.Record(loop_->now() - started);
           done(s.ok() ? DecodeRow(*result) : Result<std::string>(s));
         },
-        done);
-  });
+        std::move(done));
+  };
+  static_assert(sim::EventFn::kStoresInline<decltype(run)>);
+  ChargeCpu(options_.cpu_per_statement, std::move(run));
 }
 
 void Database::SnapshotGet(TxnId txn, PageId table, const std::string& key,

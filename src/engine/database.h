@@ -280,16 +280,15 @@ class Database : public WalSink, public PageProvider, private FetchPolicy {
   Status ClosedStatus() const;
   /// OK when a statement of `txn` may run: engine open, txn active.
   Status AdmitStatement(TxnId txn);
-  /// Takes `mode` on (table, key) for `txn`, then runs `attempt` through
-  /// the fetcher and calls `finish(status, done)`. A lock failure (deadlock
-  /// victim, timeout) rolls the transaction back and goes straight to
-  /// `done`.
+  /// Takes `mode` on (table, key) for `txn`, then runs `attempt(key)`
+  /// through the fetcher and calls `finish(status, done)`. A lock failure
+  /// (deadlock victim, timeout) rolls the transaction back and goes
+  /// straight to `done`. Every callable is moved along, never copied.
   template <typename AttemptFn, typename FinishFn, typename DoneFn>
-  void LockAndRun(TxnId txn, PageId table, const std::string& key,
-                  LockMode mode, AttemptFn attempt, FinishFn finish,
-                  DoneFn done);
+  void LockAndRun(TxnId txn, PageId table, std::string key, LockMode mode,
+                  AttemptFn attempt, FinishFn finish, DoneFn done);
   /// Charges CPU, then runs.
-  void ChargeCpu(SimDuration cost, std::function<void()> then);
+  void ChargeCpu(SimDuration cost, sim::EventFn then);
   void DeferForBackpressure(std::function<void()> retry);
   void DrainBackpressure();
 

@@ -1,205 +1,248 @@
 #include "engine/lock_manager.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 
 namespace aurora {
 
-bool LockManager::Compatible(const LockState& s, TxnId txn, LockMode mode) {
+bool LockManager::Compatible(const LockEntry& e, TxnId txn, LockMode mode) {
   if (mode == LockMode::kShared) {
-    return s.exclusive_holder == kInvalidTxn || s.exclusive_holder == txn;
+    return e.exclusive_holder == kInvalidTxn || e.exclusive_holder == txn;
   }
   // Exclusive: no other holder of any kind.
-  if (s.exclusive_holder != kInvalidTxn && s.exclusive_holder != txn) {
+  if (e.exclusive_holder != kInvalidTxn && e.exclusive_holder != txn) {
     return false;
   }
-  for (TxnId h : s.shared_holders) {
+  for (TxnId h : e.shared_holders) {
     if (h != txn) return false;
   }
   return true;
 }
 
-void LockManager::CollectBlockers(const LockState& s, TxnId skip,
+void LockManager::CollectBlockers(const LockEntry& e, TxnId skip,
                                   std::set<TxnId>* out) const {
-  if (s.exclusive_holder != kInvalidTxn && s.exclusive_holder != skip) {
-    out->insert(s.exclusive_holder);
+  if (e.exclusive_holder != kInvalidTxn && e.exclusive_holder != skip) {
+    out->insert(e.exclusive_holder);
   }
-  for (TxnId h : s.shared_holders) {
+  for (TxnId h : e.shared_holders) {
     if (h != skip) out->insert(h);
   }
 }
 
-bool LockManager::WouldDeadlock(TxnId waiter, const LockState& s) {
-  // DFS over the wait-for graph: waiter -> holders of s -> what they wait
+bool LockManager::WouldDeadlock(TxnId waiter, const LockEntry& e) const {
+  // DFS over the wait-for graph: waiter -> holders of e -> what they wait
   // on -> ... A path back to `waiter` is a cycle.
   std::set<TxnId> frontier;
-  CollectBlockers(s, waiter, &frontier);
+  CollectBlockers(e, waiter, &frontier);
   std::set<TxnId> visited;
   while (!frontier.empty()) {
     TxnId t = *frontier.begin();
     frontier.erase(frontier.begin());
     if (t == waiter) return true;
     if (!visited.insert(t).second) continue;
-    auto wit = waiting_on_.find(t);
-    if (wit == waiting_on_.end()) continue;
-    auto lit = locks_.find(wit->second);
-    if (lit == locks_.end()) continue;
-    CollectBlockers(lit->second, kInvalidTxn, &frontier);
+    auto tit = txns_.find(t);
+    if (tit == txns_.end() || !tit->second.waiting_on) continue;
+    CollectBlockers(slots_[*tit->second.waiting_on], kInvalidTxn, &frontier);
   }
   return false;
 }
 
-Status LockManager::Lock(TxnId txn, PageId tree, const std::string& key,
-                         LockMode mode, std::function<void(Status)> granted) {
-  LockName name{tree, key};
-  LockState& s = locks_[name];
+LockManager::Slot LockManager::NewEntry(PageId tree, std::string_view key,
+                                        uint64_t hash) {
+  Slot slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<Slot>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  LockEntry& e = slots_[slot];
+  e.tree = tree;
+  e.key.assign(key);
+  e.hash = hash;
+  index_.Insert(hash, slot);
+  return slot;
+}
 
-  // Re-entrant fast paths.
-  if (mode == LockMode::kShared &&
-      (s.shared_holders.count(txn) || s.exclusive_holder == txn)) {
+void LockManager::AddHolder(Slot slot, TxnLocks* t, TxnId txn,
+                            LockMode mode) {
+  LockEntry& e = slots_[slot];
+  if (mode == LockMode::kShared) {
+    e.shared_holders.push_back(txn);
+  } else {
+    auto sh = std::find(e.shared_holders.begin(), e.shared_holders.end(), txn);
+    e.exclusive_holder = txn;
+    if (sh != e.shared_holders.end()) {
+      e.shared_holders.erase(sh);  // S -> X upgrade: already on the list
+      return;
+    }
+  }
+  t->held.push_back(slot);
+}
+
+Status LockManager::Lock(TxnId txn, PageId tree, std::string_view key,
+                         LockMode mode) {
+  const uint64_t hash = HashBytes(tree, key);
+  Slot slot = index_.Find(hash, [&](Slot s) {
+    return slots_[s].tree == tree && slots_[s].key == key;
+  });
+  if (slot == SlotIndex::kNone) {
+    // Nobody holds or awaits the name: grant.
+    slot = NewEntry(tree, key, hash);
+    AddHolder(slot, &txns_[txn], txn, mode);
     ++stats_.grants;
     return Status::OK();
   }
-  if (mode == LockMode::kExclusive && s.exclusive_holder == txn) {
+  LockEntry& e = slots_[slot];
+
+  // Re-entrant fast paths.
+  if (e.exclusive_holder == txn ||
+      (mode == LockMode::kShared &&
+       std::find(e.shared_holders.begin(), e.shared_holders.end(), txn) !=
+           e.shared_holders.end())) {
     ++stats_.grants;
     return Status::OK();
   }
 
   // Grant only if compatible AND no one is already queued (FIFO fairness;
   // prevents writer starvation under reader storms).
-  if (Compatible(s, txn, mode) && s.waiters.empty()) {
-    if (mode == LockMode::kShared) {
-      s.shared_holders.insert(txn);
-    } else {
-      s.shared_holders.erase(txn);  // S -> X upgrade
-      s.exclusive_holder = txn;
-    }
-    held_by_[txn].insert(name);
+  if (Compatible(e, txn, mode) && e.waiters.empty()) {
+    AddHolder(slot, &txns_[txn], txn, mode);
     ++stats_.grants;
     return Status::OK();
   }
 
   // An upgrade that must wait behind others is a classic deadlock source;
   // the wait-for check below covers it because we still hold our S lock.
-  if (WouldDeadlock(txn, s)) {
+  if (WouldDeadlock(txn, e)) {
     ++stats_.deadlocks;
-    if (locks_[name].waiters.empty() && !locks_[name].held()) {
-      locks_.erase(name);
-    }
     return Status::Aborted("deadlock detected");
   }
 
   ++stats_.waits;
-  Waiter w;
-  w.txn = txn;
-  w.mode = mode;
-  w.granted = std::move(granted);
-  w.timeout_event = loop_->Schedule(lock_timeout_, [this, name, txn]() {
-    ++stats_.timeouts;
-    RemoveWaiter(name, txn, Status::TimedOut("lock wait timeout"));
-  });
-  s.waiters.push_back(std::move(w));
-  waiting_on_[txn] = name;
+  // The slot outlives the timeout: it keeps a waiter until the timeout
+  // fires or is cancelled.
+  sim::EventId timeout = loop_->Schedule(
+      lock_timeout_, [this, slot, txn]() { TimeOut(slot, txn); });
+  e.waiters.push_back(Waiter{txn, mode, nullptr, timeout});
+  txns_[txn].waiting_on = slot;
   return Status::Busy("lock queued");
 }
 
-void LockManager::RemoveWaiter(const LockName& name, TxnId txn,
-                               Status reason) {
-  auto it = locks_.find(name);
-  if (it == locks_.end()) return;
-  auto& waiters = it->second.waiters;
-  for (auto w = waiters.begin(); w != waiters.end(); ++w) {
-    if (w->txn != txn) continue;
-    loop_->Cancel(w->timeout_event);
-    auto granted = std::move(w->granted);
-    waiters.erase(w);
-    waiting_on_.erase(txn);
-    // Removing a waiter may unblock those behind it.
-    GrantWaiters(name);
-    it = locks_.find(name);
-    if (it != locks_.end() && !it->second.held() &&
-        it->second.waiters.empty()) {
-      locks_.erase(it);
-    }
-    if (granted) granted(reason);
-    return;
-  }
+void LockManager::OnGrant(TxnId txn, GrantFn granted) {
+  auto tit = txns_.find(txn);
+  AURORA_CHECK(tit != txns_.end() && tit->second.waiting_on,
+               "OnGrant without a queued request");
+  Waiter& w = slots_[*tit->second.waiting_on].waiters.back();
+  AURORA_CHECK(w.txn == txn, "OnGrant must follow the queuing Lock()");
+  w.granted = std::move(granted);
 }
 
-void LockManager::GrantWaiters(const LockName& name) {
-  // The grant callback may re-enter the lock manager (acquire further
-  // locks, release everything, even erase this lock name), so state is
-  // re-resolved from the table on every iteration.
-  while (true) {
-    auto it = locks_.find(name);
-    if (it == locks_.end()) return;
-    LockState& s = it->second;
-    if (s.waiters.empty()) return;
-    Waiter& w = s.waiters.front();
-    if (!Compatible(s, w.txn, w.mode)) return;
-    if (w.mode == LockMode::kShared) {
-      s.shared_holders.insert(w.txn);
-    } else {
-      s.shared_holders.erase(w.txn);
-      s.exclusive_holder = w.txn;
-    }
-    held_by_[w.txn].insert(name);
-    waiting_on_.erase(w.txn);
-    loop_->Cancel(w.timeout_event);
-    auto granted = std::move(w.granted);
-    s.waiters.pop_front();
-    ++stats_.grants;
-    if (granted) granted(Status::OK());
+LockManager::GrantFn LockManager::DropWaiter(Slot slot, TxnId txn) {
+  auto& waiters = slots_[slot].waiters;
+  auto w = std::find_if(waiters.begin(), waiters.end(),
+                        [txn](const Waiter& x) { return x.txn == txn; });
+  if (w == waiters.end()) return nullptr;
+  loop_->Cancel(w->timeout_event);
+  GrantFn granted = std::move(w->granted);
+  waiters.erase(w);
+  return granted;
+}
+
+void LockManager::TimeOut(Slot slot, TxnId txn) {
+  ++stats_.timeouts;
+  GrantFn granted = DropWaiter(slot, txn);
+  auto tit = txns_.find(txn);
+  if (tit != txns_.end()) {
+    tit->second.waiting_on.reset();
+    if (tit->second.held.empty()) txns_.erase(tit);
   }
+  // Removing a waiter may unblock those behind it.
+  GrantWaiters(slot);
+  if (granted) granted(Status::TimedOut("lock wait timeout"));
+}
+
+bool LockManager::GrantWaiters(Slot slot) {
+  // A grant callback may re-enter the lock manager: acquire further locks,
+  // release a transaction (even one holding this name) or Reset()
+  // everything. The pin keeps this slot from being freed and reused across
+  // the callback; the generation notices a Reset().
+  const uint64_t generation = generation_;
+  LockEntry& e = slots_[slot];
+  while (!e.waiters.empty() &&
+         Compatible(e, e.waiters.front().txn, e.waiters.front().mode)) {
+    Waiter w = std::move(e.waiters.front());
+    e.waiters.erase(e.waiters.begin());
+    TxnLocks& t = txns_.find(w.txn)->second;
+    t.waiting_on.reset();
+    AddHolder(slot, &t, w.txn, w.mode);
+    loop_->Cancel(w.timeout_event);
+    ++stats_.grants;
+    if (!w.granted) continue;
+    ++e.pins;
+    w.granted(Status::OK());
+    if (generation != generation_) return false;
+    --e.pins;
+  }
+  if (e.pins == 0 && !e.held() && e.waiters.empty()) {
+    index_.Erase(e.hash, slot);
+    free_slots_.push_back(slot);
+  }
+  return true;
 }
 
 void LockManager::ReleaseAll(TxnId txn) {
-  // Cancel an in-flight wait, if any.
-  auto wit = waiting_on_.find(txn);
-  if (wit != waiting_on_.end()) {
-    LockName name = wit->second;
-    auto it = locks_.find(name);
-    if (it != locks_.end()) {
-      auto& waiters = it->second.waiters;
-      for (auto w = waiters.begin(); w != waiters.end(); ++w) {
-        if (w->txn == txn) {
-          loop_->Cancel(w->timeout_event);
-          waiters.erase(w);
-          break;
-        }
-      }
-    }
-    waiting_on_.erase(wit);
+  auto tit = txns_.find(txn);
+  if (tit == txns_.end()) return;
+  TxnLocks t = std::move(tit->second);
+  txns_.erase(tit);
+
+  // A cancelled wait unblocks the compatible requests queued behind it,
+  // exactly as a timed-out one does; its own callback never fires.
+  if (t.waiting_on) {
+    DropWaiter(*t.waiting_on, txn);
+    if (!GrantWaiters(*t.waiting_on)) return;
   }
 
-  auto hit = held_by_.find(txn);
-  if (hit == held_by_.end()) return;
-  std::set<LockName> names = std::move(hit->second);
-  held_by_.erase(hit);
-  for (const LockName& name : names) {
-    auto it = locks_.find(name);
-    if (it == locks_.end()) continue;
-    it->second.shared_holders.erase(txn);
-    if (it->second.exclusive_holder == txn) {
-      it->second.exclusive_holder = kInvalidTxn;
+  // (tree, key) order: grant callbacks, and so the whole history, follow
+  // the release order.
+  std::sort(t.held.begin(), t.held.end(), [this](Slot a, Slot b) {
+    const LockEntry& x = slots_[a];
+    const LockEntry& y = slots_[b];
+    return x.tree != y.tree ? x.tree < y.tree : x.key < y.key;
+  });
+  // Every slot still on the list has `txn` as a holder, so no callback can
+  // free it before the loop reaches it.
+  for (Slot slot : t.held) {
+    LockEntry& e = slots_[slot];
+    if (e.exclusive_holder == txn) {
+      e.exclusive_holder = kInvalidTxn;
+    } else {
+      auto sh =
+          std::find(e.shared_holders.begin(), e.shared_holders.end(), txn);
+      if (sh != e.shared_holders.end()) e.shared_holders.erase(sh);
     }
-    GrantWaiters(name);
-    it = locks_.find(name);
-    if (it != locks_.end() && !it->second.held() &&
-        it->second.waiters.empty()) {
-      locks_.erase(it);
-    }
+    if (!GrantWaiters(slot)) return;
   }
 }
 
-size_t LockManager::WaitingTxns() const { return waiting_on_.size(); }
+size_t LockManager::WaitingTxns() const {
+  return std::count_if(txns_.begin(), txns_.end(), [](const auto& e) {
+    return e.second.waiting_on.has_value();
+  });
+}
 
 void LockManager::Reset() {
-  for (auto& [name, state] : locks_) {
-    for (Waiter& w : state.waiters) loop_->Cancel(w.timeout_event);
+  for (LockEntry& e : slots_) {
+    for (Waiter& w : e.waiters) loop_->Cancel(w.timeout_event);
   }
-  locks_.clear();
-  held_by_.clear();
-  waiting_on_.clear();
+  slots_.clear();
+  free_slots_.clear();
+  index_.Clear();
+  txns_.clear();
+  ++generation_;
 }
 
 }  // namespace aurora

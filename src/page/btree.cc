@@ -74,7 +74,8 @@ Result<PageId> BTree::root_id() {
   return DecodeChild(v);
 }
 
-Status BTree::DescendToLeaf(const Slice& key, std::vector<PathEntry>* path) {
+Status BTree::DescendToLeaf(const Slice& key, std::vector<PathEntry>* path,
+                            Page** leaf) {
   Result<PageId> root = root_id();
   if (!root.ok()) return root.status();
   PageId id = *root;
@@ -83,7 +84,8 @@ Status BTree::DescendToLeaf(const Slice& key, std::vector<PathEntry>* path) {
     if (!p.ok()) return p.status();
     Page* page = *p;
     if (page->page_type() == PageType::kBTreeLeaf) {
-      path->push_back({page, -1});
+      if (path != nullptr) path->push_back({page, -1});
+      *leaf = page;
       return Status::OK();
     }
     if (page->page_type() != PageType::kBTreeInternal) {
@@ -93,19 +95,17 @@ Status BTree::DescendToLeaf(const Slice& key, std::vector<PathEntry>* path) {
     if (slot < 0) {
       return Status::Corruption("btree internal page has no covering child");
     }
-    path->push_back({page, slot});
+    if (path != nullptr) path->push_back({page, slot});
     id = DecodeChild(page->ValueAt(slot));
   }
 }
 
 Status BTree::Get(const Slice& key, std::string* value) {
-  std::vector<PathEntry> path;
-  Status s = DescendToLeaf(key, &path);
+  Page* leaf = nullptr;
+  Status s = DescendToLeaf(key, /*path=*/nullptr, &leaf);
   if (!s.ok()) return s;
   Slice v;
-  if (!path.back().page->GetRecord(key, &v)) {
-    return Status::NotFound("key not found");
-  }
+  if (!leaf->GetRecord(key, &v)) return Status::NotFound("key not found");
   value->assign(v.data(), v.size());
   return Status::OK();
 }
@@ -273,9 +273,9 @@ Status BTree::Insert(const Slice& key, const Slice& value,
     return Status::InvalidArgument("key or value too large for page");
   }
   std::vector<PathEntry> path;
-  Status s = DescendToLeaf(key, &path);
+  Page* leaf = nullptr;
+  Status s = DescendToLeaf(key, &path, &leaf);
   if (!s.ok()) return s;
-  Page* leaf = path.back().page;
   Slice existing;
   if (leaf->GetRecord(key, &existing)) {
     return Status::InvalidArgument("duplicate key");
@@ -302,9 +302,9 @@ Status BTree::Update(const Slice& key, const Slice& value,
     return Status::InvalidArgument("value too large for page");
   }
   std::vector<PathEntry> path;
-  Status s = DescendToLeaf(key, &path);
+  Page* leaf = nullptr;
+  Status s = DescendToLeaf(key, &path, &leaf);
   if (!s.ok()) return s;
-  Page* leaf = path.back().page;
   Slice old;
   if (!leaf->GetRecord(key, &old)) return Status::NotFound("key not found");
 
@@ -418,9 +418,9 @@ Status BTree::UnlinkEmptyLeaf(std::vector<PathEntry>* path,
 
 Status BTree::Delete(const Slice& key, MiniTransaction* mtr) {
   std::vector<PathEntry> path;
-  Status s = DescendToLeaf(key, &path);
+  Page* leaf = nullptr;
+  Status s = DescendToLeaf(key, &path, &leaf);
   if (!s.ok()) return s;
-  Page* leaf = path.back().page;
   Slice v;
   if (!leaf->GetRecord(key, &v)) return Status::NotFound("key not found");
   // An emptied leaf is unlinked and freed when its parent can spare the
@@ -445,10 +445,9 @@ Status BTree::Delete(const Slice& key, MiniTransaction* mtr) {
 
 Status BTree::Scan(const Slice& start, int limit,
                    std::vector<std::pair<std::string, std::string>>* out) {
-  std::vector<PathEntry> path;
-  Status s = DescendToLeaf(start, &path);
+  Page* leaf = nullptr;
+  Status s = DescendToLeaf(start, /*path=*/nullptr, &leaf);
   if (!s.ok()) return s;
-  Page* leaf = path.back().page;
   int slot = leaf->LowerBound(start);
   while (limit > 0) {
     if (slot >= leaf->slot_count()) {

@@ -78,8 +78,10 @@ class BTree {
     int child_slot;  // slot followed to descend (internal levels only)
   };
 
-  /// Descends from the root to the leaf owning `key`, recording the path.
-  Status DescendToLeaf(const Slice& key, std::vector<PathEntry>* path);
+  /// Descends from the root to the leaf owning `key` and returns it in
+  /// `*leaf`, recording the path (leaf last) when `path` is non-null.
+  Status DescendToLeaf(const Slice& key, std::vector<PathEntry>* path,
+                       Page** leaf);
 
   /// Ensures every page a split cascade starting at the leaf could touch is
   /// resident; returns Busy (with fetch started) otherwise.

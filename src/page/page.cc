@@ -164,14 +164,14 @@ bool Page::HasRoomFor(size_t key_size, size_t value_size) const {
 }
 
 uint16_t Page::AppendToHeap(const Slice& key, const Slice& value) {
-  uint16_t off = heap_end();
-  std::string rec;
-  PutVarint32(&rec, static_cast<uint32_t>(key.size()));
-  rec.append(key.data(), key.size());
-  PutVarint32(&rec, static_cast<uint32_t>(value.size()));
-  rec.append(value.data(), value.size());
-  memcpy(data_.data() + off, rec.data(), rec.size());
-  set_heap_end(static_cast<uint16_t>(off + rec.size()));
+  const uint16_t off = heap_end();
+  char* p = data_.data() + off;
+  p = EncodeVarint32(p, static_cast<uint32_t>(key.size()));
+  memcpy(p, key.data(), key.size());
+  p = EncodeVarint32(p + key.size(), static_cast<uint32_t>(value.size()));
+  memcpy(p, value.data(), value.size());
+  p += value.size();
+  set_heap_end(static_cast<uint16_t>(p - data_.data()));
   return off;
 }
 
@@ -262,8 +262,11 @@ Status Page::UpdateRecord(const Slice& key, const Slice& value) {
 
 bool Page::GetRecord(const Slice& key, Slice* value) const {
   int pos = LowerBound(key);
-  if (pos >= slot_count() || KeyAt(pos) != key) return false;
-  *value = ValueAt(pos);
+  if (pos >= slot_count()) return false;
+  Slice k, v;
+  RecordAt(SlotOffset(pos), &k, &v);
+  if (k != key) return false;
+  *value = v;
   return true;
 }
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -10,6 +11,7 @@
 #include "common/random.h"
 #include "common/result.h"
 #include "common/slice.h"
+#include "common/slot_index.h"
 #include "common/status.h"
 
 namespace aurora {
@@ -110,6 +112,67 @@ TEST(CodingTest, VarintTruncatedFails) {
     Slice in(buf.data(), cut);
     uint64_t v;
     EXPECT_FALSE(GetVarint64(&in, &v)) << "cut=" << cut;
+  }
+}
+
+TEST(CodingTest, Varint32FastAndSlowPathsAgree) {
+  // One-byte values take the inline path, longer ones the out-of-line
+  // loop; both must round-trip, reject truncation and reject values that
+  // overflow 32 bits.
+  for (uint32_t v : {0u, 1u, 127u, 128u, 16383u, 16384u, UINT32_MAX}) {
+    std::string buf;
+    PutVarint32(&buf, v);
+    char direct[5];
+    EXPECT_EQ(std::string(direct, EncodeVarint32(direct, v) - direct), buf);
+    Slice in(buf);
+    uint32_t got = 0;
+    ASSERT_TRUE(GetVarint32(&in, &got)) << v;
+    EXPECT_EQ(got, v);
+    EXPECT_TRUE(in.empty());
+    for (size_t cut = 0; cut < buf.size(); ++cut) {
+      Slice short_in(buf.data(), cut);
+      EXPECT_FALSE(GetVarint32(&short_in, &got)) << v << " cut=" << cut;
+    }
+  }
+  std::string wide;
+  PutVarint64(&wide, uint64_t{UINT32_MAX} + 1);
+  Slice in(wide);
+  uint32_t got = 0;
+  EXPECT_FALSE(GetVarint32(&in, &got));
+}
+
+TEST(SlotIndexTest, MatchesAReferenceMapUnderCollisions) {
+  // Keys hash to 8 values, so probe runs are long, wrap around the table
+  // and are cut by backward-shift deletion all the time.
+  auto hash = [](uint64_t key) { return Mix64(key % 8); };
+  std::vector<uint64_t> keys;  // slot -> key
+  std::map<uint64_t, uint32_t> reference;
+  SlotIndex index;
+  Random rng(20261017);
+  for (int step = 0; step < 20000; ++step) {
+    const uint64_t key = rng.Uniform(200);
+    auto find = [&] {
+      return index.Find(hash(key),
+                        [&](uint32_t slot) { return keys[slot] == key; });
+    };
+    auto it = reference.find(key);
+    ASSERT_EQ(find(), it == reference.end() ? SlotIndex::kNone : it->second)
+        << "step " << step;
+    if (it == reference.end()) {
+      const auto slot = static_cast<uint32_t>(keys.size());
+      keys.push_back(key);
+      index.Insert(hash(key), slot);
+      reference[key] = slot;
+    } else if (rng.Uniform(2) == 0) {
+      index.Erase(hash(key), it->second);
+      reference.erase(it);
+    }
+    ASSERT_EQ(index.size(), reference.size());
+  }
+  for (const auto& [key, slot] : reference) {
+    EXPECT_EQ(index.Find(hash(key),
+                         [&](uint32_t s) { return keys[s] == key; }),
+              slot);
   }
 }
 

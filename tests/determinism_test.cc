@@ -234,12 +234,18 @@ TEST(DeterminismTest, RepairScrubDiskFaultSweepIsByteIdentical) {
 }
 
 /// A short sysbench run with 100 ms interval-windowed metrics, returning
-/// every window serialized. Windows are snapshotted from the control shard
+/// every window serialized, then the final metrics dump and the
+/// executed-event count. Windows are snapshotted from the control shard
 /// (a barrier-consistent global cut), so the whole time series — not just
 /// the final dump — must be byte-identical at any worker count. A
 /// shard-local snapshot would read other shards' counters at an
 /// execution-order-dependent point and fail this under workers > 1.
-std::string RunWindowedSysbench(int sim_shards) {
+///
+/// `contended` switches to a skewed mix that drives the lock queues (waits,
+/// grants on release, deadlock victims, timeouts); `lock_stats` receives
+/// the writer's lock counters.
+std::string RunWindowedSysbench(int sim_shards, bool contended = false,
+                                LockManager::Stats* lock_stats = nullptr) {
   ClusterOptions o;
   o.seed = 7;
   o.sim_shards = sim_shards;
@@ -249,16 +255,23 @@ std::string RunWindowedSysbench(int sim_shards) {
   o.storage_nodes_per_az = 3;
   AuroraCluster cluster(o);
   EXPECT_TRUE(cluster.BootstrapSync().ok());
+  const uint64_t rows = contended ? 3000 : 4000;
   SyntheticCatalog catalog;
-  auto layout = AttachSyntheticTable(&cluster, &catalog, "sbtest", 4000, 100);
+  auto layout = AttachSyntheticTable(&cluster, &catalog, "sbtest", rows, 100);
   EXPECT_TRUE(layout.ok());
   AuroraClient client(cluster.writer());
   SysbenchOptions sopts;
   sopts.mode = SysbenchOptions::Mode::kOltp;
   sopts.connections = 8;
-  sopts.table_rows = 4000;
+  sopts.table_rows = rows;
   sopts.duration = Millis(600);
   sopts.warmup = Millis(200);
+  if (contended) {
+    sopts.connections = 96;
+    sopts.zipf_theta = 0.9;
+    sopts.point_selects = 4;
+    sopts.index_updates = 4;
+  }
   SysbenchDriver driver(cluster.writer_loop(), &client, (*layout)->anchor(),
                         sopts);
   driver.EnableIntervalMetrics(cluster.metrics(), Millis(100),
@@ -272,6 +285,12 @@ std::string RunWindowedSysbench(int sim_shards) {
     out += w.ToJson();
     out += '\n';
   }
+  out += cluster.DumpMetricsJson();
+  out += "\nevents_executed=" +
+         std::to_string(cluster.loop()->events_executed()) + "\n";
+  if (lock_stats != nullptr) {
+    *lock_stats = cluster.writer()->lock_manager()->stats();
+  }
   return out;
 }
 
@@ -279,6 +298,20 @@ TEST(DeterminismTest, IntervalWindowsAreByteIdenticalAcrossWorkers) {
   std::string w1 = RunWindowedSysbench(1);
   std::string w2 = RunWindowedSysbench(2);
   std::string w4 = RunWindowedSysbench(4);
+  EXPECT_EQ(w1, w2);
+  EXPECT_EQ(w1, w4);
+}
+
+// The lock queues under contention: FIFO grants on release, deadlock
+// victims and their rollbacks, all pinned byte for byte at any worker
+// count.
+TEST(DeterminismTest, ContendedLockQueuesAreByteIdenticalAcrossWorkers) {
+  LockManager::Stats stats;
+  std::string w1 = RunWindowedSysbench(1, /*contended=*/true, &stats);
+  EXPECT_GT(stats.waits, 0u);
+  EXPECT_GT(stats.deadlocks, 0u);
+  std::string w2 = RunWindowedSysbench(2, /*contended=*/true);
+  std::string w4 = RunWindowedSysbench(4, /*contended=*/true);
   EXPECT_EQ(w1, w2);
   EXPECT_EQ(w1, w4);
 }

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "engine/lock_manager.h"
@@ -15,9 +16,13 @@ class LockManagerTest : public ::testing::Test {
   /// Convenience: request and record the grant status asynchronously.
   Status Lock(TxnId txn, const std::string& key, LockMode mode,
               Status* async_result = nullptr) {
-    return locks_.Lock(txn, 1, key, mode, [async_result](Status s) {
-      if (async_result != nullptr) *async_result = s;
-    });
+    Status s = locks_.Lock(txn, 1, key, mode);
+    if (s.IsBusy()) {
+      locks_.OnGrant(txn, [async_result](Status granted) {
+        if (async_result != nullptr) *async_result = granted;
+      });
+    }
+    return s;
   }
 
   sim::EventLoop loop_;
@@ -138,9 +143,105 @@ TEST_F(LockManagerTest, ResetDropsEverythingSilently) {
   EXPECT_TRUE(waiter.IsNotFound());  // no callback after reset
 }
 
+TEST_F(LockManagerTest, CancelledWaitGrantsTheRequestsBehindIt) {
+  EXPECT_TRUE(Lock(1, "k", LockMode::kShared).ok());
+  Status writer = Status::NotFound("");
+  Status reader = Status::NotFound("");
+  EXPECT_TRUE(Lock(2, "k", LockMode::kExclusive, &writer).IsBusy());
+  EXPECT_TRUE(Lock(3, "k", LockMode::kShared, &reader).IsBusy());
+  // Txn 2 rolls back while queued: txn 3's S request is compatible with
+  // txn 1's S lock and must not wait for the lock timeout.
+  locks_.ReleaseAll(2);
+  EXPECT_TRUE(reader.ok());
+  EXPECT_TRUE(writer.IsNotFound());  // a cancelled wait never fires
+  EXPECT_EQ(locks_.WaitingTxns(), 0u);
+  loop_.RunFor(Seconds(6));
+  EXPECT_EQ(locks_.stats().timeouts, 0u);
+  locks_.ReleaseAll(1);
+  locks_.ReleaseAll(3);
+  EXPECT_EQ(locks_.ActiveLocks(), 0u);
+}
+
+TEST_F(LockManagerTest, ReleaseAllGrantsInNameOrder) {
+  // Txn 1 takes c, b, a (reverse order) and each has a queued writer.
+  for (const char* key : {"c", "b", "a"}) {
+    EXPECT_TRUE(Lock(1, key, LockMode::kExclusive).ok());
+  }
+  std::vector<std::string> order;
+  TxnId txn = 2;
+  for (const char* key : {"b", "c", "a"}) {
+    ASSERT_TRUE(locks_.Lock(txn, 1, key, LockMode::kExclusive).IsBusy());
+    locks_.OnGrant(txn, [&order, key](Status s) {
+      EXPECT_TRUE(s.ok());
+      order.push_back(key);
+    });
+    ++txn;
+  }
+  // A second tree sorts after the first whatever its key.
+  EXPECT_TRUE(locks_.Lock(1, 0, "z", LockMode::kExclusive).ok());
+  ASSERT_TRUE(locks_.Lock(9, 0, "z", LockMode::kExclusive).IsBusy());
+  locks_.OnGrant(9, [&order](Status) { order.push_back("tree0/z"); });
+  locks_.ReleaseAll(1);
+  EXPECT_EQ(order,
+            (std::vector<std::string>{"tree0/z", "a", "b", "c"}));
+}
+
+TEST_F(LockManagerTest, GrantCallbackMayReleaseOtherTxnsMidCascade) {
+  // Txn 1 holds a and b. Txn 2 waits on a; its grant releases itself (so
+  // the name being granted falls idle inside the callback) and txn 4, which
+  // waits on b behind nobody else. Txn 3 queues on a behind txn 2.
+  EXPECT_TRUE(Lock(1, "a", LockMode::kExclusive).ok());
+  EXPECT_TRUE(Lock(1, "b", LockMode::kExclusive).ok());
+  EXPECT_TRUE(Lock(5, "c", LockMode::kExclusive).ok());
+  int fired = 0;
+  ASSERT_TRUE(locks_.Lock(2, 1, "a", LockMode::kExclusive).IsBusy());
+  locks_.OnGrant(2, [this, &fired](Status s) {
+    EXPECT_TRUE(s.ok());
+    ++fired;
+    locks_.ReleaseAll(2);
+    locks_.ReleaseAll(4);
+    locks_.ReleaseAll(5);
+  });
+  Status third = Status::NotFound("");
+  Status fourth = Status::NotFound("");
+  EXPECT_TRUE(Lock(3, "a", LockMode::kShared, &third).IsBusy());
+  EXPECT_TRUE(Lock(4, "b", LockMode::kShared, &fourth).IsBusy());
+  locks_.ReleaseAll(1);
+  EXPECT_EQ(fired, 1);
+  EXPECT_TRUE(third.ok());        // granted when txn 2 released a
+  EXPECT_TRUE(fourth.IsNotFound());  // its wait was cancelled
+  EXPECT_EQ(locks_.WaitingTxns(), 0u);
+  EXPECT_EQ(locks_.ActiveLocks(), 1u);  // txn 3's S lock on a
+  locks_.ReleaseAll(3);
+  EXPECT_EQ(locks_.ActiveLocks(), 0u);
+  loop_.RunFor(Seconds(6));
+  EXPECT_EQ(locks_.stats().timeouts, 0u);
+}
+
+TEST_F(LockManagerTest, GrantCallbackMayResetMidCascade) {
+  EXPECT_TRUE(Lock(1, "a", LockMode::kExclusive).ok());
+  EXPECT_TRUE(Lock(1, "b", LockMode::kExclusive).ok());
+  ASSERT_TRUE(locks_.Lock(2, 1, "a", LockMode::kExclusive).IsBusy());
+  locks_.OnGrant(2, [this](Status s) {
+    EXPECT_TRUE(s.ok());
+    locks_.Reset();
+  });
+  Status later = Status::NotFound("");
+  EXPECT_TRUE(Lock(3, "b", LockMode::kExclusive, &later).IsBusy());
+  locks_.ReleaseAll(1);
+  EXPECT_TRUE(later.IsNotFound());  // dropped by the reset, never fired
+  EXPECT_EQ(locks_.ActiveLocks(), 0u);
+  EXPECT_EQ(locks_.WaitingTxns(), 0u);
+  loop_.RunFor(Seconds(6));
+  EXPECT_TRUE(later.IsNotFound());
+  // The table works after the reset.
+  EXPECT_TRUE(Lock(3, "b", LockMode::kExclusive).ok());
+  EXPECT_EQ(locks_.ActiveLocks(), 1u);
+}
+
 TEST_F(LockManagerTest, DifferentTreesAreIndependentNamespaces) {
-  EXPECT_TRUE(locks_.Lock(1, 1, "k", LockMode::kExclusive, nullptr).ok());
-  EXPECT_TRUE(locks_.Lock(2, 2, "k", LockMode::kExclusive, nullptr).ok());
+  EXPECT_TRUE(locks_.Lock(1, 1, "k", LockMode::kExclusive).ok());
+  EXPECT_TRUE(locks_.Lock(2, 2, "k", LockMode::kExclusive).ok());
   EXPECT_EQ(locks_.ActiveLocks(), 2u);
 }
 

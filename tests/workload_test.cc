@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
 #include <memory>
 
 #include "harness/bulk_load.h"
@@ -29,6 +31,17 @@ TEST(SyntheticTableTest, LayoutCoversAllRows) {
   Page outside(4096);
   EXPECT_FALSE(t.BuildPage(t.end_page(), &outside));
   EXPECT_FALSE(t.BuildPage(99, &outside));
+}
+
+TEST(SyntheticTableTest, KeyOfMatchesPrintf) {
+  for (uint64_t row : {uint64_t{0}, uint64_t{9}, uint64_t{10},
+                       uint64_t{12345}, uint64_t{9'999'999'999'999'999},
+                       uint64_t{10'000'000'000'000'000}, UINT64_MAX}) {
+    char want[32];
+    snprintf(want, sizeof(want), "key%016llu",
+             static_cast<unsigned long long>(row));
+    EXPECT_EQ(SyntheticTableLayout::KeyOf(row), want) << row;
+  }
 }
 
 TEST(SyntheticTableTest, SynthesizedTreeIsAValidBTree) {

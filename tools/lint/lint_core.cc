@@ -249,7 +249,17 @@ bool InDeterministicCore(const std::string& rel) {
          rel.rfind("src/storage/", 0) == 0;
 }
 
-bool InSim(const std::string& rel) { return rel.rfind("src/sim/", 0) == 0; }
+/// The per-operation hot path, where closures must not heap-allocate: the
+/// simulator kernel, the page and B+-tree code, and the engine's lock
+/// table, buffer pool and page fetcher.
+bool InHotPath(const std::string& rel) {
+  for (const char* prefix :
+       {"src/sim/", "src/page/", "src/engine/lock_manager.",
+        "src/engine/buffer_pool.", "src/engine/page_fetcher."}) {
+    if (rel.rfind(prefix, 0) == 0) return true;
+  }
+  return false;
+}
 
 // ---------------------------------------------------------------------------
 // D rules: determinism hazards
@@ -357,11 +367,11 @@ void RuleD3(Analysis* a, const FileData& fd) {
 }
 
 // ---------------------------------------------------------------------------
-// H rule: std::function on the simulator hot path
+// H rule: std::function on the per-operation hot path
 // ---------------------------------------------------------------------------
 
 void RuleH1(Analysis* a, const FileData& fd) {
-  if (!InSim(fd.rel)) return;
+  if (!InHotPath(fd.rel)) return;
   const std::string& code = fd.code;
   size_t i = 0;
   while ((i = code.find("std::function", i)) != std::string::npos) {
@@ -370,7 +380,7 @@ void RuleH1(Analysis* a, const FileData& fd) {
     bool left_ok = i == 0 || (!IsIdentChar(code[i - 1]) && code[i - 1] != ':');
     if (left_ok && right_ok) {
       Emit(a, fd, fd.LineOf(i), "aurora-H1",
-           "std::function in src/sim (type-erased closures on the hot path "
+           "std::function on the hot path (type-erased closures "
            "heap-allocate and indirect)");
     }
     i = end;
