@@ -15,8 +15,10 @@
 
 #include "bench/bench_util.h"
 #include "common/crc32c.h"
+#include "common/random.h"
 #include "engine/buffer_pool.h"
 #include "engine/lock_manager.h"
+#include "harness/synthetic_table.h"
 #include "log/applicator.h"
 #include "log/log_record.h"
 #include "page/btree.h"
@@ -193,11 +195,70 @@ void BM_BufferPoolHit(benchmark::State& state) {
 }
 BENCHMARK(BM_BufferPoolHit);
 
+// BM_SegmentGetPageAsOf/2: oltp_read_miss's shape. 4 KiB pages, the
+// default 4 MiB (1,024-page) cache budget and 1,700 synthesized leaves
+// read uniformly at the SCL. Between reads, update records land on random
+// leaves (one per kReadsPerUpdate reads), and every 64 records the segment
+// coalesces and collects, as a storage node does; the time per read
+// includes both. Reads see full hits, partial hits, misses and evictions;
+// the counters give each outcome's share of the reads.
+void SegmentReadMissShape(benchmark::State& state) {
+  constexpr size_t kPageSize = 4096;
+  constexpr uint64_t kRows = 37400;  // 22 rows per leaf
+  constexpr uint64_t kReadsPerUpdate = 4;
+  const SyntheticTableLayout layout(0, kRows, kPageSize, 100);
+  Segment seg(0, kPageSize);
+  seg.set_page_synthesizer(
+      [&layout](PageId id, Page* out) { return layout.BuildPage(id, out); });
+  seg.set_page_cache_budget(1024 * kPageSize);
+  Random rng(7);
+  Lsn lsn = kInvalidLsn;
+  uint64_t n = 0;
+  for (auto _ : state) {
+    if (++n % kReadsPerUpdate == 0) {
+      const uint64_t row = rng.Uniform(kRows);
+      LogRecord r;
+      r.lsn = lsn + 1;
+      r.prev_pg_lsn = lsn;
+      r.prev_vol_lsn = lsn;
+      r.page_id = layout.LeafOf(row);
+      r.txn_id = 1;
+      r.op = RedoOp::kUpdate;
+      r.payload = LogRecord::MakeKeyValuePayload(
+          SyntheticTableLayout::KeyOf(row), layout.StoredValueOf(row + 1));
+      r.flags = kFlagCpl;
+      lsn = r.lsn;
+      seg.AddRecord(r);
+      if (lsn % 64 == 0) {
+        seg.SetVdlHint(lsn);
+        seg.SetPgmrpl(lsn);
+        seg.CoalesceStep(64);
+        seg.GarbageCollect();
+      }
+    }
+    auto result = seg.GetPageAsOf(layout.LeafOf(rng.Uniform(kRows)), lsn);
+    benchmark::DoNotOptimize(result);
+  }
+  const PageCacheStats& stats = seg.page_cache_stats();
+  const double reads = static_cast<double>(state.iterations());
+  state.counters["hit_share"] = static_cast<double>(stats.hits) / reads;
+  state.counters["partial_share"] =
+      static_cast<double>(stats.partial_hits) / reads;
+  state.counters["miss_share"] = static_cast<double>(stats.misses) / reads;
+  state.counters["eviction_share"] =
+      static_cast<double>(stats.evictions) / reads;
+}
+
 // Storage-node page reconstruction with the LSN-versioned cache off (arg 0)
 // vs on (arg 1). Cache off replays the page's full redo chain on every
 // read; cache on serves repeated reads at the same read point from the
-// cached image (a full hit after the first miss).
+// cached image (a full hit after the first miss). Arg 2 is
+// SegmentReadMissShape.
 void BM_SegmentGetPageAsOf(benchmark::State& state) {
+  if (state.range(0) == 2) {
+    SegmentReadMissShape(state);
+    return;
+  }
   constexpr size_t kPageSize = 16384;
   constexpr int kPages = 4;
   constexpr int kRecords = 256;
@@ -231,7 +292,7 @@ void BM_SegmentGetPageAsOf(benchmark::State& state) {
     page = static_cast<PageId>((page + 1) % kPages);
   }
 }
-BENCHMARK(BM_SegmentGetPageAsOf)->Arg(0)->Arg(1);
+BENCHMARK(BM_SegmentGetPageAsOf)->Arg(0)->Arg(1)->Arg(2);
 
 // One sysbench-style update record of a PG whose records hit `pages`
 // pages round-robin.
@@ -348,7 +409,8 @@ void BM_StorageWriteFanout(benchmark::State& state) {
   constexpr size_t kBatch = 235;
   constexpr PageId kPages = 1024;
   constexpr Lsn kRetained = 10000;
-  std::vector<Segment> replicas(kReplicasPerPg, Segment(0, 4096));
+  std::vector<Segment> replicas;
+  for (int i = 0; i < kReplicasPerPg; ++i) replicas.emplace_back(0, 4096);
   for (Segment& seg : replicas) {
     for (Lsn lsn = 0; lsn < kRetained; ++lsn) {
       seg.AddRecord(SegmentRecord(lsn + 1, lsn, kPages));

@@ -69,12 +69,13 @@ int main() {
   for (PageId page = 0; page < 8; ++page) {
     auto as_of = seg->GetPageAsOf(page, read_point);
     if (as_of.ok()) {
+      const Page& image = **as_of;
       printf("\npage %llu as of LSN %llu: %d records, page LSN %llu, CRC %s\n",
              static_cast<unsigned long long>(page),
              static_cast<unsigned long long>(read_point),
-             as_of->slot_count(),
-             static_cast<unsigned long long>(as_of->page_lsn()),
-             as_of->VerifyCrc() ? "ok" : "BAD");
+             image.slot_count(),
+             static_cast<unsigned long long>(image.page_lsn()),
+             image.VerifyCrc() ? "ok" : "BAD");
       break;
     }
   }

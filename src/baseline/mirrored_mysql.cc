@@ -419,17 +419,19 @@ Result<Page*> MirroredMySql::GetPage(PageId id) {
     auto finish_fetch = [this, id]() {
       primary_ebs_->Read(
           node_id_, PageKey(id), [this, id](Result<std::string> r) {
-            Page page(options_.engine.page_size);
-            if (r.ok()) {
-              (void)page.LoadRaw(*r);
-            } else if (synthesizer_) {
-              // Pre-loaded (synthetic) table page.
-              synthesizer_(id, &page);
-            }
-            // Otherwise the page exists only as WAL (recovery replay);
-            // an unformatted frame is installed for redo to format.
             fetch_in_flight_.erase(id);
-            pool_.Install(id, std::move(page));
+            auto [page, claimed] = pool_.Claim(id);
+            if (claimed) {
+              page->Clear();
+              if (r.ok()) {
+                (void)page->LoadRaw(*r);
+              } else if (synthesizer_) {
+                // Pre-loaded (synthetic) table page.
+                synthesizer_(id, page);
+              }
+              // Otherwise the page exists only as WAL (recovery replay);
+              // an unformatted frame is installed for redo to format.
+            }
             pool_.EvictExcess();
             auto wit = page_waiters_.find(id);
             if (wit == page_waiters_.end()) return;

@@ -19,6 +19,11 @@ uint32_t Extend(uint32_t init_crc, const char* data, size_t n);
 /// path is tested against.
 uint32_t ExtendPortable(uint32_t init_crc, const char* data, size_t n);
 
+/// The raw CRC register `crc` (not pre- or post-inverted) after 256 zero
+/// bytes, by table lookup: the operator that joins the three streams of
+/// Extend()'s hardware kernel. Exposed for tests.
+uint32_t ShiftBy256Zeros(uint32_t crc);
+
 /// CRC of `data[0..n-1]`.
 inline uint32_t Value(const char* data, size_t n) { return Extend(0, data, n); }
 

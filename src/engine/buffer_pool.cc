@@ -19,34 +19,42 @@ void BufferPool::Touch(Entry* e) {
   lru_.splice(lru_.begin(), lru_, e->lru_it);
 }
 
-Page* BufferPool::Install(PageId id, Page page) {
+std::pair<Page*, bool> BufferPool::Claim(PageId id) {
   ++stats_.installs;
   Slot slot = Find(id);
   if (slot != SlotIndex::kNone) {
-    // Already resident (duplicate fetch landed); keep the resident copy,
-    // which may be newer (it absorbs writes).
     Touch(&slots_[slot]);
-    return &slots_[slot].page;
+    return {&slots_[slot].page, false};
   }
-  if (free_slots_.empty()) {
+  if (free_.empty()) {
     slot = static_cast<Slot>(slots_.size());
     slots_.emplace_back(page_size_);
+    lru_.push_front(slot);
+    slots_[slot].lru_it = lru_.begin();
   } else {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
+    slot = free_.front();
+    lru_.splice(lru_.begin(), free_, free_.begin());
   }
   Entry& e = slots_[slot];
   e.id = id;
-  e.page = std::move(page);
   e.pinned = false;
-  lru_.push_front(slot);
-  e.lru_it = lru_.begin();
   index_.Insert(Mix64(id), slot);
-  return &e.page;
+  return {&e.page, true};
+}
+
+Page* BufferPool::Install(PageId id, Slice bytes) {
+  auto [page, claimed] = Claim(id);
+  if (claimed) {
+    Status s = page->LoadRaw(bytes);
+    AURORA_CHECK(s.ok(), "installed image is not one page");
+  }
+  return page;
 }
 
 Page* BufferPool::InstallNew(PageId id) {
-  return Install(id, Page(page_size_));
+  auto [page, claimed] = Claim(id);
+  if (claimed) page->Clear();
+  return page;
 }
 
 void BufferPool::Pin(PageId id) {
@@ -62,8 +70,7 @@ void BufferPool::Unpin(PageId id) {
 void BufferPool::Free(Slot slot) {
   Entry& e = slots_[slot];
   index_.Erase(Mix64(e.id), slot);
-  lru_.erase(e.lru_it);
-  free_slots_.push_back(slot);
+  free_.splice(free_.begin(), lru_, e.lru_it);
 }
 
 void BufferPool::Discard(PageId id) {
@@ -73,9 +80,9 @@ void BufferPool::Discard(PageId id) {
 
 void BufferPool::Clear() {
   slots_.clear();
-  free_slots_.clear();
   index_.Clear();
   lru_.clear();
+  free_.clear();
 }
 
 void BufferPool::EvictExcess() { MaybeEvict(); }

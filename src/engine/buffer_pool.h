@@ -3,7 +3,7 @@
 
 #include <deque>
 #include <list>
-#include <vector>
+#include <utility>
 
 #include "common/inline_function.h"
 #include "common/result.h"
@@ -33,7 +33,9 @@ struct BufferPoolStats {
 /// note.)
 ///
 /// Misses are asynchronous: Lookup returns nullptr, the caller starts a
-/// storage fetch, and Install() makes the page resident.
+/// storage fetch, and Install() copies the fetched bytes into a slot. A
+/// slot freed by eviction keeps its page buffer and its LRU node, so at
+/// steady state an install allocates nothing.
 class BufferPool {
  public:
   /// `vdl` is consulted at eviction time and must outlive the pool.
@@ -47,17 +49,29 @@ class BufferPool {
   Page* Lookup(PageId id);
   bool Contains(PageId id) const { return Find(id) != SlotIndex::kNone; }
 
-  /// Makes a fetched page resident. Never evicts synchronously — callers
-  /// invoke EvictExcess() at a safe point (no operation holding raw page
-  /// pointers may be on the stack), typically right after a fetch lands and
-  /// before its waiters are resumed.
-  Page* Install(PageId id, Page page);
+  /// Makes `id` resident and returns its page, and whether it claimed a
+  /// slot for it. A page already resident is kept as it is (a duplicate
+  /// fetch landed; the resident copy may be newer, since it absorbs writes)
+  /// and returned with false. A claimed page still holds the bytes of the
+  /// slot's previous page: the caller writes the image. Install (fetched
+  /// bytes) and InstallNew (a zeroed page) write theirs; an owner that
+  /// builds its own (the mirrored-MySQL baseline) claims directly. Never
+  /// evicts synchronously — callers invoke EvictExcess() at a safe point
+  /// (no operation holding raw page pointers may be on the stack),
+  /// typically right after a fetch lands and before its waiters are
+  /// resumed.
+  std::pair<Page*, bool> Claim(PageId id);
+
+  /// Makes a fetched page resident by copying `bytes` (one page, already
+  /// checked by the caller) into its slot.
+  Page* Install(PageId id, Slice bytes);
 
   /// Evicts cold pages (respecting the VDL rule, pins and the filter) until
   /// the pool is back at capacity or nothing more is evictable.
   void EvictExcess();
 
-  /// Creates a brand-new resident page (allocation path; no storage fetch).
+  /// Creates a brand-new, unformatted resident page (allocation path; no
+  /// storage fetch).
   Page* InstallNew(PageId id);
 
   /// Marks a page unevictable (allocator meta page, tree anchors).
@@ -93,6 +107,8 @@ class BufferPool {
 
   /// A resident page. Entries sit in stable slots (Page pointers handed out
   /// stay valid until eviction); a freed slot is reused by the next install.
+  /// `lru_it` is the slot's own node, on `lru_` while the slot is live and
+  /// on `free_` after; it is never reallocated.
   struct Entry {
     PageId id = kInvalidPage;
     Page page;
@@ -109,7 +125,7 @@ class BufferPool {
   /// Moves `e` to the most-recent end of the LRU list (relinks its node;
   /// a hit allocates nothing).
   void Touch(Entry* e);
-  /// Drops the page in `slot` from the index and the LRU list.
+  /// Drops the page in `slot` from the index and moves its node to `free_`.
   void Free(Slot slot);
   void MaybeEvict();
 
@@ -120,9 +136,9 @@ class BufferPool {
   /// Resident pages live in `slots_` (a deque: slots never move) and are
   /// found through `index_`, by a fixed hash of the page id.
   std::deque<Entry> slots_;
-  std::vector<Slot> free_slots_;
   SlotIndex index_;
-  std::list<Slot> lru_;  // front = most recent
+  std::list<Slot> lru_;   // front = most recent
+  std::list<Slot> free_;  // freed slots, next to reuse first
   BufferPoolStats stats_;
 };
 

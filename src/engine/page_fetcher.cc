@@ -149,8 +149,10 @@ void PageFetcher::HandleResponse(const sim::Message& msg) {
     return;
   }
 
-  Page page(options_->page_size);
-  if (!page.LoadRaw(resp.page_bytes).ok() || !page.VerifyCrc()) {
+  // `page_bytes` points into the message: check it there, then copy it
+  // once, into the pool slot.
+  if (resp.page_bytes.size() != options_->page_size ||
+      !Page::VerifyCrc(resp.page_bytes)) {
     ++pr.attempt;
     SendRequest(resp.req_id);
     return;
@@ -160,7 +162,7 @@ void PageFetcher::HandleResponse(const sim::Message& msg) {
   const int attempts = pr.attempt;
   pending_.erase(it);
   in_flight_.erase(id);
-  Page* installed = pool_->Install(id, std::move(page));
+  Page* installed = pool_->Install(id, resp.page_bytes);
   // Safe point: no operation is mid-attempt here, so eviction cannot
   // invalidate live page pointers.
   pool_->EvictExcess();

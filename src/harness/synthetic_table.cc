@@ -49,6 +49,12 @@ SyntheticTableLayout::SyntheticTableLayout(PageId first_page, uint64_t rows,
 }
 
 std::string SyntheticTableLayout::KeyOf(uint64_t row) {
+  std::string key;
+  KeyInto(row, &key);
+  return key;
+}
+
+void SyntheticTableLayout::KeyInto(uint64_t row, std::string* key) {
   // "key%016llu", written digit by digit: this runs once per select and
   // once per synthesized row. Rows of 10^16 and up print wider than 16
   // digits and take the printf path.
@@ -57,17 +63,17 @@ std::string SyntheticTableLayout::KeyOf(uint64_t row) {
     char buf[32];
     snprintf(buf, sizeof(buf), "key%016llu",
              static_cast<unsigned long long>(row));
-    return buf;
+    key->assign(buf);
+    return;
   }
-  std::string key = "key0000000000000000";
+  key->assign("key0000000000000000", kKeyBytes);
   for (size_t i = kKeyBytes; row != 0; row /= 10) {
-    key[--i] = static_cast<char>('0' + row % 10);
+    (*key)[--i] = static_cast<char>('0' + row % 10);
   }
-  return key;
 }
 
 std::string SyntheticTableLayout::UserValueOf(uint64_t row) const {
-  return std::string(value_size_, static_cast<char>('a' + row % 23));
+  return std::string(value_size_, FillOf(row));
 }
 
 std::string SyntheticTableLayout::StoredValueOf(uint64_t row) const {
@@ -125,8 +131,16 @@ void SyntheticTableLayout::BuildLeaf(uint64_t leaf_idx, Page* out) const {
   out->Format(PageOf(0, leaf_idx), PageType::kBTreeLeaf, 0);
   uint64_t lo = leaf_idx * rows_per_leaf_;
   uint64_t hi = std::min<uint64_t>(rows_, lo + rows_per_leaf_);
+  // One key and one stored value per page, rewritten in place per row: a
+  // row's stored value differs from its neighbour's only in the fill byte
+  // after the codec stamp.
+  std::string key;
+  std::string value = StoredValueOf(lo);
   for (uint64_t row = lo; row < hi; ++row) {
-    Status s = out->InsertRecord(KeyOf(row), StoredValueOf(row));
+    KeyInto(row, &key);
+    std::fill(value.end() - static_cast<std::ptrdiff_t>(value_size_),
+              value.end(), FillOf(row));
+    Status s = out->InsertRecord(key, value);
     AURORA_CHECK(s.ok(), "synthetic leaf build overflow");
   }
   if (leaf_idx > 0) out->set_prev_page(PageOf(0, leaf_idx - 1));

@@ -59,6 +59,10 @@ class SyntheticTableLayout {
     uint64_t fanout;  // children per node (except possibly the last)
   };
 
+  /// Writes KeyOf(row) into `key`, reusing its buffer.
+  static void KeyInto(uint64_t row, std::string* key);
+  /// The byte row `row`'s user value repeats.
+  static char FillOf(uint64_t row) { return static_cast<char>('a' + row % 23); }
   void BuildLeaf(uint64_t leaf_idx, Page* out) const;
   void BuildInternal(size_t level_idx, uint64_t node_idx, Page* out) const;
   void BuildAnchor(Page* out) const;

@@ -276,15 +276,16 @@ void Page::UpdateCrc() {
   EncodeFixed32(data_.data() + kOffCrc, crc32c::Mask(crc));
 }
 
-bool Page::VerifyCrc() const {
-  uint32_t stored = crc32c::Unmask(DecodeFixed32(data_.data() + kOffCrc));
+bool Page::VerifyCrc(Slice bytes) {
+  if (bytes.size() < kHeaderSize) return false;
+  uint32_t stored = crc32c::Unmask(DecodeFixed32(bytes.data() + kOffCrc));
   // The CRC covers the page with its CRC field zeroed: extend over the bytes
   // before the field, four zero bytes, then the bytes after it.
   static constexpr char kZeroField[4] = {0, 0, 0, 0};
-  uint32_t crc = crc32c::Value(data_.data(), kOffCrc);
+  uint32_t crc = crc32c::Value(bytes.data(), kOffCrc);
   crc = crc32c::Extend(crc, kZeroField, sizeof(kZeroField));
   const size_t rest = kOffCrc + sizeof(kZeroField);
-  crc = crc32c::Extend(crc, data_.data() + rest, data_.size() - rest);
+  crc = crc32c::Extend(crc, bytes.data() + rest, bytes.size() - rest);
   return crc == stored;
 }
 
@@ -299,5 +300,7 @@ Status Page::LoadRaw(const Slice& bytes) {
   data_.assign(bytes.data(), bytes.size());
   return Status::OK();
 }
+
+void Page::Clear() { std::fill(data_.begin(), data_.end(), '\0'); }
 
 }  // namespace aurora

@@ -108,15 +108,21 @@ class Page {
   /// Recomputes and stores the header CRC (over the whole page).
   void UpdateCrc();
   /// Verifies the stored CRC; used by the storage-node scrubber.
-  bool VerifyCrc() const;
+  bool VerifyCrc() const { return VerifyCrc(Slice(data_)); }
+  /// Verifies the CRC stored in a page image's bytes (e.g. as received
+  /// over the network) without loading them into a Page.
+  static bool VerifyCrc(Slice bytes);
   /// Flips bits for fault-injection tests.
   void CorruptForTesting(size_t offset);
 
   // --- Raw access ----------------------------------------------------------
   size_t page_size() const { return data_.size(); }
   const std::string& raw() const { return data_; }
-  /// Replaces the entire contents (e.g. from the network). Size must match.
+  /// Replaces the entire contents (e.g. from the network) in place. Size
+  /// must match.
   Status LoadRaw(const Slice& bytes);
+  /// Zero-fills the page in place: unformatted, as freshly constructed.
+  void Clear();
 
  private:
   uint16_t nslots() const;

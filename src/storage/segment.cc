@@ -40,11 +40,10 @@ bool Segment::AddRecord(std::shared_ptr<const LogRecord> record) {
   // A record above the cached entry's build point is picked up by partial
   // replay; one at or below it (late gossip filling a gap) means the cached
   // image was built without it — drop the entry.
-  if (!page_cache_.empty()) {
-    auto cit = page_cache_.find(page);
-    if (cit != page_cache_.end() && lsn <= cit->second.built_lsn) {
-      cache_lru_.erase(cit->second.stamp);
-      page_cache_.erase(cit);
+  if (cache_index_.size() != 0) {
+    const Slot slot = CacheFind(page);
+    if (slot != SlotIndex::kNone && lsn <= cache_slots_[slot].built_lsn) {
+      CacheFree(slot);
     }
   }
   // The newest record extending the chain ends it: every backlink points
@@ -70,13 +69,35 @@ bool Segment::Insert(std::shared_ptr<const LogRecord> record) {
     hot_log_.insert(it, {lsn, std::move(record)});
   }
   SetBacklink(prev, lsn);
-  PageLsns& lsns = records_by_page_[page];
+  Slot slot = FindPageRecords(page);
+  if (slot == SlotIndex::kNone) {
+    if (free_page_records_.empty()) {
+      slot = static_cast<Slot>(page_records_.size());
+      page_records_.emplace_back();
+    } else {
+      slot = free_page_records_.back();
+      free_page_records_.pop_back();
+    }
+    page_records_[slot].page = page;
+    page_records_[slot].lsns = std::make_unique<PageLsns>();
+    page_index_.Insert(Mix64(page), slot);
+  }
+  PageLsns& lsns = *page_records_[slot].lsns;
   if (lsns.empty() || lsn > lsns.back()) {
     lsns.push_back(lsn);
   } else {
     lsns.insert(std::lower_bound(lsns.begin(), lsns.end(), lsn), lsn);
   }
   return true;
+}
+
+void Segment::ReleasePageRecordsIfEmpty(Slot slot) {
+  PageRecords& records = page_records_[slot];
+  if (!records.lsns->empty()) return;
+  page_index_.Erase(Mix64(records.page), slot);
+  records.page = kInvalidPage;
+  records.lsns.reset();
+  free_page_records_.push_back(slot);
 }
 
 void Segment::AdvanceScl() {
@@ -221,42 +242,44 @@ Status Segment::CheckReadPoint(Lsn read_point, std::optional<Lsn> tail) const {
   return Status::OK();
 }
 
-Result<Page> Segment::GetPageAsOf(PageId page, Lsn read_point,
-                                  std::optional<Lsn> tail) const {
+Result<std::shared_ptr<const Page>> Segment::GetPageAsOf(
+    PageId page, Lsn read_point, std::optional<Lsn> tail) const {
   Status gate = CheckReadPoint(read_point, tail);
   if (!gate.ok()) return gate;
 
   const bool cache_on = CacheEnabled();
   bool historical = false;  // read point below the cached version: bypass
   if (cache_on) {
-    auto cit = page_cache_.find(page);
-    if (cit != page_cache_.end()) {
-      CacheEntry& entry = cit->second;
+    const Slot slot = CacheFind(page);
+    if (slot != SlotIndex::kNone) {
+      CacheEntry& entry = cache_slots_[slot];
       if (read_point >= entry.built_lsn) {
         // Any records for this page in (built_lsn, read_point]?
         LsnRange newer = PageRecordsIn(page, entry.built_lsn, read_point);
         if (newer.first == newer.second) {
           ++cache_stats_.hits;
-          CacheTouch(&entry);
+          CacheTouch(entry);
           return entry.image;
         }
-        // Partial hit: replay only the suffix on top of the cached image.
-        // Redo application is deterministic, so this yields byte-identical
-        // results to a full rebuild (the cached image already reflects
-        // everything <= built_lsn).
-        Page result = entry.image;
-        Status s = Replay(newer, &result);
+        // Partial hit: replay only the suffix on a copy of the cached
+        // image. Redo application is deterministic, so this yields
+        // byte-identical results to a full rebuild (the cached image
+        // already reflects everything <= built_lsn).
+        auto result = std::make_shared<Page>(*entry.image);
+        Status s = Replay(newer, result.get());
         if (!s.ok()) return s;
-        result.UpdateCrc();
+        result->UpdateCrc();
         ++cache_stats_.partial_hits;
-        CacheInsert(page, result, read_point);
-        return result;
+        entry.image = std::move(result);
+        entry.built_lsn = read_point;
+        CacheTouch(entry);
+        return entry.image;
       }
       historical = true;
     }
   }
 
-  Page result(page_size_);
+  std::shared_ptr<Page> result;
   auto base_it = base_pages_.find(page);
   if (base_it != base_pages_.end()) {
     // Verify the stored image before serving it: a latent sector fault
@@ -266,29 +289,31 @@ Result<Page> Segment::GetPageAsOf(PageId page, Lsn read_point,
       corrupt_pages_.insert(page);
       return Status::Corruption("base page CRC mismatch");
     }
-    result = base_it->second;
-  } else if (synthesizer_) {
-    synthesizer_(page, &result);
+    result = std::make_shared<Page>(base_it->second);
+  } else {
+    result = std::make_shared<Page>(page_size_);
+    if (synthesizer_) synthesizer_(page, result.get());
   }
-  Status s = Replay(PageRecordsIn(page, kInvalidLsn, read_point), &result);
+  Status s = Replay(PageRecordsIn(page, kInvalidLsn, read_point), result.get());
   if (!s.ok()) return s;
-  if (!result.IsFormatted()) {
+  if (!result->IsFormatted()) {
     return Status::NotFound("page never written");
   }
-  result.UpdateCrc();
+  result->UpdateCrc();
+  std::shared_ptr<const Page> image = std::move(result);
   if (cache_on) {
     ++cache_stats_.misses;
     // Historical reads must not displace the newer cached version.
-    if (!historical) CacheInsert(page, result, read_point);
+    if (!historical) CacheAdd(page, image, read_point);
   }
-  return result;
+  return image;
 }
 
 Segment::LsnRange Segment::PageRecordsIn(PageId page, Lsn after,
                                          Lsn through) const {
-  auto it = records_by_page_.find(page);
-  if (it == records_by_page_.end()) return {};
-  const PageLsns& lsns = it->second;
+  const Slot slot = FindPageRecords(page);
+  if (slot == SlotIndex::kNone) return {};
+  const PageLsns& lsns = *page_records_[slot].lsns;
   auto first = std::upper_bound(lsns.begin(), lsns.end(), after);
   return {first, std::upper_bound(first, lsns.end(), through)};
 }
@@ -309,54 +334,58 @@ void Segment::set_page_cache_budget(uint64_t bytes) {
     CacheClear();
     return;
   }
-  while (!page_cache_.empty() &&
-         page_cache_.size() * page_size_ > cache_budget_bytes_) {
-    auto oldest = cache_lru_.begin();
-    page_cache_.erase(oldest->second);
-    cache_lru_.erase(oldest);
-    ++cache_stats_.evictions;
+  while (cache_index_.size() * page_size_ > cache_budget_bytes_) {
+    CacheEvictOldest();
   }
 }
 
-void Segment::CacheInsert(PageId page, const Page& image,
-                          Lsn built_lsn) const {
-  auto it = page_cache_.find(page);
-  if (it != page_cache_.end()) {
-    it->second.image = image;
-    it->second.built_lsn = built_lsn;
-    CacheTouch(&it->second);
-    return;
-  }
+void Segment::CacheAdd(PageId page, std::shared_ptr<const Page> image,
+                       Lsn built_lsn) const {
   // Evict to fit the new entry under the byte budget (LRU order).
-  while (!page_cache_.empty() &&
-         (page_cache_.size() + 1) * page_size_ > cache_budget_bytes_) {
-    auto oldest = cache_lru_.begin();
-    page_cache_.erase(oldest->second);
-    cache_lru_.erase(oldest);
-    ++cache_stats_.evictions;
+  while (cache_index_.size() != 0 &&
+         (cache_index_.size() + 1) * page_size_ > cache_budget_bytes_) {
+    CacheEvictOldest();
   }
-  uint64_t stamp = ++cache_clock_;
-  page_cache_.emplace(page, CacheEntry{image, built_lsn, stamp});
-  cache_lru_.emplace(stamp, page);
+  Slot slot;
+  if (cache_free_.empty()) {
+    slot = static_cast<Slot>(cache_slots_.size());
+    cache_slots_.emplace_back();
+    cache_lru_.push_back(slot);
+    cache_slots_[slot].lru_it = std::prev(cache_lru_.end());
+  } else {
+    slot = cache_free_.front();
+    cache_lru_.splice(cache_lru_.end(), cache_free_, cache_free_.begin());
+  }
+  CacheEntry& entry = cache_slots_[slot];
+  entry.page = page;
+  entry.image = std::move(image);
+  entry.built_lsn = built_lsn;
+  cache_index_.Insert(Mix64(page), slot);
 }
 
-void Segment::CacheTouch(CacheEntry* entry) const {
-  auto node = cache_lru_.extract(entry->stamp);
-  entry->stamp = ++cache_clock_;
-  node.key() = entry->stamp;
-  cache_lru_.insert(std::move(node));
+void Segment::CacheEvictOldest() const {
+  CacheFree(cache_lru_.front());
+  ++cache_stats_.evictions;
+}
+
+void Segment::CacheFree(Slot slot) const {
+  CacheEntry& entry = cache_slots_[slot];
+  cache_index_.Erase(Mix64(entry.page), slot);
+  entry.page = kInvalidPage;
+  entry.image.reset();  // a reader may still hold it
+  cache_free_.splice(cache_free_.begin(), cache_lru_, entry.lru_it);
 }
 
 void Segment::CacheErase(PageId page) {
-  auto it = page_cache_.find(page);
-  if (it == page_cache_.end()) return;
-  cache_lru_.erase(it->second.stamp);
-  page_cache_.erase(it);
+  const Slot slot = CacheFind(page);
+  if (slot != SlotIndex::kNone) CacheFree(slot);
 }
 
 void Segment::CacheClear() {
-  page_cache_.clear();
+  cache_slots_.clear();
+  cache_index_.Clear();
   cache_lru_.clear();
+  cache_free_.clear();
 }
 
 size_t Segment::GarbageCollect() {
@@ -369,10 +398,10 @@ size_t Segment::GarbageCollect() {
     if (rec.lsn == scl_) break;
     EraseBacklink(rec.prev_pg_lsn);
     // The log's oldest record is also its page's oldest.
-    auto page_it = records_by_page_.find(rec.page_id);
-    if (page_it != records_by_page_.end()) {
-      page_it->second.pop_front();
-      if (page_it->second.empty()) records_by_page_.erase(page_it);
+    const Slot records = FindPageRecords(rec.page_id);
+    if (records != SlotIndex::kNone) {
+      page_records_[records].lsns->pop_front();
+      ReleasePageRecordsIfEmpty(records);
     }
     // Collecting this record can strand a cached image of its page:
     // (a) if the image predates the record (built_lsn < lsn), a later
@@ -384,14 +413,14 @@ size_t Segment::GarbageCollect() {
     //     knowledge. Reads must degrade exactly as without the cache.
     // Entries for pages untouched by this collection stay valid: their
     // images already reflect everything the hot log is forgetting.
-    if (!page_cache_.empty()) {
-      auto cit = page_cache_.find(rec.page_id);
-      if (cit != page_cache_.end()) {
+    if (cache_index_.size() != 0) {
+      const Slot slot = CacheFind(rec.page_id);
+      if (slot != SlotIndex::kNone) {
         auto base_it = base_pages_.find(rec.page_id);
         const bool base_lost = base_it == base_pages_.end() ||
                                !base_it->second.IsFormatted();
-        if (base_lost || cit->second.built_lsn < rec.lsn) {
-          CacheErase(rec.page_id);
+        if (base_lost || cache_slots_[slot].built_lsn < rec.lsn) {
+          CacheFree(slot);
         }
       }
     }
@@ -412,10 +441,10 @@ Status Segment::Truncate(Lsn above, Epoch epoch) {
     const LogRecord& rec = *hot_log_.back().rec;
     EraseBacklink(rec.prev_pg_lsn);
     // The log's newest record is also its page's newest.
-    auto page_it = records_by_page_.find(rec.page_id);
-    if (page_it != records_by_page_.end()) {
-      page_it->second.pop_back();
-      if (page_it->second.empty()) records_by_page_.erase(page_it);
+    const Slot records = FindPageRecords(rec.page_id);
+    if (records != SlotIndex::kNone) {
+      page_records_[records].lsns->pop_back();
+      ReleasePageRecordsIfEmpty(records);
     }
     hot_log_.pop_back();
   }
@@ -428,9 +457,7 @@ Status Segment::Truncate(Lsn above, Epoch epoch) {
   if (backup_lsn_ > above) backup_lsn_ = above;
   // Cached images built beyond the truncation point contain records that no
   // longer exist.
-  if (!page_cache_.empty()) {
-    CacheEraseIf([above](const CacheEntry& e) { return e.built_lsn > above; });
-  }
+  CacheEraseIf([above](const CacheEntry& e) { return e.built_lsn > above; });
   // The chain may now extend again from a lower point (it shouldn't, but
   // recompute defensively).
   AdvanceScl();
@@ -523,7 +550,9 @@ Status Segment::DeserializeFrom(Slice input) {
   page_size_ = page_size;
   hot_log_.clear();
   chain_.clear();
-  records_by_page_.clear();
+  page_records_.clear();
+  free_page_records_.clear();
+  page_index_.Clear();
   base_pages_.clear();
   CacheClear();
   // One owner for the whole restored hot log, as for a decoded batch.

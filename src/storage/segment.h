@@ -3,6 +3,7 @@
 
 #include <deque>
 #include <functional>
+#include <list>
 #include <map>
 #include <memory>
 #include <optional>
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "common/slot_index.h"
 #include "common/status.h"
 #include "log/log_record.h"
 #include "log/types.h"
@@ -46,6 +48,12 @@ struct PageCacheStats {
 class Segment {
  public:
   Segment(PgId pg, size_t page_size) : pg_(pg), page_size_(page_size) {}
+
+  // Movable, not copyable: cache entries point at their own LRU nodes.
+  Segment(Segment&&) = default;
+  Segment& operator=(Segment&&) = default;
+  Segment(const Segment&) = delete;
+  Segment& operator=(const Segment&) = delete;
 
   /// Pre-loaded (snapshot-restored) volumes: pages that have never been
   /// written through the log can be synthesized deterministically on first
@@ -151,9 +159,13 @@ class Segment {
 
   /// Reconstructs the page as of `read_point` (base image + log applies).
   /// Fails with CheckReadPoint's status, or NotFound if the page has never
-  /// been written.
-  Result<Page> GetPageAsOf(PageId page, Lsn read_point,
-                           std::optional<Lsn> tail = std::nullopt) const;
+  /// been written. The image is published: nothing modifies it after this
+  /// returns, and a reconstruction cache entry may share it, so a full
+  /// cache hit copies nothing. The caller may keep it as long as it likes;
+  /// replacing or evicting the entry only drops the cache's reference.
+  Result<std::shared_ptr<const Page>> GetPageAsOf(
+      PageId page, Lsn read_point,
+      std::optional<Lsn> tail = std::nullopt) const;
 
   /// Number of materialized base pages.
   size_t num_pages() const { return base_pages_.size(); }
@@ -169,7 +181,9 @@ class Segment {
   void set_page_cache_budget(uint64_t bytes);
   uint64_t page_cache_budget() const { return cache_budget_bytes_; }
   /// Current cache footprint (whole-page granularity).
-  uint64_t page_cache_bytes() const { return page_cache_.size() * page_size_; }
+  uint64_t page_cache_bytes() const {
+    return cache_index_.size() * page_size_;
+  }
   const PageCacheStats& page_cache_stats() const { return cache_stats_; }
 
   // --- GC / truncation / scrub ----------------------------------------------
@@ -241,6 +255,7 @@ class Segment {
   using PageLsns = std::deque<Lsn>;
   using LsnRange =
       std::pair<PageLsns::const_iterator, PageLsns::const_iterator>;
+  using Slot = uint32_t;
 
   /// Places `record` in the hot log and both indexes; false if its LSN is
   /// already there.
@@ -258,30 +273,58 @@ class Segment {
   /// Applies the records `lsns` names to `image`.
   Status Replay(LsnRange lsns, Page* image) const;
 
+  /// The LSNs of one page's hot-log records, ascending. A slot whose list
+  /// empties is freed, and its list with it (an empty std::deque still
+  /// holds a chunk); the next page to need a slot reuses it.
+  struct PageRecords {
+    PageId page = kInvalidPage;
+    std::unique_ptr<PageLsns> lsns;  // null while the slot is free
+  };
+  Slot FindPageRecords(PageId page) const {
+    return page_index_.Find(Mix64(page), [&](Slot s) {
+      return page_records_[s].page == page;
+    });
+  }
+  /// Drops a page's list once its last LSN is gone.
+  void ReleasePageRecordsIfEmpty(Slot slot);
+
   /// A reconstructed page image valid through built_lsn: it reflects every
-  /// record of the page with LSN <= built_lsn and nothing above. Mutable
-  /// state because GetPageAsOf is logically const.
+  /// record of the page with LSN <= built_lsn and nothing above. The image
+  /// is never modified once cached (a reader may still hold it); a newer
+  /// build replaces the pointer. `lru_it` is the slot's own node, which
+  /// moves between cache_lru_ and cache_free_ and is never reallocated.
+  /// Mutable state because GetPageAsOf is logically const.
   struct CacheEntry {
-    Page image;
-    Lsn built_lsn;
-    uint64_t stamp;  // LRU clock value; key into cache_lru_
+    PageId page = kInvalidPage;
+    std::shared_ptr<const Page> image;
+    Lsn built_lsn = kInvalidLsn;
+    std::list<Slot>::iterator lru_it;
   };
   bool CacheEnabled() const { return cache_budget_bytes_ >= page_size_; }
-  void CacheInsert(PageId page, const Page& image, Lsn built_lsn) const;
-  void CacheTouch(CacheEntry* entry) const;
+  Slot CacheFind(PageId page) const {
+    return cache_index_.Find(Mix64(page), [&](Slot s) {
+      return cache_slots_[s].page == page;
+    });
+  }
+  /// Caches `image` for `page`, which has no entry, evicting the least
+  /// recently used entries to fit it under the budget.
+  void CacheAdd(PageId page, std::shared_ptr<const Page> image,
+                Lsn built_lsn) const;
+  /// Moves the entry to the most-recent end of the LRU list.
+  void CacheTouch(const CacheEntry& entry) const {
+    cache_lru_.splice(cache_lru_.end(), cache_lru_, entry.lru_it);
+  }
+  void CacheEvictOldest() const;
+  void CacheFree(Slot slot) const;
   void CacheErase(PageId page);
   void CacheClear();
   /// Drops entries whose validity predicate fails (e.g. after truncation or
   /// GC moved the window they were built against).
   template <typename Pred>
   void CacheEraseIf(Pred pred) {
-    for (auto it = page_cache_.begin(); it != page_cache_.end();) {
-      if (pred(it->second)) {
-        cache_lru_.erase(it->second.stamp);
-        it = page_cache_.erase(it);
-      } else {
-        ++it;
-      }
+    for (auto it = cache_lru_.begin(); it != cache_lru_.end();) {
+      const Slot slot = *it++;  // CacheFree moves the slot's node away
+      if (pred(cache_slots_[slot])) CacheFree(slot);
     }
   }
 
@@ -295,7 +338,12 @@ class Segment {
   HotLog hot_log_;
   /// Sorted by prev; an equal prev keeps the last record added with it.
   Backlinks chain_;
-  std::map<PageId, PageLsns> records_by_page_;
+  /// Per-page LSN lists in stable slots (a deque: slots never move), found
+  /// through `page_index_` by a fixed hash of the page id and never
+  /// iterated, so no address or bucket order reaches the simulation.
+  std::deque<PageRecords> page_records_;
+  std::vector<Slot> free_page_records_;
+  SlotIndex page_index_;
 
   /// Fetches the base page, creating it (empty or synthesized) on demand.
   Page* BasePage(PageId page);
@@ -317,10 +365,16 @@ class Segment {
   /// CRC mismatch it discovers so the scrub/repair machinery can heal it.
   mutable std::set<PageId> corrupt_pages_;
 
+  /// The reconstruction cache (DESIGN.md §5): entries in stable slots found
+  /// through `cache_index_` by a fixed hash of the page id. `cache_lru_`
+  /// lists the live slots, least recently added or served first, which is
+  /// the order eviction takes them in; `cache_free_` holds the freed
+  /// slots' nodes for reuse.
   uint64_t cache_budget_bytes_ = 0;  // 0 = cache disabled
-  mutable std::map<PageId, CacheEntry> page_cache_;
-  mutable std::map<uint64_t, PageId> cache_lru_;  // stamp -> page, oldest first
-  mutable uint64_t cache_clock_ = 0;
+  mutable std::deque<CacheEntry> cache_slots_;
+  mutable SlotIndex cache_index_;
+  mutable std::list<Slot> cache_lru_;
+  mutable std::list<Slot> cache_free_;
   mutable PageCacheStats cache_stats_;
 };
 

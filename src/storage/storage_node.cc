@@ -334,7 +334,8 @@ void StorageNode::HandleReadPage(const sim::Message& msg) {
       ReplyToRead(from, req.req_id, gate.code());
       return;
     }
-    Result<Page> page = seg->GetPageAsOf(req.page, req.read_point, req.tail);
+    Result<std::shared_ptr<const Page>> page =
+        seg->GetPageAsOf(req.page, req.read_point, req.tail);
     if (!page.ok()) {
       if (page.status().IsCorruption()) {
         // A latent fault surfaced on the read path before the scrubber
@@ -347,8 +348,9 @@ void StorageNode::HandleReadPage(const sim::Message& msg) {
       return;
     }
     ++stats_.page_reads_served;
-    ReplyToRead(from, req.req_id, Status::Code::kOk, page->page_lsn(),
-                page->raw());
+    const Page& image = **page;
+    ReplyToRead(from, req.req_id, Status::Code::kOk, image.page_lsn(),
+                image.raw());
   });
 }
 
@@ -372,7 +374,7 @@ Status StorageNode::CheckRead(const Segment* seg,
 
 void StorageNode::ReplyToRead(sim::NodeId to, uint64_t req_id,
                               Status::Code code, Lsn page_lsn,
-                              std::string page_bytes) {
+                              Slice page_bytes) {
   switch (code) {
     case Status::Code::kOk:
     case Status::Code::kIOError:
@@ -404,7 +406,7 @@ void StorageNode::ReplyToRead(sim::NodeId to, uint64_t req_id,
   const ReadPageRespMsg resp{.req_id = req_id,
                              .status_code = static_cast<uint8_t>(code),
                              .page_lsn = page_lsn,
-                             .page_bytes = std::move(page_bytes)};
+                             .page_bytes = page_bytes};
   network_->Send(id_, to, kMsgReadPageResp, wire::Encode(resp));
 }
 
@@ -676,10 +678,10 @@ void StorageNode::SchedulePeerPageRepair(PgId pg, PageId page) {
       if (peer_node == nullptr || peer_node->crashed()) continue;
       const Segment* peer_seg = peer_node->segment(pg);
       if (peer_seg == nullptr) continue;
-      Result<Page> healthy =
+      Result<std::shared_ptr<const Page>> healthy =
           peer_seg->GetPageAsOf(page, peer_seg->applied_lsn());
       if (healthy.ok()) {
-        seg->RestoreBasePage(page, std::move(*healthy));
+        seg->RestoreBasePage(page, **healthy);
         ++stats_.corrupt_pages_repaired;
         break;
       }

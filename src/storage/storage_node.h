@@ -207,10 +207,10 @@ class StorageNode {
   /// a fenced volume epoch, a stale config epoch, or the segment's own
   /// read-point gates.
   Status CheckRead(const Segment* seg, const ReadPageReqMsg& req) const;
-  /// Answers a page read with `code` (the page, if any, in `page_bytes`),
-  /// counting a refusal under its cause.
+  /// Answers a page read with `code` (the page, if any, in `page_bytes`,
+  /// copied once into the reply), counting a refusal under its cause.
   void ReplyToRead(sim::NodeId to, uint64_t req_id, Status::Code code,
-                   Lsn page_lsn = kInvalidLsn, std::string page_bytes = {});
+                   Lsn page_lsn = kInvalidLsn, Slice page_bytes = Slice());
 
   /// Installs a serialized segment copy if it is a superset of local state
   /// (shared by the one-shot state transfer and the chunked repair path).

@@ -155,11 +155,14 @@ struct ReadPageReqMsg {
   }
 };
 
+/// Segment replica -> reader: the page image, or why the read was refused.
+/// `page_bytes` points at bytes that must outlive the message: the served
+/// image when encoding, the received payload after decoding.
 struct ReadPageRespMsg {
   uint64_t req_id = 0;
   uint8_t status_code = 0;  // Status::Code
   Lsn page_lsn = kInvalidLsn;
-  std::string page_bytes;
+  Slice page_bytes;
 
   template <typename F>
   void Fields(F& f) { f(req_id, status_code, page_lsn, page_bytes); }

@@ -240,6 +240,76 @@ TEST(Crc32cTest, HardwarePathMatchesTable) {
   }
 }
 
+// The hardware kernel runs three chains per 768-byte block and joins them;
+// the table loop is the reference. Every length up to two blocks and a
+// tail, at every start alignment, and the sizes the simulator checks most:
+// a page plus a reply's frame header, 16 KiB pages and a large batch.
+TEST(Crc32cTest, ThreeStreamKernelMatchesTableLoop) {
+  Random rng(11);
+  std::string buf(64 * 1024 + 8, '\0');
+  for (char& c : buf) c = static_cast<char>(rng.Uniform(256));
+  for (size_t align = 0; align < 8; ++align) {
+    const char* data = buf.data() + align;
+    for (size_t n = 0; n <= 1600; ++n) {
+      ASSERT_EQ(crc32c::Extend(0, data, n), crc32c::ExtendPortable(0, data, n))
+          << "align " << align << " n " << n;
+    }
+    for (size_t n : {size_t{4096 + 20}, size_t{16384}, size_t{65536}}) {
+      const uint32_t init = static_cast<uint32_t>(rng.Next());
+      ASSERT_EQ(crc32c::Extend(init, data, n),
+                crc32c::ExtendPortable(init, data, n))
+          << "align " << align << " n " << n;
+    }
+  }
+}
+
+// A CRC extended in two pieces equals the one-piece CRC when the split
+// falls just before, on or just after a block boundary, so each piece
+// starts or ends with a partial block or an unaligned prefix.
+TEST(Crc32cTest, SplitsAroundBlockBoundariesCompose) {
+  constexpr size_t kBlock = 768;
+  Random rng(12);
+  std::string buf(4096 + 20 + 8, '\0');
+  for (char& c : buf) c = static_cast<char>(rng.Uniform(256));
+  for (size_t align = 0; align < 8; ++align) {
+    const char* data = buf.data() + align;
+    const size_t n = 4096 + 20;
+    const uint32_t want = crc32c::ExtendPortable(0, data, n);
+    for (size_t boundary = kBlock; boundary < n; boundary += kBlock) {
+      for (size_t split = boundary - 9; split <= boundary + 9; ++split) {
+        ASSERT_EQ(crc32c::Extend(crc32c::Extend(0, data, split), data + split,
+                                 n - split),
+                  want)
+            << "align " << align << " split " << split;
+      }
+    }
+  }
+}
+
+// The join table is the "append 256 zero bytes" operator: check every
+// entry (one byte of the register in one position) and random registers
+// against the table loop. The raw register is the CRC without its pre-
+// and post-inversion.
+TEST(Crc32cTest, JoinTableAppends256ZeroBytes) {
+  const std::string zeros(256, '\0');
+  auto appended = [&zeros](uint32_t raw) {
+    return crc32c::ExtendPortable(raw ^ 0xFFFFFFFFu, zeros.data(),
+                                  zeros.size()) ^
+           0xFFFFFFFFu;
+  };
+  for (int k = 0; k < 4; ++k) {
+    for (uint32_t b = 0; b < 256; ++b) {
+      const uint32_t raw = b << (8 * k);
+      ASSERT_EQ(crc32c::ShiftBy256Zeros(raw), appended(raw)) << raw;
+    }
+  }
+  Random rng(13);
+  for (int i = 0; i < 1000; ++i) {
+    const uint32_t raw = static_cast<uint32_t>(rng.Next());
+    ASSERT_EQ(crc32c::ShiftBy256Zeros(raw), appended(raw)) << raw;
+  }
+}
+
 TEST(Crc32cTest, MaskRoundTrip) {
   for (uint32_t crc : {0u, 1u, 0xDEADBEEFu, 0xFFFFFFFFu}) {
     EXPECT_EQ(crc32c::Unmask(crc32c::Mask(crc)), crc);

@@ -129,10 +129,10 @@ TEST_P(ReplicaImageEqualityTest, AllSixCopiesServeIdenticalPages) {
           continue;
         }
         if (reference.empty()) {
-          reference = image->raw();
+          reference = (*image)->raw();
           ++pages_compared;
         } else {
-          EXPECT_EQ(image->raw(), reference)
+          EXPECT_EQ((*image)->raw(), reference)
               << "pg " << pg << " page " << page << " node " << node;
         }
       }

@@ -316,6 +316,86 @@ TEST(DeterminismTest, ContendedLockQueuesAreByteIdenticalAcrossWorkers) {
   EXPECT_EQ(w1, w4);
 }
 
+/// Fig. 9's read path in small: the writer's pool holds about a third of
+/// the table's pages, so most selects fetch a page from storage, and each
+/// segment's reconstruction cache holds 16 pages, so storage serves full
+/// hits, partial hits (the updates run beside the reads) and misses, and
+/// evicts. Returns the serialized interval windows, the final metrics dump
+/// and the executed-event count; `fetches` and `cache` (both nullable)
+/// receive the writer's storage fetches and the fleet's cache counters.
+std::string RunReadMissSysbench(int sim_shards, uint64_t* fetches = nullptr,
+                                PageCacheStats* cache = nullptr) {
+  constexpr uint64_t kRows = 4000;
+  constexpr size_t kPageSize = 4096;
+  ClusterOptions o;
+  o.seed = 11;
+  o.sim_shards = sim_shards;
+  o.engine.page_size = kPageSize;
+  o.engine.pages_per_pg = 64;
+  o.engine.buffer_pool_pages =
+      SyntheticTableLayout(0, kRows, kPageSize, 100).page_count() / 3;
+  o.storage_nodes_per_az = 3;
+  o.storage.page_cache_budget_bytes = 16 * kPageSize;
+  AuroraCluster cluster(o);
+  EXPECT_TRUE(cluster.BootstrapSync().ok());
+  SyntheticCatalog catalog;
+  auto layout = AttachSyntheticTable(&cluster, &catalog, "sbtest", kRows, 100);
+  EXPECT_TRUE(layout.ok());
+  AuroraClient client(cluster.writer());
+  SysbenchOptions sopts;
+  sopts.mode = SysbenchOptions::Mode::kOltp;
+  sopts.connections = 8;
+  sopts.table_rows = kRows;
+  sopts.duration = Millis(500);
+  sopts.warmup = Millis(100);
+  SysbenchDriver driver(cluster.writer_loop(), &client, (*layout)->anchor(),
+                        sopts);
+  driver.EnableIntervalMetrics(cluster.metrics(), Millis(100),
+                               cluster.loop()->control());
+  bool done = false;
+  driver.Run([&] { done = true; });
+  EXPECT_TRUE(cluster.RunUntil([&] { return done; }, Minutes(5)));
+  std::string out;
+  for (const MetricsSnapshot& w : driver.metric_windows()) {
+    out += w.ToJson();
+    out += '\n';
+  }
+  out += cluster.DumpMetricsJson();
+  out += "\nevents_executed=" +
+         std::to_string(cluster.loop()->events_executed()) + "\n";
+  if (fetches != nullptr) {
+    *fetches = cluster.writer()->stats().storage_page_reads;
+  }
+  if (cache != nullptr) {
+    *cache = PageCacheStats();
+    for (size_t i = 0; i < cluster.num_storage_nodes(); ++i) {
+      const PageCacheStats s = cluster.storage_node(i)->PageCacheTotals();
+      cache->hits += s.hits;
+      cache->partial_hits += s.partial_hits;
+      cache->misses += s.misses;
+      cache->evictions += s.evictions;
+    }
+  }
+  return out;
+}
+
+// The storage read path under load: writer fetches, and every kind of
+// reconstruction-cache outcome, byte for byte at any worker count.
+TEST(DeterminismTest, ReadMissPathIsByteIdenticalAcrossWorkers) {
+  uint64_t fetches = 0;
+  PageCacheStats cache;
+  std::string w1 = RunReadMissSysbench(1, &fetches, &cache);
+  EXPECT_GT(fetches, 0u);
+  EXPECT_GT(cache.hits, 0u);
+  EXPECT_GT(cache.partial_hits, 0u);
+  EXPECT_GT(cache.misses, 0u);
+  EXPECT_GT(cache.evictions, 0u);
+  std::string w2 = RunReadMissSysbench(2);
+  std::string w4 = RunReadMissSysbench(4);
+  EXPECT_EQ(w1, w2);
+  EXPECT_EQ(w1, w4);
+}
+
 // Different seeds must actually diverge, otherwise the test above proves
 // nothing (e.g. if the dump ignored the workload entirely).
 TEST(DeterminismTest, DifferentSeedsDiverge) {

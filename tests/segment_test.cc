@@ -123,13 +123,13 @@ TEST(SegmentTest, GetPageAsOfReconstructsHistoricalVersions) {
   seg.SetVdlHint(120);
   auto v100 = seg.GetPageAsOf(7, 100);
   ASSERT_TRUE(v100.ok());
-  EXPECT_EQ(v100->slot_count(), 0);
+  EXPECT_EQ((*v100)->slot_count(), 0);
   auto v110 = seg.GetPageAsOf(7, 115);
   ASSERT_TRUE(v110.ok());
-  EXPECT_EQ(v110->slot_count(), 1);
+  EXPECT_EQ((*v110)->slot_count(), 1);
   auto v120 = seg.GetPageAsOf(7, 120);
   ASSERT_TRUE(v120.ok());
-  EXPECT_EQ(v120->slot_count(), 2);
+  EXPECT_EQ((*v120)->slot_count(), 2);
   // Beyond the SCL: this replica can't vouch for completeness.
   EXPECT_TRUE(seg.GetPageAsOf(7, 500).status().IsUnavailable());
   // Unknown page.
@@ -166,7 +166,7 @@ TEST(SegmentTest, ReadTailWithinTheSclServesHigherReadPoints) {
   ASSERT_TRUE(page.ok()) << page.status().ToString();
   auto at_tail = seg.GetPageAsOf(0, tail);
   ASSERT_TRUE(at_tail.ok());
-  EXPECT_EQ(page->raw(), at_tail->raw());
+  EXPECT_EQ((*page)->raw(), (*at_tail)->raw());
   // 0 is a valid tail: a PG never written is complete anywhere.
   Segment empty(1, 4096);
   EXPECT_TRUE(empty.CompleteAt(9000, kInvalidLsn));
@@ -280,7 +280,7 @@ TEST(SegmentTest, SerializeRoundTripPreservesEverything) {
   auto b = copy.GetPageAsOf(0, rp);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  EXPECT_EQ(a->raw(), b->raw());
+  EXPECT_EQ((*a)->raw(), (*b)->raw());
 }
 
 TEST(SegmentTest, ScrubFindsCorruptMaterializedPage) {
@@ -551,6 +551,9 @@ std::vector<Lsn> LsnsOf(const std::vector<const LogRecord*>& records) {
 
 std::string ReadOutcome(const Result<Page>& page) {
   return page.ok() ? page->raw() : page.status().ToString();
+}
+std::string ReadOutcome(const Result<std::shared_ptr<const Page>>& page) {
+  return page.ok() ? (*page)->raw() : page.status().ToString();
 }
 
 // One randomized schedule against two segment replicas of one PG, each
@@ -933,7 +936,7 @@ void ForEachSample(F&& f) {
     ReadPageRespMsg{.req_id = 77,
                     .status_code = Code(Status::Code::kOk),
                     .page_lsn = 65536,
-                    .page_bytes = std::string("pg\0\xff", 4)},
+                    .page_bytes = Slice("pg\0\xff", 4)},
     "4d0080800404706700ff");
   f("ReadPageRespNoPage",
     ReadPageRespMsg{.req_id = 77,

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -41,6 +42,37 @@ TEST(SyntheticTableTest, KeyOfMatchesPrintf) {
     snprintf(want, sizeof(want), "key%016llu",
              static_cast<unsigned long long>(row));
     EXPECT_EQ(SyntheticTableLayout::KeyOf(row), want) << row;
+  }
+}
+
+// A leaf is synthesized with one key and one value buffer per page; its
+// bytes must equal a leaf built row by row from KeyOf and StoredValueOf.
+TEST(SyntheticTableTest, LeafMatchesRowByRowInserts) {
+  for (size_t value_size : {size_t{60}, size_t{100}}) {
+    SyntheticTableLayout t(100, 5000, 4096, value_size);
+    const uint64_t per_leaf = t.rows_per_leaf();
+    const uint64_t leaves = (t.rows() + per_leaf - 1) / per_leaf;
+    // The first, second, a middle and the last (partial) leaf.
+    for (uint64_t leaf_idx : {uint64_t{0}, uint64_t{1}, leaves / 2,
+                              leaves - 1}) {
+      const PageId leaf = t.LeafOf(leaf_idx * per_leaf);
+      Page built(4096);
+      ASSERT_TRUE(t.BuildPage(leaf, &built));
+      Page want(4096);
+      want.Format(leaf, PageType::kBTreeLeaf, 0);
+      const uint64_t lo = leaf_idx * per_leaf;
+      for (uint64_t row = lo; row < std::min(t.rows(), lo + per_leaf);
+           ++row) {
+        ASSERT_TRUE(want.InsertRecord(SyntheticTableLayout::KeyOf(row),
+                                      t.StoredValueOf(row))
+                        .ok());
+      }
+      if (leaf_idx > 0) want.set_prev_page(leaf - 1);
+      if (leaf_idx + 1 < leaves) want.set_next_page(leaf + 1);
+      want.UpdateCrc();
+      EXPECT_EQ(built.raw(), want.raw())
+          << "value size " << value_size << " leaf " << leaf_idx;
+    }
   }
 }
 
