@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the hot data-path primitives:
-// redo encode/decode, CRC32C, the log applicator, slotted-page ops, B+-tree
-// point operations, the engine's lock table and buffer pool, and
-// storage-node segment apply. These bound the
+// redo encode/decode, CRC32C, the log applicator, slotted-page ops and
+// compaction, B+-tree point operations, a write statement's mini-transaction,
+// the engine's lock table and buffer pool, and storage-node segment apply. These bound the
 // simulated engine's CPU cost model and catch data-path regressions.
 
 #include <benchmark/benchmark.h>
@@ -21,6 +21,7 @@
 #include "harness/synthetic_table.h"
 #include "log/applicator.h"
 #include "log/log_record.h"
+#include "log/mtr.h"
 #include "page/btree.h"
 #include "page/page.h"
 #include "sim/event_loop.h"
@@ -143,6 +144,88 @@ void BM_BTreeInsert(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BTreeInsert);
+
+// Drops committed MTRs: what remains is the cost of building them.
+class NullWalSink : public WalSink {
+ public:
+  Status CommitMtr(MiniTransaction* /*mtr*/) override { return Status::OK(); }
+};
+
+// One write statement's MTR as the writer builds it: a txn-table insert,
+// an undo insert carrying the old row, and the row's update, against
+// resident 4 KiB trees of 1,000 rows. Arg 0 commits to a sink that drops
+// the records; arg 1 aborts, restoring every touched page. Committed
+// txn-table and undo rows are purged every 1,024 iterations outside the
+// timed region, so the trees keep a steady size.
+void BM_MtrWriteRow(benchmark::State& state) {
+  constexpr int kRows = 1000;
+  constexpr uint64_t kPurgeEvery = 1024;
+  const bool abort = state.range(0) == 1;
+  testing::MemoryPageProvider provider(4096);
+  NullWalSink sink;
+  MiniTransaction boot(0);
+  BTree txns(&provider, *BTree::Create(&provider, &boot));
+  BTree undo(&provider, *BTree::Create(&provider, &boot));
+  BTree table(&provider, *BTree::Create(&provider, &boot));
+  for (int i = 0; i < kRows; ++i) {
+    (void)table.Insert(testing::Key(i), std::string(100, 'r'), &boot);
+  }
+  (void)sink.CommitMtr(&boot);
+  const std::string undo_value(130, 'u');
+  const std::string row_value(100, 'w');
+  uint64_t txn = 1;
+  uint64_t purged = 1;
+  for (auto _ : state) {
+    MiniTransaction mtr(txn);
+    const std::string txn_key = testing::Key(txn);
+    (void)txns.Insert(txn_key, "a", &mtr);
+    (void)undo.Insert("u" + txn_key, undo_value, &mtr);
+    Status s = table.Update(testing::Key(txn * 7919 % kRows), row_value, &mtr);
+    benchmark::DoNotOptimize(s);
+    if (abort) {
+      mtr.Abort();
+    } else {
+      (void)sink.CommitMtr(&mtr);
+    }
+    if (++txn - purged == kPurgeEvery && !abort) {
+      state.PauseTiming();
+      for (; purged < txn; ++purged) {
+        MiniTransaction purge(0);
+        (void)txns.Delete(testing::Key(purged), &purge);
+        (void)undo.Delete("u" + testing::Key(purged), &purge);
+      }
+      state.ResumeTiming();
+    }
+  }
+}
+BENCHMARK(BM_MtrWriteRow)->Arg(0)->Arg(1);
+
+// One compaction of a full 4 KiB leaf: a third of its 100-byte rows are
+// dead, and an insert one byte larger than the free space fits only once
+// the page compacts. Each iteration first reloads the uncompacted image (a
+// timed 4 KiB copy).
+void BM_PageCompact(benchmark::State& state) {
+  Page page(4096);
+  page.Format(1, PageType::kBTreeLeaf, 0);
+  int rows = 0;
+  while (page.InsertRecord(testing::Key(rows), std::string(100, 'v')).ok()) {
+    ++rows;
+  }
+  for (int i = 0; i < rows; i += 3) (void)page.DeleteRecord(testing::Key(i));
+  const std::string full = page.raw();
+  const std::string key = testing::Key(rows);
+  const std::string value(page.FreeSpace() + 1, 'n');
+  if (!page.InsertRecord(key, value).ok() || page.FreeSpace() < 1024) {
+    state.SkipWithError("the insert did not compact the page");
+    return;
+  }
+  for (auto _ : state) {
+    (void)page.LoadRaw(full);
+    Status s = page.InsertRecord(key, value);
+    benchmark::DoNotOptimize(s);
+  }
+}
+BENCHMARK(BM_PageCompact);
 
 std::string RowKey(uint64_t row) {
   char buf[32];

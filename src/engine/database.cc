@@ -18,6 +18,14 @@ constexpr char kUndoTreeName[] = "tbl:__undo";
 // value. Sorts below kNextPageKey and the "tbl:" catalog entries.
 constexpr char kFreePagePrefix[] = "free:";
 constexpr size_t kFreePagePrefixLen = 5;
+// How often committed transactions' undo records are purged (faster while
+// a backlog exists, see PurgeTick).
+constexpr SimDuration kPurgeInterval = Millis(200);
+// Undo keys are "u" + big-endian txn id + big-endian sequence number.
+constexpr size_t kUndoTxnPrefixLen = 9;
+// Undo records one purge MTR deletes; the walk reads one more to learn
+// whether the transaction has more.
+constexpr int kPurgeChunk = 32;
 
 void PutBigEndian64(std::string* dst, uint64_t v) {
   for (int shift = 56; shift >= 0; shift -= 8) {
@@ -256,7 +264,7 @@ void Database::Crash() {
   pg_config_.clear();
   replica_stream_buffer_.clear();
   replica_commit_buffer_.clear();
-  unacked_lsns_.clear();
+  unacked_.clear();
   pending_cpls_.clear();
   txn_table_.reset();
   undo_tree_.reset();
@@ -269,7 +277,7 @@ void Database::ScheduleTimers() {
   pgmrpl_timer_ = loop_->Schedule(options_.pgmrpl_interval, [this, gen] {
     if (gen == generation_ && open_) PgmrplTick();
   });
-  purge_timer_ = loop_->Schedule(options_.purge_interval, [this, gen] {
+  purge_timer_ = loop_->Schedule(kPurgeInterval, [this, gen] {
     if (gen == generation_ && open_) PurgeTick();
   });
   ship_timer_ = loop_->Schedule(options_.replica_ship_interval, [this, gen] {
@@ -299,15 +307,16 @@ Status Database::CommitMtr(MiniTransaction* mtr) {
     next_lsn_ += rec.EncodedSize();
     max_allocated_ = rec.lsn;
     pages[i]->set_page_lsn(rec.lsn);
-    unacked_lsns_.insert(rec.lsn);
+    unacked_.emplace_back(rec.lsn, false);
     above_vdl_.emplace_back(rec.lsn, pg);
-    if (rec.is_cpl()) pending_cpls_.insert(rec.lsn);
+    if (rec.is_cpl()) pending_cpls_.push_back(rec.lsn);
     ++stats_.log_records_sent;
     stats_.log_bytes_generated += rec.EncodedSize();
     if (!replicas_.empty()) replica_stream_buffer_.push_back(rec);
-    AppendToBatch(rec);
+    // The MTR is discarded after commit: its records move into the batch.
+    if (i + 1 == records.size()) mtr->set_commit_lsn(rec.lsn);
+    AppendToBatch(std::move(rec));
   }
-  mtr->set_commit_lsn(records.back().lsn);
   return Status::OK();
 }
 
@@ -346,13 +355,13 @@ void Database::RefreshPgConfig(PgId pg) {
   it->second.config_epoch = members.config_epoch;
 }
 
-void Database::AppendToBatch(const LogRecord& record) {
+void Database::AppendToBatch(LogRecord&& record) {
   PgId pg = PgOf(record.page_id);
   PendingBatch& batch = pending_batches_[pg];
   batch.pg = pg;
   if (batch.records.empty()) batch.first_append_at = loop_->now();
   batch.bytes += record.EncodedSize();
-  batch.records.push_back(record);
+  batch.records.push_back(std::move(record));
   if (batch.bytes >= options_.batch_max_bytes) {
     FlushBatch(pg);
     return;
@@ -381,7 +390,6 @@ void Database::FlushBatch(PgId pg) {
   ob->flushed_at = loop_->now();
   stats_.batch_append_to_flush_us.Record(ob->flushed_at - ob->appended_at);
   ob->records = std::move(batch.records);
-  for (const LogRecord& r : ob->records) ob->lsns.push_back(r.lsn);
   OutstandingBatch* raw = ob.get();
   outstanding_[ob->seq] = std::move(ob);
   ++stats_.log_batches_sent;
@@ -486,7 +494,7 @@ void Database::HandleWriteAck(const sim::Message& msg) {
     stats_.batch_first_ack_to_quorum_us.Record(loop_->now() -
                                                batch->first_ack_at);
     stats_.batch_append_to_quorum_us.Record(loop_->now() - batch->appended_at);
-    for (Lsn lsn : batch->lsns) unacked_lsns_.erase(lsn);
+    RetireAcked(*batch);
     outstanding_.erase(it);
     AdvanceDurability();
     // VDL advances unlock eviction of freshly durable pages.
@@ -494,14 +502,24 @@ void Database::HandleWriteAck(const sim::Message& msg) {
   }
 }
 
+void Database::RetireAcked(const OutstandingBatch& batch) {
+  for (const LogRecord& r : batch.records) {
+    auto it = std::lower_bound(
+        unacked_.begin(), unacked_.end(), r.lsn,
+        [](const std::pair<Lsn, bool>& e, Lsn lsn) { return e.first < lsn; });
+    if (it != unacked_.end() && it->first == r.lsn) it->second = true;
+  }
+  while (!unacked_.empty() && unacked_.front().second) unacked_.pop_front();
+}
+
 void Database::AdvanceDurability() {
   const Lsn durable =
-      unacked_lsns_.empty() ? max_allocated_ : *unacked_lsns_.begin() - 1;
+      unacked_.empty() ? max_allocated_ : unacked_.front().first - 1;
   if (durable > vcl_) vcl_ = durable;
   bool advanced = false;
-  while (!pending_cpls_.empty() && *pending_cpls_.begin() <= durable) {
-    vdl_ = *pending_cpls_.begin();
-    pending_cpls_.erase(pending_cpls_.begin());
+  while (!pending_cpls_.empty() && pending_cpls_.front() <= durable) {
+    vdl_ = pending_cpls_.front();
+    pending_cpls_.pop_front();
     advanced = true;
   }
   if (!advanced) return;
@@ -523,9 +541,9 @@ void Database::AdvanceDurability() {
 void Database::ProcessCommitQueue() {
   // §4.2.2: a dedicated completion pass acks every commit whose commit LSN
   // the VDL has passed; worker "threads" never wait.
-  while (!commit_queue_.empty() && commit_queue_.begin()->first <= vdl_) {
-    TxnId id = commit_queue_.begin()->second;
-    commit_queue_.erase(commit_queue_.begin());
+  while (!commit_queue_.empty() && commit_queue_.front().first <= vdl_) {
+    TxnId id = commit_queue_.front().second;
+    commit_queue_.pop_front();
     Txn* t = FindTxn(id);
     if (t == nullptr) continue;
     t->state = TxnState::kCommitted;
@@ -1203,7 +1221,9 @@ void Database::Commit(TxnId txn, std::function<void(Status)> done) {
     return;
   }
   if (in_backpressure()) {
-    DeferForBackpressure([this, txn, done]() { Commit(txn, done); });
+    DeferForBackpressure([this, txn, done = std::move(done)]() mutable {
+      Commit(txn, std::move(done));
+    });
     return;
   }
   auto attempt = [this, txn]() -> Status {
@@ -1222,17 +1242,22 @@ void Database::Commit(TxnId txn, std::function<void(Status)> done) {
     t->commit_lsn = mtr.commit_lsn();
     return Status::OK();
   };
-  fetcher_.RunWithRetries(attempt, [this, txn, done](Status s) {
+  fetcher_.RunWithRetries(attempt, [this, txn, done = std::move(done)](
+                                        Status s) mutable {
     Txn* t = FindTxn(txn);
     if (!s.ok() || t == nullptr) {
       done(s.ok() ? Status::Aborted("transaction gone") : s);
       return;
     }
     // §4.2.2: set the transaction aside; the commit completes when
-    // VDL >= commit LSN.
+    // VDL >= commit LSN. RunWithRetries runs this right after the attempt
+    // that allocated the commit LSN, so the queue stays in LSN order.
+    AURORA_CHECK(commit_queue_.empty() ||
+                     commit_queue_.back().first < t->commit_lsn,
+                 "commit queued out of LSN order");
     t->state = TxnState::kCommitted;  // logically decided; ack pending
-    t->commit_cb = done;
-    commit_queue_[t->commit_lsn] = txn;
+    t->commit_cb = std::move(done);
+    commit_queue_.emplace_back(t->commit_lsn, txn);
     AdvanceDurability();
   });
 }
@@ -1324,9 +1349,9 @@ void Database::PurgeTick() {
   // Purge must keep pace with the commit rate or the undo/txn-table trees
   // grow without bound; reschedule aggressively while a backlog exists.
   SimDuration next = purge_queue_.size() > 64
-                         ? std::max<SimDuration>(options_.purge_interval / 100,
+                         ? std::max<SimDuration>(kPurgeInterval / 100,
                                                  Micros(50))
-                         : options_.purge_interval;
+                         : kPurgeInterval;
   purge_timer_ = loop_->Schedule(next, [this, gen] {
     if (gen == generation_ && open_) PurgeTick();
   });
@@ -1336,34 +1361,36 @@ void Database::PurgeTick() {
 
 void Database::PurgeChain(uint64_t gen, size_t budget) {
   if (gen != generation_ || budget == 0 || purge_queue_.empty()) return;
-  PurgeOne(gen, [this, gen, budget]() { PurgeChain(gen, budget - 1); });
+  PurgeOne(gen, budget);
 }
 
-void Database::PurgeOne(uint64_t gen, std::function<void()> next) {
-  if (purge_queue_.empty()) return;
+void Database::PurgeOne(uint64_t gen, size_t budget) {
   TxnId id = purge_queue_.front();
   auto attempt = [this, id]() -> Status {
     // Delete up to a chunk of the transaction's undo records plus (when
-    // done) its transaction-table row, in one MTR.
-    std::vector<std::pair<std::string, std::string>> rows;
-    Status s = undo_tree_->Scan(UndoKey(id, 0), 33, &rows);
+    // done) its transaction-table row, in one MTR. The walk reads the whole
+    // window of kPurgeChunk + 1 entries, whoever owns them, so it touches
+    // the same pages (and misses on the same one) as a scan of that window;
+    // it copies only the leading keys that belong to this transaction.
+    const std::string first = UndoKey(id, 0);
+    const Slice prefix(first.data(), kUndoTxnPrefixLen);
+    std::vector<std::string> keys;
+    bool leading = true;
+    Status s = undo_tree_->Walk(first, kPurgeChunk + 1,
+                                [&](Slice key, Slice /*value*/) {
+                                  leading = leading && key.starts_with(prefix);
+                                  if (leading) keys.push_back(key.ToString());
+                                });
     if (!s.ok()) return s;
-    std::string prefix = UndoKey(id, 0).substr(0, 9);  // "u" + txn id
     MiniTransaction mtr(kInvalidTxn);
-    int deleted = 0;
-    bool more = false;
-    for (const auto& [k, v] : rows) {
-      if (k.compare(0, prefix.size(), prefix) != 0) break;
-      if (deleted == 32) {
-        more = true;
-        break;
-      }
+    const bool more = keys.size() > static_cast<size_t>(kPurgeChunk);
+    if (more) keys.pop_back();
+    for (const std::string& k : keys) {
       s = undo_tree_->Delete(k, &mtr);
       if (!s.ok()) {
         mtr.Abort();
         return s;
       }
-      ++deleted;
     }
     if (!more) {
       s = txn_table_->Delete(TxnKey(id), &mtr);
@@ -1379,14 +1406,13 @@ void Database::PurgeOne(uint64_t gen, std::function<void()> next) {
     return CommitMtr(&mtr);
   };
   purge_done_ = false;
-  fetcher_.RunWithRetries(attempt, [this, gen, id,
-                                    next = std::move(next)](Status s) {
+  fetcher_.RunWithRetries(attempt, [this, gen, id, budget](Status s) {
     if (gen != generation_) return;
     if (s.ok() && purge_done_ && !purge_queue_.empty() &&
         purge_queue_.front() == id) {
       purge_queue_.pop_front();
     }
-    if (next) next();
+    PurgeChain(gen, budget - 1);
   });
 }
 

@@ -6,7 +6,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -263,7 +262,6 @@ class Database : public WalSink, public PageProvider, private FetchPolicy {
   struct OutstandingBatch {
     PgId pg;
     uint64_t seq;
-    std::vector<Lsn> lsns;
     std::vector<LogRecord> records;  // kept for per-replica (re)sends
     WriteTracker tracker;
     sim::EventId retry_event = 0;
@@ -308,10 +306,13 @@ class Database : public WalSink, public PageProvider, private FetchPolicy {
   };
   const CachedConfig& PgConfig(PgId pg);
   void RefreshPgConfig(PgId pg);
-  void AppendToBatch(const LogRecord& record);
+  void AppendToBatch(LogRecord&& record);
   void FlushBatch(PgId pg);
   void SendBatch(OutstandingBatch* batch);
   void HandleWriteAck(const sim::Message& msg);
+  /// Marks `batch`'s records acknowledged and pops every acknowledged
+  /// record off the front of unacked_.
+  void RetireAcked(const OutstandingBatch& batch);
   void AdvanceDurability();
   void ProcessCommitQueue();
   /// Demotes this writer after a kFenced rejection from storage: cancels
@@ -342,7 +343,9 @@ class Database : public WalSink, public PageProvider, private FetchPolicy {
                     std::function<void(Status)> done);
   void PurgeTick();
   void PurgeChain(uint64_t gen, size_t budget);
-  void PurgeOne(uint64_t gen, std::function<void()> next);
+  /// Purges one chunk of the oldest purgeable transaction, then continues
+  /// the chain with `budget - 1`.
+  void PurgeOne(uint64_t gen, size_t budget);
   void UndoNextRecoveredTxn(std::shared_ptr<std::vector<TxnId>> actives,
                             size_t idx);
 
@@ -398,8 +401,13 @@ class Database : public WalSink, public PageProvider, private FetchPolicy {
   /// Each PG's newest record at or below the VDL: the tail a read at the
   /// VDL carries (ReadTail). A PG absent here has none (tail 0).
   std::map<PgId, Lsn> tail_at_vdl_;
-  std::set<Lsn> unacked_lsns_;
-  std::set<Lsn> pending_cpls_;
+  /// Every record from the oldest unacknowledged one on, in LSN order (the
+  /// order CommitMtr allocates them), each with whether its batch reached
+  /// a write quorum. The front is never acknowledged: everything below it
+  /// is durable.
+  std::deque<std::pair<Lsn, bool>> unacked_;
+  /// CPLs above the VDL, in LSN order.
+  std::deque<Lsn> pending_cpls_;
   Lsn max_allocated_ = kInvalidLsn;
 
   BufferPool pool_;
@@ -422,8 +430,9 @@ class Database : public WalSink, public PageProvider, private FetchPolicy {
   // Transactions.
   TxnId next_txn_ = 1;
   std::map<TxnId, std::unique_ptr<Txn>> txns_;
-  /// Commit queue ordered by commit LSN (§4.2.2).
-  std::map<Lsn, TxnId> commit_queue_;
+  /// Commit queue ordered by commit LSN (§4.2.2): a commit's LSN is
+  /// allocated and queued in one step, so it appends in LSN order.
+  std::deque<std::pair<Lsn, TxnId>> commit_queue_;
   std::deque<std::function<void()>> backpressure_queue_;
   std::deque<TxnId> purge_queue_;
 

@@ -54,9 +54,6 @@ struct EngineOptions {
   /// How often the writer recomputes and broadcasts the PGMRPL (§4.2.3).
   SimDuration pgmrpl_interval = Millis(100);
 
-  /// How often committed transactions' undo records are purged.
-  SimDuration purge_interval = Millis(200);
-
   /// Replica log-stream shipping interval (lag is dominated by this plus
   /// one network hop, §4.2.4).
   SimDuration replica_ship_interval = Micros(500);

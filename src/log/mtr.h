@@ -1,6 +1,8 @@
 #ifndef AURORA_LOG_MTR_H_
 #define AURORA_LOG_MTR_H_
 
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -37,19 +39,23 @@ class WalSink {
 class MiniTransaction {
  public:
   explicit MiniTransaction(TxnId txn_id) : txn_id_(txn_id) {}
+  /// Hands the before-image buffers back to this thread's free list.
+  ~MiniTransaction();
 
   MiniTransaction(const MiniTransaction&) = delete;
   MiniTransaction& operator=(const MiniTransaction&) = delete;
 
   /// Applies `record` (no LSN yet) to `page` and buffers it. The record's
   /// txn id is filled from this MTR. The page's before-image is snapshotted
-  /// on first touch so the whole MTR can be rolled back (see Abort()).
+  /// on first touch so the whole MTR can be rolled back (see Abort()); the
+  /// snapshot buffer comes from a per-thread free list, so a steady stream
+  /// of MTRs copies pages without allocating.
   Status Apply(Page* page, LogRecord record);
 
-  /// Restores every touched page to its before-image and clears the record
-  /// buffer. Used when an operation must restart (e.g. a page fetch became
-  /// necessary halfway through planning) — MTR atomicity means a partially
-  /// built MTR must leave no trace.
+  /// Restores every touched page to its before-image, byte for byte, and
+  /// clears the record buffer. Used when an operation must restart (e.g. a
+  /// page fetch became necessary halfway through planning) — MTR atomicity
+  /// means a partially built MTR must leave no trace.
   void Abort();
 
   bool empty() const { return records_.empty(); }

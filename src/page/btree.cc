@@ -445,26 +445,9 @@ Status BTree::Delete(const Slice& key, MiniTransaction* mtr) {
 
 Status BTree::Scan(const Slice& start, int limit,
                    std::vector<std::pair<std::string, std::string>>* out) {
-  Page* leaf = nullptr;
-  Status s = DescendToLeaf(start, /*path=*/nullptr, &leaf);
-  if (!s.ok()) return s;
-  int slot = leaf->LowerBound(start);
-  while (limit > 0) {
-    if (slot >= leaf->slot_count()) {
-      PageId next = leaf->next_page();
-      if (next == kInvalidPage) break;
-      Result<Page*> p = provider_->GetPage(next);
-      if (!p.ok()) return p.status();
-      leaf = *p;
-      slot = 0;
-      continue;
-    }
-    out->emplace_back(leaf->KeyAt(slot).ToString(),
-                      leaf->ValueAt(slot).ToString());
-    ++slot;
-    --limit;
-  }
-  return Status::OK();
+  return Walk(start, limit, [out](Slice key, Slice value) {
+    out->emplace_back(key.ToString(), value.ToString());
+  });
 }
 
 Result<uint64_t> BTree::CountForTesting() {

@@ -61,6 +61,14 @@ class BTree {
   Status Scan(const Slice& start, int limit,
               std::vector<std::pair<std::string, std::string>>* out);
 
+  /// The leaf walk behind Scan: calls `visit(Slice key, Slice value)` on up
+  /// to `limit` records with key >= start, in order, without copying them.
+  /// The slices point into resident pages and die with the next page fetch
+  /// or mutation. Touches exactly the pages Scan(start, limit) touches, and
+  /// returns Busy on the same miss.
+  template <typename Visit>
+  Status Walk(const Slice& start, int limit, Visit&& visit);
+
   /// Number of records reachable from the root (full scan; tests only).
   Result<uint64_t> CountForTesting();
 
@@ -109,6 +117,29 @@ class BTree {
   PageProvider* provider_;
   PageId anchor_id_;
 };
+
+template <typename Visit>
+Status BTree::Walk(const Slice& start, int limit, Visit&& visit) {
+  Page* leaf = nullptr;
+  Status s = DescendToLeaf(start, /*path=*/nullptr, &leaf);
+  if (!s.ok()) return s;
+  int slot = leaf->LowerBound(start);
+  while (limit > 0) {
+    if (slot >= leaf->slot_count()) {
+      PageId next = leaf->next_page();
+      if (next == kInvalidPage) break;
+      Result<Page*> p = provider_->GetPage(next);
+      if (!p.ok()) return p.status();
+      leaf = *p;
+      slot = 0;
+      continue;
+    }
+    visit(leaf->KeyAt(slot), leaf->ValueAt(slot));
+    ++slot;
+    --limit;
+  }
+  return Status::OK();
+}
 
 }  // namespace aurora
 

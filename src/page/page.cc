@@ -1,7 +1,6 @@
 #include "page/page.h"
 
 #include <cassert>
-#include <vector>
 
 #include "common/coding.h"
 #include "common/crc32c.h"
@@ -98,7 +97,12 @@ void Page::SetSlotOffset(int slot, uint16_t off) {
 }
 
 void Page::RecordAt(uint16_t off, Slice* key, Slice* value) const {
-  Slice in(data_.data() + off, data_.size() - off);
+  DecodeRecord(data_, off, key, value);
+}
+
+void Page::DecodeRecord(const std::string& bytes, uint16_t off, Slice* key,
+                        Slice* value) {
+  Slice in(bytes.data() + off, bytes.size() - off);
   uint32_t klen = 0, vlen = 0;
   bool ok = GetVarint32(&in, &klen);
   AURORA_CHECK(ok && in.size() >= klen, "corrupt record key");
@@ -176,19 +180,18 @@ uint16_t Page::AppendToHeap(const Slice& key, const Slice& value) {
 }
 
 void Page::Compact() {
-  int n = slot_count();
-  std::vector<std::pair<std::string, std::string>> records;
-  records.reserve(n);
-  for (int i = 0; i < n; ++i) {
-    Slice k, v;
-    RecordAt(SlotOffset(i), &k, &v);
-    records.emplace_back(k.ToString(), v.ToString());
-  }
+  // One copy of the page, into a buffer this thread reuses; each live record
+  // is re-appended from it in slot order, so the heap runs in key order from
+  // kHeaderSize and the bytes past the new heap end are left as they were.
+  thread_local std::string scratch;
+  scratch.assign(data_);
+  const int n = slot_count();
   set_heap_end(static_cast<uint16_t>(kHeaderSize));
   set_dead_space(0);
   for (int i = 0; i < n; ++i) {
-    uint16_t off = AppendToHeap(records[i].first, records[i].second);
-    SetSlotOffset(i, off);
+    Slice k, v;
+    DecodeRecord(scratch, SlotOffset(i), &k, &v);
+    SetSlotOffset(i, AppendToHeap(k, v));
   }
 }
 

@@ -136,6 +136,9 @@ class Page {
   void SetSlotOffset(int slot, uint16_t off);
   /// Decodes the record at heap offset `off`.
   void RecordAt(uint16_t off, Slice* key, Slice* value) const;
+  /// Decodes the record at heap offset `off` of the page image `bytes`.
+  static void DecodeRecord(const std::string& bytes, uint16_t off, Slice* key,
+                           Slice* value);
   size_t RecordSize(const Slice& key, const Slice& value) const;
   /// Rewrites the heap dropping dead space.
   void Compact();

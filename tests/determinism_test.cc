@@ -27,9 +27,40 @@ using testing::Key;
 // contract so the kernel can be rebuilt (std::map -> d-ary heap with lazy
 // cancellation) without silently reordering same-time events.
 
+/// Writes 40 rows of 300 bytes one by one, then rewrites them all in one
+/// transaction and lets purge run. Called right after a writer recovery,
+/// when the undo tree is not resident: the first write's MTR misses on it
+/// halfway and aborts, restoring the pages it touched. The big
+/// transaction's undo records span several leaves, so purging it walks
+/// across leaf boundaries. Both paths are then part of the pinned history.
+void WriteUndoHeavyTransaction(AuroraCluster* cluster, PageId table) {
+  for (int i = 0; i < 40; ++i) {
+    EXPECT_TRUE(
+        cluster->PutSync(table, Key(100 + i), std::string(300, 'a')).ok());
+  }
+  Database* db = cluster->writer();
+  const TxnId txn = db->Begin();
+  for (int i = 0; i < 40; ++i) {
+    bool done = false;
+    db->Put(txn, table, Key(100 + i), std::string(300, 'b'), [&](Status s) {
+      EXPECT_TRUE(s.ok());
+      done = true;
+    });
+    EXPECT_TRUE(cluster->RunUntil([&] { return done; }, Seconds(30)));
+  }
+  bool committed = false;
+  db->Commit(txn, [&](Status s) {
+    EXPECT_TRUE(s.ok());
+    committed = true;
+  });
+  EXPECT_TRUE(cluster->RunUntil([&] { return committed; }, Seconds(30)));
+  cluster->RunFor(Seconds(1));
+}
+
 /// Runs one fixed seeded workload — bootstrap, chaos (drops + AZ failure +
-/// node crash, which exercise Cancel() heavily), writer crash + recovery —
-/// and returns the full metrics dump plus the executed-event count. With
+/// node crash, which exercise Cancel() heavily), writer crash + recovery,
+/// then WriteUndoHeavyTransaction — and returns the full metrics dump plus
+/// the executed-event count. With
 /// `adversary` set, the fabric additionally duplicates, reorders and
 /// corrupts frames (all drawn from the seeded network RNG).
 std::pair<std::string, uint64_t> RunSeededWorkload(uint64_t seed,
@@ -98,6 +129,7 @@ std::pair<std::string, uint64_t> RunSeededWorkload(uint64_t seed,
       EXPECT_EQ(*got, value);
     }
   }
+  WriteUndoHeavyTransaction(&cluster, table);
   return {cluster.DumpMetricsJson(), cluster.loop()->events_executed()};
 }
 
@@ -161,7 +193,8 @@ TEST(DeterminismTest, ShardWorkerSweepUnderAdversaryIsByteIdentical) {
 /// The PR-10 robustness surface in one pot: chunked repair (permanent node
 /// loss), the scrubber racing latent disk corruption and torn writes, and
 /// the fabric adversary — all of whose retry/failover/read-repair decisions
-/// draw from seeded RNG streams. Returns the metrics dump + event count.
+/// draw from seeded RNG streams — then a writer crash + recovery and
+/// WriteUndoHeavyTransaction. Returns the metrics dump + event count.
 std::pair<std::string, uint64_t> RunRepairScrubWorkload(uint64_t seed,
                                                         int sim_shards) {
   ClusterOptions o;
@@ -212,6 +245,9 @@ std::pair<std::string, uint64_t> RunRepairScrubWorkload(uint64_t seed,
       EXPECT_EQ(*got, value);
     }
   }
+  cluster.CrashWriter();
+  EXPECT_TRUE(cluster.RecoverSync().ok());
+  WriteUndoHeavyTransaction(&cluster, table);
   return {cluster.DumpMetricsJson(), cluster.loop()->events_executed()};
 }
 
@@ -243,7 +279,8 @@ TEST(DeterminismTest, RepairScrubDiskFaultSweepIsByteIdentical) {
 ///
 /// `contended` switches to a skewed mix that drives the lock queues (waits,
 /// grants on release, deadlock victims, timeouts); `lock_stats` receives
-/// the writer's lock counters.
+/// the writer's lock counters. After the run, a writer crash + recovery and
+/// WriteUndoHeavyTransaction land in the final dump.
 std::string RunWindowedSysbench(int sim_shards, bool contended = false,
                                 LockManager::Stats* lock_stats = nullptr) {
   ClusterOptions o;
@@ -285,6 +322,9 @@ std::string RunWindowedSysbench(int sim_shards, bool contended = false,
     out += w.ToJson();
     out += '\n';
   }
+  cluster.CrashWriter();
+  EXPECT_TRUE(cluster.RecoverSync().ok());
+  WriteUndoHeavyTransaction(&cluster, (*layout)->anchor());
   out += cluster.DumpMetricsJson();
   out += "\nevents_executed=" +
          std::to_string(cluster.loop()->events_executed()) + "\n";

@@ -3,6 +3,7 @@
 #include <string>
 
 #include "harness/cluster.h"
+#include "page/btree.h"
 #include "tests/test_util.h"
 
 namespace aurora {
@@ -196,6 +197,93 @@ TEST_F(EngineFeatureTest, ScanReturnsSortedDecodedRows) {
   EXPECT_EQ(rows[0].first, Key(10));
   EXPECT_EQ(rows[0].second, "v10");
   EXPECT_EQ(rows[14].first, Key(24));
+}
+
+// --- Purge ---------------------------------------------------------------------
+
+// Purge deletes a finished transaction's undo records, at most 32 per MTR,
+// then its transaction-table row. Here three finished transactions sit side
+// by side in the undo tree: a 70-record one (three purge MTRs, 32 + 32 + 6,
+// the last with its txn-table row), a one-row transaction that interleaved
+// with it and commits after it, and a rolled-back one; a fourth stays open.
+// The big transaction's undo records carry 200-byte old rows, so they span
+// several leaves and each purge walk of it crosses a leaf boundary; its last
+// chunk is followed by the other transactions' records, which it must leave
+// alone. Once purge drains, only the open transaction's rows remain.
+TEST_F(EngineFeatureTest, PurgeLeavesOnlyOpenTransactionsRows) {
+  Database* db = cluster_.writer();
+  auto count = [&](const std::string& tree) -> uint64_t {
+    Result<PageId> anchor = db->TableAnchor(tree);
+    EXPECT_TRUE(anchor.ok());
+    Result<uint64_t> n = BTree(db, *anchor).CountForTesting();
+    EXPECT_TRUE(n.ok());
+    return n.ok() ? *n : 0;
+  };
+  auto run = [&](auto op) {
+    bool done = false;
+    Status st;
+    op([&](Status s) {
+      st = s;
+      done = true;
+    });
+    cluster_.RunUntil([&] { return done; }, Seconds(30));
+    EXPECT_TRUE(done);
+    return st;
+  };
+  auto put = [&](TxnId txn, const std::string& key, const std::string& value) {
+    ASSERT_TRUE(run([&](auto cb) { db->Put(txn, table_, key, value, cb); }).ok())
+        << key;
+  };
+  const std::string old_row(200, 'o');
+  for (int i = 0; i < 70; ++i) {
+    ASSERT_TRUE(cluster_.PutSync(table_, Key(i), old_row).ok());
+  }
+  ASSERT_TRUE(cluster_.PutSync(table_, Key(300), old_row).ok());
+  cluster_.RunFor(Seconds(1));
+  ASSERT_EQ(count("__undo"), 0u);
+  ASSERT_EQ(count("__txn"), 0u);
+
+  const TxnId big = db->Begin();
+  const TxnId small = db->Begin();
+  const TxnId rolled = db->Begin();
+  const TxnId open = db->Begin();
+  for (int i = 0; i < 70; ++i) {
+    put(big, Key(i), "big" + std::to_string(i));
+    if (i == 35) put(small, Key(100), "small");
+  }
+  put(rolled, Key(201), "inserted then rolled back");
+  put(rolled, Key(300), "updated then rolled back");
+  put(open, Key(400), "open");
+  put(open, Key(401), "open");
+  EXPECT_EQ(count("__undo"), 70u + 1 + 2 + 2);
+  EXPECT_EQ(count("__txn"), 4u);
+
+  ASSERT_TRUE(run([&](auto cb) { db->Commit(big, cb); }).ok());
+  ASSERT_TRUE(run([&](auto cb) { db->Commit(small, cb); }).ok());
+  ASSERT_TRUE(run([&](auto cb) { db->Rollback(rolled, cb); }).ok());
+  cluster_.RunFor(Seconds(2));
+  EXPECT_EQ(count("__undo"), 2u);
+  EXPECT_EQ(count("__txn"), 1u);
+  for (int i = 0; i < 70; ++i) {
+    auto got = cluster_.GetSync(table_, Key(i));
+    ASSERT_TRUE(got.ok()) << i;
+    EXPECT_EQ(*got, "big" + std::to_string(i));
+  }
+  auto got = cluster_.GetSync(table_, Key(100));
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(*got, "small");
+  EXPECT_TRUE(cluster_.GetSync(table_, Key(201)).status().IsNotFound());
+  got = cluster_.GetSync(table_, Key(300));
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(*got, old_row);
+
+  ASSERT_TRUE(run([&](auto cb) { db->Commit(open, cb); }).ok());
+  cluster_.RunFor(Seconds(1));
+  EXPECT_EQ(count("__undo"), 0u);
+  EXPECT_EQ(count("__txn"), 0u);
+  got = cluster_.GetSync(table_, Key(401));
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(*got, "open");
 }
 
 // --- Determinism ----------------------------------------------------------------

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -298,6 +299,117 @@ TEST(MtrTest, LocalSinkAssignsMonotonicLsnsAndCpl) {
   EXPECT_EQ(m1.commit_lsn(), all[1].lsn);
   // Pages stamped with their latest record's LSN.
   EXPECT_EQ((*p1)->page_lsn(), all[2].lsn);
+}
+
+// A leaf page `id` of `size` bytes holding rows "r000".."r{n-1}" with
+// values of `value_size` bytes, built directly (no MTR).
+Page MakeLeaf(PageId id, size_t size, int n, size_t value_size, char fill) {
+  Page page(size);
+  page.Format(id, PageType::kBTreeLeaf, 0);
+  for (int i = 0; i < n; ++i) {
+    char key[16];
+    snprintf(key, sizeof(key), "r%03d", i);
+    EXPECT_TRUE(page.InsertRecord(key, std::string(value_size, fill)).ok());
+  }
+  return page;
+}
+
+LogRecord MakeUpdate(PageId page, const std::string& k, const std::string& v) {
+  LogRecord r = MakeInsert(page, k, v);
+  r.op = RedoOp::kUpdate;
+  return r;
+}
+
+LogRecord MakeDelete(PageId page, const std::string& k) {
+  LogRecord r;
+  r.page_id = page;
+  r.op = RedoOp::kDelete;
+  r.payload = LogRecord::MakeKeyPayload(k);
+  return r;
+}
+
+// Before-image buffers are recycled across MTRs on a thread; whatever an
+// MTR touched, Abort() must hand back each page's own first-touch bytes.
+TEST(MtrTest, AbortRestoresEveryTouchedPageByteForByte) {
+  Page a = MakeLeaf(1, 4096, 10, 40, 'a');
+  Page b = MakeLeaf(2, 4096, 10, 40, 'b');
+  // c is full, with a third of its rows dead: the next insert only fits
+  // once the page compacts.
+  Page c = MakeLeaf(3, 4096, 0, 0, 'c');
+  int rows = 0;
+  for (;; ++rows) {
+    char key[16];
+    snprintf(key, sizeof(key), "r%03d", rows);
+    if (!c.InsertRecord(key, std::string(100, 'c')).ok()) break;
+  }
+  for (int i = 0; i < rows; i += 3) {
+    char key[16];
+    snprintf(key, sizeof(key), "r%03d", i);
+    ASSERT_TRUE(c.DeleteRecord(key).ok());
+  }
+  const size_t need = 1 + 4 + 1 + 100 + 2;  // varints, key, value, slot
+  ASSERT_LT(c.FreeSpace(), need);
+  ASSERT_TRUE(c.HasRoomFor(4, 100));
+  const std::string a0 = a.raw(), b0 = b.raw(), c0 = c.raw();
+
+  MiniTransaction mtr(5);
+  ASSERT_TRUE(mtr.Apply(&a, MakeInsert(1, "a-new", "x")).ok());
+  ASSERT_TRUE(mtr.Apply(&b, MakeUpdate(2, "r004", std::string(60, 'B'))).ok());
+  ASSERT_TRUE(mtr.Apply(&a, MakeDelete(1, "r002")).ok());  // second touch
+  ASSERT_TRUE(mtr.Apply(&c, MakeInsert(3, "zzzz", std::string(100, 'C'))).ok());
+  EXPECT_GT(c.FreeSpace(), c0.size() / 8) << "the insert did not compact";
+  EXPECT_NE(a.raw(), a0);
+  EXPECT_NE(c.raw(), c0);
+  mtr.Abort();
+  EXPECT_TRUE(mtr.empty());
+  EXPECT_EQ(a.raw(), a0);
+  EXPECT_EQ(b.raw(), b0);
+  EXPECT_EQ(c.raw(), c0);
+
+  // The next MTR on this thread reuses the buffers that held a, b and c;
+  // pages of other sizes must come back at their own size and bytes.
+  for (size_t size : {4096, 8192, 1024}) {
+    Page d = MakeLeaf(4, size, 6, 20, 'd');
+    const std::string d0 = d.raw();
+    MiniTransaction next(6);
+    ASSERT_TRUE(next.Apply(&d, MakeInsert(4, "d-new", "y")).ok());
+    ASSERT_TRUE(next.Apply(&d, MakeDelete(4, "r001")).ok());
+    next.Abort();
+    EXPECT_EQ(d.raw(), d0) << size;
+  }
+}
+
+// A committed MTR's images go back to the free list with nothing that
+// still names their pages: a later MTR's Abort restores only the pages it
+// touched itself, to their state when it first touched them.
+TEST(MtrTest, CommittedMtrLeavesNothingForTheNextRestore) {
+  testing::LocalWalSink sink;
+  Page p = MakeLeaf(1, 4096, 8, 30, 'p');
+  Page q = MakeLeaf(2, 4096, 8, 30, 'q');
+  const std::string p_before = p.raw();
+  {
+    MiniTransaction m1(1);
+    ASSERT_TRUE(m1.Apply(&p, MakeInsert(1, "p-new", "committed")).ok());
+    ASSERT_TRUE(sink.CommitMtr(&m1).ok());
+  }
+  const std::string p1 = p.raw();
+  ASSERT_NE(p1, p_before);
+  const std::string q1 = q.raw();
+
+  MiniTransaction m2(2);
+  ASSERT_TRUE(m2.Apply(&q, MakeDelete(2, "r003")).ok());
+  m2.Abort();
+  EXPECT_EQ(q.raw(), q1);
+  EXPECT_EQ(p.raw(), p1);  // m1's change stays
+
+  MiniTransaction m3(3);
+  ASSERT_TRUE(m3.Apply(&p, MakeDelete(1, "p-new")).ok());
+  ASSERT_TRUE(m3.Apply(&q, MakeInsert(2, "q-new", "v")).ok());
+  m3.Abort();
+  EXPECT_EQ(p.raw(), p1);  // back to m1's result, not to before m1
+  EXPECT_EQ(q.raw(), q1);
+  Slice v;
+  EXPECT_TRUE(p.GetRecord("p-new", &v));
 }
 
 }  // namespace

@@ -3,9 +3,13 @@
 #include <algorithm>
 #include <map>
 #include <string>
+#include <thread>
 
 #include "common/random.h"
+#include "log/applicator.h"
+#include "log/mtr.h"
 #include "page/page.h"
+#include "tests/test_util.h"
 
 namespace aurora {
 namespace {
@@ -149,6 +153,66 @@ TEST_P(PageTest, UpdateGrowthUsesCompaction) {
   }
 }
 
+// Compaction rewrites the heap in slot (= key) order from the header on,
+// with no dead space, and leaves the bytes between the new heap end and the
+// slot directory as they were. So every byte of a compacted page is pinned:
+// header, heap and slots equal those of a page with the same header that
+// had only the surviving records inserted in key order, and the gap equals
+// the page's bytes before the operation. Page CRCs cover the gap, which is
+// why the writer and every storage replica must build it the same way.
+TEST_P(PageTest, CompactionLayoutIsPinned) {
+  const size_t size = GetParam();
+  auto set_header = [](Page* p) {
+    p->set_page_lsn(777);
+    p->set_next_page(43);
+    p->set_prev_page(41);
+    p->set_schema_version(3);
+  };
+  set_header(&page_);
+  std::map<std::string, std::string> live;
+  const std::string mid(size / 32, 'm');
+  for (int i = 0;; ++i) {
+    std::string k = "k" + std::to_string(1000 + i);
+    if (!page_.InsertRecord(k, mid).ok()) break;
+    live[k] = mid;
+  }
+  ASSERT_GT(live.size(), 6u);
+  // Deletes leave dead space; none of them compacts.
+  int n = 0;
+  for (auto it = live.begin(); it != live.end(); ++n) {
+    if (n % 3 == 0) {
+      ASSERT_TRUE(page_.DeleteRecord(it->first).ok());
+      it = live.erase(it);
+    } else {
+      ++it;
+    }
+  }
+  // Growing the last row does not fit in the free space: the update drops
+  // the old record and re-inserts, which compacts first.
+  const std::string last = live.rbegin()->first;
+  const std::string grown(mid.size() + page_.FreeSpace(), 'G');
+  const std::string before = page_.raw();
+  ASSERT_TRUE(page_.UpdateRecord(last, grown).ok());
+  live[last] = grown;
+
+  Page want(size);
+  want.Format(42, PageType::kBTreeLeaf, 0);
+  set_header(&want);
+  for (const auto& [k, v] : live) ASSERT_TRUE(want.InsertRecord(k, v).ok());
+  ASSERT_EQ(page_.slot_count(), want.slot_count());
+  ASSERT_EQ(page_.FreeSpace(), want.FreeSpace());
+  const size_t slots_begin = size - 2 * live.size();
+  const size_t heap_end = slots_begin - page_.FreeSpace();
+  const std::string& got = page_.raw();
+  EXPECT_EQ(got.substr(0, heap_end), want.raw().substr(0, heap_end));
+  EXPECT_EQ(got.substr(slots_begin), want.raw().substr(slots_begin));
+  EXPECT_EQ(got.substr(heap_end, slots_begin - heap_end),
+            before.substr(heap_end, slots_begin - heap_end));
+  EXPECT_NE(got.substr(heap_end, slots_begin - heap_end),
+            std::string(slots_begin - heap_end, '\0'))
+      << "the gap should still hold stale record bytes";
+}
+
 TEST_P(PageTest, LowerBoundSemantics) {
   for (const char* k : {"b", "d", "f"}) {
     ASSERT_TRUE(page_.InsertRecord(k, "v").ok());
@@ -249,6 +313,63 @@ TEST(PagePropertyTest, RandomOpsMatchReferenceModel) {
     EXPECT_EQ(page.ValueAt(i).ToString(), v);
     ++i;
   }
+}
+
+// The writer builds a page through mini-transactions; a storage replica
+// replays the same redo onto its own copy on another thread (each thread
+// compacts through its own scratch buffer). Compactions included, the two
+// images must be identical byte for byte.
+TEST(PageCompactionTest, WriterAndReplicaBuildIdenticalImages) {
+  testing::LocalWalSink sink;
+  Page writer(4096);
+  Random rng(77);
+  {
+    MiniTransaction mtr(1);
+    LogRecord fmt;
+    fmt.page_id = 5;
+    fmt.op = RedoOp::kFormatPage;
+    fmt.payload = LogRecord::MakeFormatPayload(
+        static_cast<uint8_t>(PageType::kBTreeLeaf), 0);
+    ASSERT_TRUE(mtr.Apply(&writer, std::move(fmt)).ok());
+    ASSERT_TRUE(sink.CommitMtr(&mtr).ok());
+  }
+  std::map<std::string, size_t> live;
+  for (int step = 0; step < 3000; ++step) {
+    const std::string key = "k" + std::to_string(rng.Uniform(60));
+    const size_t len = 20 + rng.Uniform(100);
+    const bool exists = live.count(key) != 0;
+    const bool del = exists && rng.Uniform(3) == 0;
+    LogRecord rec;
+    rec.page_id = 5;
+    if (del) {
+      rec.op = RedoOp::kDelete;
+      rec.payload = LogRecord::MakeKeyPayload(key);
+    } else {
+      rec.op = exists ? RedoOp::kUpdate : RedoOp::kInsert;
+      rec.payload = LogRecord::MakeKeyValuePayload(key, std::string(len, 'v'));
+    }
+    MiniTransaction mtr(2);
+    Status s = mtr.Apply(&writer, std::move(rec));
+    if (s.IsOutOfRange()) {  // page full: nothing to log
+      mtr.Abort();
+      continue;
+    }
+    ASSERT_TRUE(s.ok()) << step;
+    ASSERT_TRUE(sink.CommitMtr(&mtr).ok());
+    if (del) {
+      live.erase(key);
+    } else {
+      live[key] = len;
+    }
+  }
+  ASSERT_EQ(writer.slot_count(), static_cast<int>(live.size()));
+  Page replica(4096);
+  std::thread storage([&] {
+    EXPECT_TRUE(LogApplicator::ApplyAll(sink.all_records(), &replica).ok());
+  });
+  storage.join();
+  EXPECT_EQ(replica.raw(), writer.raw());
+  EXPECT_EQ(replica.page_lsn(), sink.all_records().back().lsn);
 }
 
 }  // namespace

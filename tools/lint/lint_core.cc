@@ -250,11 +250,11 @@ bool InDeterministicCore(const std::string& rel) {
 }
 
 /// The per-operation hot path, where closures must not heap-allocate: the
-/// simulator kernel, the page and B+-tree code, and the engine's lock
-/// table, buffer pool and page fetcher.
+/// simulator kernel, the redo records and mini-transactions, the page and
+/// B+-tree code, and the engine's lock table, buffer pool and page fetcher.
 bool InHotPath(const std::string& rel) {
   for (const char* prefix :
-       {"src/sim/", "src/page/", "src/engine/lock_manager.",
+       {"src/sim/", "src/log/", "src/page/", "src/engine/lock_manager.",
         "src/engine/buffer_pool.", "src/engine/page_fetcher."}) {
     if (rel.rfind(prefix, 0) == 0) return true;
   }

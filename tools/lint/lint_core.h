@@ -39,8 +39,9 @@ struct Finding {
 ///  aurora-C2  discarded loop_->Schedule(...) result in a file that
 ///             defines a Crash() method: an event that cannot be
 ///             cancelled on crash leaks into the loop's pending set.
-///  aurora-H1  std::function on the hot path (src/sim, src/page and the
-///             engine's lock_manager, buffer_pool and page_fetcher files),
+///  aurora-H1  std::function on the hot path (src/sim, src/log, src/page
+///             and the engine's lock_manager, buffer_pool and page_fetcher
+///             files),
 ///             which must use common/inline_function.h (no per-operation
 ///             heap allocation).
 ///  aurora-S1  a NOLINT(aurora-*) suppression without a justification

@@ -117,11 +117,18 @@ TEST(LintSelftest, H1FlagsStdFunctionInPageAndEngineHotFiles) {
             1u);
 }
 
+TEST(LintSelftest, H1FlagsStdFunctionInLog) {
+  auto fs = FindingsFor("src/log/positive_h1.h");
+  EXPECT_EQ(CountRule(fs, "aurora-H1"), 1u);
+  EXPECT_EQ(fs.size(), 1u);
+}
+
 TEST(LintSelftest, StdFunctionOutsideHotPathIsNotH1) {
   // The L-rule fixtures hold std::function in other src/engine files.
   for (const Finding& f : FixtureReport().findings) {
     if (f.rule != "aurora-H1") continue;
     EXPECT_TRUE(f.file.rfind("src/sim/", 0) == 0 ||
+                f.file.rfind("src/log/", 0) == 0 ||
                 f.file.rfind("src/page/", 0) == 0 ||
                 f.file == "src/engine/lock_manager.h")
         << f.file;
