@@ -240,7 +240,7 @@ std::string RowKey(uint64_t row) {
 void BM_LockManagerUncontended(benchmark::State& state) {
   constexpr int kLocksPerTxn = 10;
   sim::EventLoop loop;
-  LockManager locks(&loop, Seconds(5));
+  LockManager locks(&loop);
   uint64_t row = 0;
   for (TxnId other = 1000; other < 1127; ++other) {
     for (int i = 0; i < kLocksPerTxn; ++i) {

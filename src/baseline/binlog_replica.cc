@@ -12,7 +12,7 @@ BinlogReplica::BinlogReplica(sim::EventLoop* loop, sim::Network* network,
       network_(network),
       node_id_(node_id),
       apply_cpu_(apply_cpu),
-      applier_(loop, sim::InstanceOptions{1, 1ull << 30, "sql-thread"}) {
+      applier_(loop, sim::InstanceOptions{1, "sql-thread"}) {
   network_->Register(node_id_,
                      [this](const sim::Message& m) { HandleMessage(m); });
 }

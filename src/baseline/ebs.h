@@ -28,8 +28,6 @@ class EbsVolume {
   EbsVolume(const EbsVolume&) = delete;
   EbsVolume& operator=(const EbsVolume&) = delete;
 
-  sim::NodeId server_node() const { return server_; }
-
   /// Client-side API (used by the engine instance that attached the
   /// volume): the payload crosses the network to the EBS server, is
   /// persisted, mirrored, and acknowledged.

@@ -16,6 +16,13 @@ constexpr char kNextPageKey[] = "next_page";
 // as the Aurora engine's allocator).
 constexpr char kFreePagePrefix[] = "free:";
 constexpr size_t kFreePagePrefixLen = 5;
+// Smallest checkpoint batch, in dirty pages.
+constexpr size_t kCheckpointBatchPages = 64;
+// Commits hardened per WAL flush. MySQL 5.6's binlog/redo group commit was
+// narrow; this caps how much a single fsync chain can amortize.
+constexpr size_t kGroupCommitMax = 4;
+// CPU cost of one page touched while replaying the WAL at recovery.
+constexpr SimDuration kCpuPerPageTouch = Micros(2);
 
 std::string WalKey(uint64_t seq) {
   char buf[32];
@@ -62,7 +69,7 @@ MirroredMySql::MirroredMySql(sim::EventLoop* loop, sim::Network* network,
       rng_(rng),
       pool_(options.engine.buffer_pool_pages, options.engine.page_size,
             &infinite_vdl_),
-      locks_(loop, options.engine.lock_timeout) {
+      locks_(loop) {
   primary_ebs_ = std::make_unique<EbsVolume>(
       loop, network, nodes.primary_ebs, nodes.primary_ebs_mirror, ebs_disk,
       rng_.Fork());
@@ -207,7 +214,7 @@ void MirroredMySql::FinishWalFlush(Lsn flushed_through) {
   std::string binlog_blob;
   auto it = commit_waiters_.begin();
   while (it != commit_waiters_.end()) {
-    if (ready.size() >= options_.group_commit_max) break;
+    if (ready.size() >= kGroupCommitMax) break;
     if (it->lsn > flushed_lsn_) {
       ++it;
       continue;
@@ -284,7 +291,7 @@ void MirroredMySql::CheckpointTick() {
   // keep pace with the dirtying rate or the pool fills with unflushable
   // pages. Scale the batch with the backlog.
   size_t adaptive_batch =
-      std::max(options_.checkpoint_batch_pages, dirty_since_.size() / 2);
+      std::max(kCheckpointBatchPages, dirty_since_.size() / 2);
 
   // Flush-eligible pages: resident, with all changes WAL-hardened.
   struct Capture {
@@ -680,7 +687,7 @@ void MirroredMySql::ReplayWal(std::shared_ptr<std::vector<LogRecord>> records,
   }
   if (idx < records->size()) {
     instance_->Execute(
-        options_.engine.cpu_per_page_touch * kChunk,
+        kCpuPerPageTouch * kChunk,
         [this, records, idx, done]() { ReplayWal(records, idx, done); });
     return;
   }
@@ -844,8 +851,7 @@ MirroredMySql::Txn* MirroredMySql::FindTxn(TxnId id) {
 SimDuration MirroredMySql::StatementCpuCost() const {
   double extra = options_.cpu_contention_per_connection_us *
                  static_cast<double>(options_.active_connections);
-  return options_.engine.cpu_per_statement +
-         static_cast<SimDuration>(extra);
+  return kCpuPerStatement + static_cast<SimDuration>(extra);
 }
 
 Status MirroredMySql::WriteRowAttempt(Txn* txn, PageId table,

@@ -27,10 +27,9 @@ class BinlogReplica;
 
 /// Knobs of the traditional engine.
 struct MirroredMysqlOptions {
-  EngineOptions engine;  // page size, buffer pool, CPU costs, lock timeout
-  /// Checkpoint cadence and batch size (dirty-page flushing).
+  EngineOptions engine;  // page size and buffer pool
+  /// Checkpoint cadence (dirty-page flushing).
   SimDuration checkpoint_interval = Millis(250);
-  size_t checkpoint_batch_pages = 64;
   /// Per-statement CPU penalty per concurrent connection (models mutex and
   /// scheduler contention that collapses MySQL beyond ~500 connections,
   /// Table 3). Microseconds per connection.
@@ -38,9 +37,6 @@ struct MirroredMysqlOptions {
   /// Number of open connections (for the contention model); set by the
   /// workload driver.
   int active_connections = 1;
-  /// Commits hardened per WAL flush. MySQL 5.6's binlog/redo group commit
-  /// was narrow; this caps how much a single fsync chain can amortize.
-  size_t group_commit_max = 4;
 };
 
 struct MysqlStats {
@@ -59,6 +55,27 @@ struct MysqlStats {
   Histogram commit_latency_us;
   Histogram read_latency_us;
   Histogram write_latency_us;
+
+  /// Every member once, under its exported metric name.
+  template <typename F>
+  static constexpr void Fields(F f) {
+    using S = MysqlStats;
+    f("txns_committed", &S::txns_committed);
+    f("txns_aborted", &S::txns_aborted);
+    f("reads", &S::reads);
+    f("writes", &S::writes);
+    f("wal_flushes", &S::wal_flushes);
+    f("wal_bytes", &S::wal_bytes);
+    f("page_writes", &S::page_writes);
+    f("dwb_writes", &S::dwb_writes);
+    f("binlog_writes", &S::binlog_writes);
+    f("checkpoints", &S::checkpoints);
+    f("page_reads", &S::page_reads);
+    f("dirty_evict_stalls", &S::dirty_evict_stalls);
+    f("commit_latency_us", &S::commit_latency_us);
+    f("read_latency_us", &S::read_latency_us);
+    f("write_latency_us", &S::write_latency_us);
+  }
 };
 
 /// The paper's comparison system (Figure 2): community-MySQL-style engine in

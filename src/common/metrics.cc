@@ -191,12 +191,6 @@ void MetricsRegistry::RegisterCounter(const std::string& name, CounterFn fn) {
   counters_[name] = std::move(fn);
 }
 
-void MetricsRegistry::RegisterCounter(const std::string& name,
-                                      const uint64_t* value) {
-  MutexLock lock(&mu_);
-  counters_[name] = [value] { return *value; };
-}
-
 void MetricsRegistry::RegisterGauge(const std::string& name, GaugeFn fn) {
   MutexLock lock(&mu_);
   gauges_[name] = std::move(fn);
@@ -212,19 +206,6 @@ void MetricsRegistry::RegisterHistogram(const std::string& name,
                                         const Histogram* h) {
   MutexLock lock(&mu_);
   histograms_[name] = [h] { return h; };
-}
-
-void MetricsRegistry::UnregisterPrefix(const std::string& prefix) {
-  MutexLock lock(&mu_);
-  auto erase_prefix = [&prefix](auto* map) {
-    auto it = map->lower_bound(prefix);
-    while (it != map->end() && it->first.compare(0, prefix.size(), prefix) == 0) {
-      it = map->erase(it);
-    }
-  };
-  erase_prefix(&counters_);
-  erase_prefix(&gauges_);
-  erase_prefix(&histograms_);
 }
 
 MetricsSnapshot MetricsRegistry::Snapshot() const {

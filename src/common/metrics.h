@@ -5,6 +5,8 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <type_traits>
+#include <utility>
 
 #include "common/histogram.h"
 #include "common/thread_annotations.h"
@@ -52,6 +54,23 @@ struct MetricsSnapshot {
   std::string ToJson() const;
 };
 
+/// Sum of the sizes of the members `S::Fields` lists. It equals sizeof(S)
+/// only when the list names every member, which RegisterFields asserts.
+template <typename S>
+constexpr size_t FieldBytes() {
+  size_t bytes = 0;
+  S::Fields([&bytes](const char*, auto field) {
+    bytes += sizeof(std::declval<S&>().*field);
+  });
+  return bytes;
+}
+
+/// Adds each member `S::Fields` lists of `from` into `to` (fleet totals).
+template <typename S>
+void AddFields(S* to, const S& from) {
+  S::Fields([&](const char*, auto field) { to->*field += from.*field; });
+}
+
 /// A process-wide (well, cluster-wide — the simulation is one process)
 /// registry of named metrics. Pull-based: components keep their existing
 /// Stats structs and cheap increment sites; registration installs a closure
@@ -76,9 +95,6 @@ class MetricsRegistry {
   /// Monotonically increasing totals. Re-registering a name replaces the
   /// previous reader (components re-register after being rebuilt).
   void RegisterCounter(const std::string& name, CounterFn fn);
-  /// Convenience: reads a plain counter member. The pointee must outlive
-  /// the registry (true for all cluster-owned Stats structs).
-  void RegisterCounter(const std::string& name, const uint64_t* value);
 
   /// Instantaneous levels (queue depths, watermarks, ratios).
   void RegisterGauge(const std::string& name, GaugeFn fn);
@@ -86,9 +102,31 @@ class MetricsRegistry {
   void RegisterHistogram(const std::string& name, HistogramFn fn);
   void RegisterHistogram(const std::string& name, const Histogram* h);
 
-  /// Drops every metric whose name starts with `prefix` (component
-  /// teardown).
-  void UnregisterPrefix(const std::string& prefix);
+  /// Registers every member of a Stats struct that its `Fields(f)` list
+  /// names, as `prefix` + the listed name: integer and atomic members as
+  /// counters, Histogram members as histograms. `get` runs at snapshot time
+  /// and returns the struct by pointer, or by value for a computed total
+  /// (histograms need the pointer). A pointee must outlive the registry.
+  template <typename Get>
+  void RegisterFields(const std::string& prefix, Get get) {
+    using R = decltype(get());
+    using S = std::remove_cvref_t<std::remove_pointer_t<R>>;
+    static_assert(FieldBytes<S>() == sizeof(S),
+                  "a member is missing from its struct's Fields list");
+    S::Fields([&](const char* name, auto field) {
+      using T = std::remove_cvref_t<decltype(std::declval<S&>().*field)>;
+      if constexpr (std::is_same_v<T, Histogram>) {
+        RegisterHistogram(prefix + name,
+                          [get, field] { return &(get()->*field); });
+      } else if constexpr (std::is_pointer_v<R>) {
+        RegisterCounter(prefix + name,
+                        [get, field]() -> uint64_t { return get()->*field; });
+      } else {
+        RegisterCounter(prefix + name,
+                        [get, field]() -> uint64_t { return get().*field; });
+      }
+    });
+  }
 
   size_t size() const {
     MutexLock lock(&mu_);

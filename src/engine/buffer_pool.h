@@ -20,6 +20,17 @@ struct BufferPoolStats {
   uint64_t evictions = 0;
   uint64_t eviction_blocked = 0;  // candidate page had page LSN > VDL
   uint64_t installs = 0;
+
+  /// Every member once, under its exported metric name.
+  template <typename F>
+  static constexpr void Fields(F f) {
+    using S = BufferPoolStats;
+    f("hits", &S::hits);
+    f("misses", &S::misses);
+    f("evictions", &S::evictions);
+    f("eviction_blocked", &S::eviction_blocked);
+    f("installs", &S::installs);
+  }
 };
 
 /// The writer's (and each replica's) page cache.
@@ -94,9 +105,7 @@ class BufferPool {
 
   size_t size() const { return index_.size(); }
   size_t capacity() const { return capacity_; }
-  void set_capacity(size_t pages) { capacity_ = pages; }
   const BufferPoolStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = BufferPoolStats{}; }
 
   /// Number of resident pages whose page LSN exceeds the VDL (unevictable
   /// "dirty-like" pages awaiting durability).

@@ -26,6 +26,13 @@ constexpr size_t kUndoTxnPrefixLen = 9;
 // Undo records one purge MTR deletes; the walk reads one more to learn
 // whether the transaction has more.
 constexpr int kPurgeChunk = 32;
+// Group-commit batching: a per-PG batch is flushed when it reaches this
+// many bytes or this much time has passed since its first record.
+constexpr size_t kBatchMaxBytes = 32768;
+constexpr SimDuration kBatchLinger = Micros(500);
+// Replica log-stream shipping interval (lag is dominated by this plus one
+// network hop, §4.2.4).
+constexpr SimDuration kReplicaShipInterval = Micros(500);
 
 void PutBigEndian64(std::string* dst, uint64_t v) {
   for (int shift = 56; shift >= 0; shift -= 8) {
@@ -127,7 +134,7 @@ Database::Database(sim::EventLoop* loop, sim::Network* network,
       options_(options),
       rng_(rng),
       pool_(options.buffer_pool_pages, options.page_size, &vdl_),
-      locks_(loop, options.lock_timeout),
+      locks_(loop),
       fetcher_(loop, network, node_id, control_plane->topology(), &options_,
                &pool_, &vdl_, this, &stats_.storage_page_reads,
                &stats_.read_retries) {
@@ -274,13 +281,13 @@ void Database::Crash() {
 
 void Database::ScheduleTimers() {
   const uint64_t gen = generation_;
-  pgmrpl_timer_ = loop_->Schedule(options_.pgmrpl_interval, [this, gen] {
+  pgmrpl_timer_ = loop_->Schedule(kPgmrplInterval, [this, gen] {
     if (gen == generation_ && open_) PgmrplTick();
   });
   purge_timer_ = loop_->Schedule(kPurgeInterval, [this, gen] {
     if (gen == generation_ && open_) PurgeTick();
   });
-  ship_timer_ = loop_->Schedule(options_.replica_ship_interval, [this, gen] {
+  ship_timer_ = loop_->Schedule(kReplicaShipInterval, [this, gen] {
     if (gen == generation_ && open_) ReplicaShipTick();
   });
 }
@@ -362,14 +369,14 @@ void Database::AppendToBatch(LogRecord&& record) {
   if (batch.records.empty()) batch.first_append_at = loop_->now();
   batch.bytes += record.EncodedSize();
   batch.records.push_back(std::move(record));
-  if (batch.bytes >= options_.batch_max_bytes) {
+  if (batch.bytes >= kBatchMaxBytes) {
     FlushBatch(pg);
     return;
   }
   if (!batch.linger_armed) {
     batch.linger_armed = true;
     const uint64_t gen = generation_;
-    batch.linger_event = loop_->Schedule(options_.batch_linger, [this, gen, pg] {
+    batch.linger_event = loop_->Schedule(kBatchLinger, [this, gen, pg] {
       if (gen != generation_) return;
       FlushBatch(pg);
     });
@@ -1058,7 +1065,7 @@ void Database::Put(TxnId txn, PageId table, const std::string& key,
         std::move(done));
   };
   static_assert(sim::EventFn::kStoresInline<decltype(run)>);
-  ChargeCpu(options_.cpu_per_statement, std::move(run));
+  ChargeCpu(kCpuPerStatement, std::move(run));
 }
 
 void Database::Delete(TxnId txn, PageId table, const std::string& key,
@@ -1088,7 +1095,7 @@ void Database::Delete(TxnId txn, PageId table, const std::string& key,
         [](Status s, const auto& done) { done(s); }, std::move(done));
   };
   static_assert(sim::EventFn::kStoresInline<decltype(run)>);
-  ChargeCpu(options_.cpu_per_statement, std::move(run));
+  ChargeCpu(kCpuPerStatement, std::move(run));
 }
 
 void Database::Get(TxnId txn, PageId table, const std::string& key,
@@ -1122,7 +1129,7 @@ void Database::Get(TxnId txn, PageId table, const std::string& key,
         std::move(done));
   };
   static_assert(sim::EventFn::kStoresInline<decltype(run)>);
-  ChargeCpu(options_.cpu_per_statement, std::move(run));
+  ChargeCpu(kCpuPerStatement, std::move(run));
 }
 
 void Database::SnapshotGet(TxnId txn, PageId table, const std::string& key,
@@ -1134,7 +1141,7 @@ void Database::SnapshotGet(TxnId txn, PageId table, const std::string& key,
   (void)txn;
   ++stats_.reads;
   SimTime started = loop_->now();
-  ChargeCpu(options_.cpu_per_statement, [this, table, key, done, started]() {
+  ChargeCpu(kCpuPerStatement, [this, table, key, done, started]() {
     // Consistent (lock-free) read: if another active transaction holds the
     // row exclusively, reconstruct the pre-image from its undo chain —
     // undo-based snapshot isolation as in InnoDB consistent reads.
@@ -1173,7 +1180,7 @@ void Database::Scan(
   }
   (void)txn;  // read-committed scan: no row locks
   ++stats_.reads;
-  ChargeCpu(options_.cpu_per_statement, [this, table, start, limit, done]() {
+  ChargeCpu(kCpuPerStatement, [this, table, start, limit, done]() {
     auto rows = std::make_shared<
         std::vector<std::pair<std::string, std::string>>>();
     auto attempt = [this, table, start, limit, rows]() -> Status {
@@ -1433,7 +1440,7 @@ Lsn Database::ComputePgmrpl() const {
 
 void Database::PgmrplTick() {
   const uint64_t gen = generation_;
-  pgmrpl_timer_ = loop_->Schedule(options_.pgmrpl_interval, [this, gen] {
+  pgmrpl_timer_ = loop_->Schedule(kPgmrplInterval, [this, gen] {
     if (gen == generation_ && open_) PgmrplTick();
   });
   Lsn pgmrpl = ComputePgmrpl();
@@ -1519,7 +1526,7 @@ void Database::AttachReplica(sim::NodeId replica_node) {
 
 void Database::ReplicaShipTick() {
   const uint64_t gen = generation_;
-  ship_timer_ = loop_->Schedule(options_.replica_ship_interval, [this, gen] {
+  ship_timer_ = loop_->Schedule(kReplicaShipInterval, [this, gen] {
     if (gen == generation_ && open_) ReplicaShipTick();
   });
   if (replicas_.empty()) {

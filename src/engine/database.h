@@ -75,6 +75,40 @@ struct EngineStats {
   // replicas were tried before one served the page.
   Histogram page_fetch_latency_us;
   Histogram read_retry_depth;
+
+  /// Every member once, under its exported metric name.
+  template <typename F>
+  static constexpr void Fields(F f) {
+    using S = EngineStats;
+    f("txns_started", &S::txns_started);
+    f("txns_committed", &S::txns_committed);
+    f("txns_aborted", &S::txns_aborted);
+    f("reads", &S::reads);
+    f("writes", &S::writes);
+    f("deletes", &S::deletes);
+    f("storage_page_reads", &S::storage_page_reads);
+    f("log_batches_sent", &S::log_batches_sent);
+    f("log_records_sent", &S::log_records_sent);
+    f("log_bytes_generated", &S::log_bytes_generated);
+    f("backpressure_stalls", &S::backpressure_stalls);
+    f("batch_retries", &S::batch_retries);
+    f("read_retries", &S::read_retries);
+    f("pages_freed", &S::pages_freed);
+    f("pages_reused", &S::pages_reused);
+    f("fenced_rejections", &S::fenced_rejections);
+    f("stale_config_refreshes", &S::stale_config_refreshes);
+    f("corrupt_frames_dropped", &S::corrupt_frames_dropped);
+    f("batch_encode_bytes_saved", &S::batch_encode_bytes_saved);
+    f("commit_latency_us", &S::commit_latency_us);
+    f("read_latency_us", &S::read_latency_us);
+    f("write_latency_us", &S::write_latency_us);
+    f("trace.append_to_flush_us", &S::batch_append_to_flush_us);
+    f("trace.flush_to_first_ack_us", &S::batch_flush_to_first_ack_us);
+    f("trace.first_ack_to_quorum_us", &S::batch_first_ack_to_quorum_us);
+    f("trace.append_to_quorum_us", &S::batch_append_to_quorum_us);
+    f("trace.page_fetch_latency_us", &S::page_fetch_latency_us);
+    f("trace.read_retry_depth", &S::read_retry_depth);
+  }
 };
 
 /// Transaction state as persisted in the system transaction table.

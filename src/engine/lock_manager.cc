@@ -6,6 +6,14 @@
 
 namespace aurora {
 
+namespace {
+
+// Lock-wait timeout; a transaction waiting longer aborts (safety net on top
+// of deadlock detection).
+constexpr SimDuration kLockTimeout = Seconds(5);
+
+}  // namespace
+
 bool LockManager::Compatible(const LockEntry& e, TxnId txn, LockMode mode) {
   if (mode == LockMode::kShared) {
     return e.exclusive_holder == kInvalidTxn || e.exclusive_holder == txn;
@@ -125,7 +133,7 @@ Status LockManager::Lock(TxnId txn, PageId tree, std::string_view key,
   // The slot outlives the timeout: it keeps a waiter until the timeout
   // fires or is cancelled.
   sim::EventId timeout = loop_->Schedule(
-      lock_timeout_, [this, slot, txn]() { TimeOut(slot, txn); });
+      kLockTimeout, [this, slot, txn]() { TimeOut(slot, txn); });
   e.waiters.push_back(Waiter{txn, mode, nullptr, timeout});
   txns_[txn].waiting_on = slot;
   return Status::Busy("lock queued");

@@ -39,14 +39,22 @@ class LockManager {
     uint64_t waits = 0;
     uint64_t deadlocks = 0;
     uint64_t timeouts = 0;
+
+    /// Every member once, under its exported metric name.
+    template <typename F>
+    static constexpr void Fields(F f) {
+      f("grants", &Stats::grants);
+      f("waits", &Stats::waits);
+      f("deadlocks", &Stats::deadlocks);
+      f("timeouts", &Stats::timeouts);
+    }
   };
 
   /// Fires once for a queued request: OK (lock acquired), Aborted (deadlock
   /// chose this waiter as victim) or TimedOut.
   using GrantFn = InlineFunction<void(Status)>;
 
-  LockManager(sim::EventLoop* loop, SimDuration lock_timeout)
-      : loop_(loop), lock_timeout_(lock_timeout) {}
+  explicit LockManager(sim::EventLoop* loop) : loop_(loop) {}
 
   LockManager(const LockManager&) = delete;
   LockManager& operator=(const LockManager&) = delete;
@@ -129,7 +137,6 @@ class LockManager {
   void TimeOut(Slot slot, TxnId txn);
 
   sim::EventLoop* loop_;
-  SimDuration lock_timeout_;
   /// Lock names live in `slots_` (a deque: slots never move) and are
   /// found through `index_`, by a fixed hash of (tree, key).
   std::deque<LockEntry> slots_;

@@ -8,6 +8,14 @@
 
 namespace aurora {
 
+/// CPU cost model (charged against the sim::Instance): the base cost of one
+/// statement, on the writer, a replica and the MySQL baseline alike.
+inline constexpr SimDuration kCpuPerStatement = Micros(18);
+
+/// How often the writer recomputes and broadcasts the PGMRPL (§4.2.3), and
+/// how often a replica reports its read point.
+inline constexpr SimDuration kPgmrplInterval = Millis(100);
+
 /// Tunables of the Aurora database engine (writer and replicas).
 ///
 /// Scale note: the paper's production constants (16 KiB InnoDB pages, 10 GB
@@ -30,33 +38,8 @@ struct EngineOptions {
   /// LSNs are byte offsets, this is a log-bytes bound.
   uint64_t lal = 10000000;
 
-  /// Group-commit batching: a per-PG batch is flushed when it reaches this
-  /// many bytes or this much time has passed since its first record.
-  size_t batch_max_bytes = 32768;
-  SimDuration batch_linger = Micros(500);
-
   /// Writer buffer-pool capacity in pages.
   size_t buffer_pool_pages = 8192;
-
-  /// CPU cost model (charged against the sim::Instance): per-statement
-  /// base cost, and per-page-touch cost.
-  SimDuration cpu_per_statement = Micros(18);
-  SimDuration cpu_per_page_touch = Micros(2);
-
-  /// Timeout after which an un-acked storage read is retried on another
-  /// segment replica (outlier avoidance, §1).
-  SimDuration read_retry_timeout = Millis(15);
-
-  /// Lock-wait timeout; a transaction waiting longer aborts (safety net on
-  /// top of deadlock detection).
-  SimDuration lock_timeout = Seconds(5);
-
-  /// How often the writer recomputes and broadcasts the PGMRPL (§4.2.3).
-  SimDuration pgmrpl_interval = Millis(100);
-
-  /// Replica log-stream shipping interval (lag is dominated by this plus
-  /// one network hop, §4.2.4).
-  SimDuration replica_ship_interval = Micros(500);
 };
 
 }  // namespace aurora

@@ -111,15 +111,14 @@ void PageFetcher::SendRequest(uint64_t req_id) {
   network_->Send(self_, target, kMsgReadPageReq, wire::Encode(req));
 
   const uint64_t gen = generation_;
-  pr.timer =
-      loop_->Schedule(options_->read_retry_timeout, [this, gen, req_id] {
-        if (gen != generation_) return;
-        auto it = pending_.find(req_id);
-        if (it == pending_.end()) return;
-        ++it->second.attempt;
-        CountRetry();
-        SendRequest(req_id);
-      });
+  pr.timer = loop_->Schedule(kReadRetryTimeout, [this, gen, req_id] {
+    if (gen != generation_) return;
+    auto it = pending_.find(req_id);
+    if (it == pending_.end()) return;
+    ++it->second.attempt;
+    CountRetry();
+    SendRequest(req_id);
+  });
 }
 
 void PageFetcher::HandleResponse(const sim::Message& msg) {

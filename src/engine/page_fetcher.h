@@ -18,6 +18,10 @@
 
 namespace aurora {
 
+/// Timeout after which an un-acked storage read is retried on another
+/// segment replica (outlier avoidance, §1).
+inline constexpr SimDuration kReadRetryTimeout = Millis(15);
+
 /// What a fetch owner wants after a non-OK page-read reply.
 enum class FetchRetry {
   kNow,    // resend immediately (to the next candidate segment)

@@ -168,8 +168,7 @@ void ReadReplica::Get(PageId table, const std::string& key,
   }
   ++stats_.reads;
   SimTime started = loop_->now();
-  instance_->Execute(options_.cpu_per_statement, [this, table, key, done,
-                                                  started]() {
+  instance_->Execute(kCpuPerStatement, [this, table, key, done, started]() {
     auto result = std::make_shared<std::string>();
     auto attempt = [this, table, key, result]() -> Status {
       BTree tree(this, table);
@@ -208,7 +207,7 @@ void ReadReplica::TableAnchor(const std::string& name,
 
 void ReadReplica::ReportReadPointTick() {
   const uint64_t gen = generation_;
-  read_point_timer_ = loop_->Schedule(options_.pgmrpl_interval, [this, gen] {
+  read_point_timer_ = loop_->Schedule(kPgmrplInterval, [this, gen] {
     if (gen != generation_ || crashed_) return;
     ReportReadPointTick();
   });

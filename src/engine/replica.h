@@ -33,6 +33,20 @@ struct ReplicaStats {
   uint64_t corrupt_frames_dropped = 0;
   Histogram lag_us;  // commit-visibility lag (Table 4 / Figure 11)
   Histogram read_latency_us;
+
+  /// Every member once, under its exported metric name.
+  template <typename F>
+  static constexpr void Fields(F f) {
+    using S = ReplicaStats;
+    f("records_applied", &S::records_applied);
+    f("records_discarded", &S::records_discarded);
+    f("mtrs_applied", &S::mtrs_applied);
+    f("reads", &S::reads);
+    f("storage_page_reads", &S::storage_page_reads);
+    f("corrupt_frames_dropped", &S::corrupt_frames_dropped);
+    f("lag_us", &S::lag_us);
+    f("read_latency_us", &S::read_latency_us);
+  }
 };
 
 /// An Aurora read replica (§4.2.4): mounts the same storage volume as the
@@ -66,7 +80,6 @@ class ReadReplica : public PageProvider, private FetchPolicy {
   /// The replica's visibility point: the highest VDL for which every MTR
   /// has been applied to the cache.
   Lsn read_point() const { return applied_vdl_; }
-  Lsn known_vdl() const { return vdl_; }
 
   void Crash();
   void Restart();

@@ -35,14 +35,21 @@ struct ChaosCounters {
   uint64_t invariant_checks = 0;
   uint64_t invariant_violations = 0;
   uint64_t actions_executed = 0;
+
+  /// Every member once, under its exported metric name.
+  template <typename F>
+  static constexpr void Fields(F f) {
+    using S = ChaosCounters;
+    f("invariant_checks", &S::invariant_checks);
+    f("invariant_violations", &S::invariant_violations);
+    f("actions_executed", &S::actions_executed);
+  }
 };
 
 struct ClusterOptions {
-  int num_azs = 3;
   int storage_nodes_per_az = 4;
   int num_replicas = 0;
   sim::InstanceOptions writer_instance = sim::R38XLarge();
-  sim::InstanceOptions replica_instance = sim::R38XLarge();
   EngineOptions engine;
   StorageNodeOptions storage;
   sim::FabricOptions fabric;
@@ -51,7 +58,7 @@ struct ClusterOptions {
   uint64_t seed = 42;
   /// Worker threads driving the per-AZ simulation shards (PDES, DESIGN.md
   /// §11). Purely an execution knob: results are byte-identical for any
-  /// value. 1 = serial; clamped to [1, num_azs].
+  /// value. 1 = serial; clamped to [1, 3], one per AZ shard.
   int sim_shards = 1;
 };
 

@@ -2,6 +2,16 @@
 
 namespace aurora {
 
+namespace {
+
+// Cost for a binlog replica's single SQL thread to re-execute one
+// statement. Much higher than the primary's per-statement CPU: the applier
+// runs serially and pays the row I/O the primary amortizes across many
+// connections (MySQL 5.6-era single-threaded replication).
+constexpr SimDuration kBinlogApplyCost = Micros(800);
+
+}  // namespace
+
 MysqlCluster::MysqlCluster(MysqlClusterOptions options)
     : options_(options), loop_(2), topology_(3) {
   loop_.set_workers(static_cast<uint32_t>(
@@ -15,7 +25,7 @@ MysqlCluster::MysqlCluster(MysqlClusterOptions options)
   // instance + its EBS pair in AZ 2. The whole complex is one MirroredMySql
   // object, so all six nodes are homed on shard 0 regardless of AZ — the
   // PDES partition follows object ownership, not geography.
-  db_node_ = topology_.AddNode(0, "mysql-primary");
+  const sim::NodeId db_node = topology_.AddNode(0, "mysql-primary");
   baseline::MirroredMySql::NodeSet nodes;
   nodes.primary_ebs = topology_.AddNode(0, "ebs-primary");
   nodes.primary_ebs_mirror = topology_.AddNode(0, "ebs-primary-mirror");
@@ -26,7 +36,7 @@ MysqlCluster::MysqlCluster(MysqlClusterOptions options)
   instance_ = std::make_unique<sim::Instance>(loop_.shard(0),
                                               options_.instance);
   db_ = std::make_unique<baseline::MirroredMySql>(
-      loop_.shard(0), network_.get(), db_node_, instance_.get(), s3_.get(),
+      loop_.shard(0), network_.get(), db_node, instance_.get(), s3_.get(),
       nodes, options_.ebs_disk, options_.mysql, rng.Fork());
 
   // Binlog replicas in AZ 3, homed on shard 1: they interact with the
@@ -36,7 +46,7 @@ MysqlCluster::MysqlCluster(MysqlClusterOptions options)
                                          "binlog-replica-" +
                                              std::to_string(i));
     replicas_.push_back(std::make_unique<baseline::BinlogReplica>(
-        loop_.shard(1), network_.get(), node, options_.binlog_apply_cost));
+        loop_.shard(1), network_.get(), node, kBinlogApplyCost));
     db_->AttachBinlogReplica(node);
   }
 
@@ -51,92 +61,20 @@ MysqlCluster::MysqlCluster(MysqlClusterOptions options)
 
 void MysqlCluster::RegisterAllMetrics() {
   MetricsRegistry* m = &metrics_;
-
-  // --- Engine (closures indirect through db_ so they stay valid for the
-  // cluster's lifetime; the baseline has no failover, so no writer_-style
-  // indirection is needed) -------------------------------------------------
-  {
-    auto stats = [this]() -> const baseline::MysqlStats& {
-      return db_->stats();
-    };
-    struct CounterDef {
-      const char* name;
-      uint64_t baseline::MysqlStats::*field;
-    };
-    static constexpr CounterDef kCounters[] = {
-        {"txns_committed", &baseline::MysqlStats::txns_committed},
-        {"txns_aborted", &baseline::MysqlStats::txns_aborted},
-        {"reads", &baseline::MysqlStats::reads},
-        {"writes", &baseline::MysqlStats::writes},
-        {"wal_flushes", &baseline::MysqlStats::wal_flushes},
-        {"wal_bytes", &baseline::MysqlStats::wal_bytes},
-        {"page_writes", &baseline::MysqlStats::page_writes},
-        {"dwb_writes", &baseline::MysqlStats::dwb_writes},
-        {"binlog_writes", &baseline::MysqlStats::binlog_writes},
-        {"checkpoints", &baseline::MysqlStats::checkpoints},
-        {"page_reads", &baseline::MysqlStats::page_reads},
-        {"dirty_evict_stalls", &baseline::MysqlStats::dirty_evict_stalls},
-    };
-    for (const CounterDef& def : kCounters) {
-      m->RegisterCounter(std::string("engine.mysql.") + def.name,
-                         [stats, field = def.field] { return stats().*field; });
-    }
-    struct HistDef {
-      const char* name;
-      Histogram baseline::MysqlStats::*field;
-    };
-    static constexpr HistDef kHists[] = {
-        {"commit_latency_us", &baseline::MysqlStats::commit_latency_us},
-        {"read_latency_us", &baseline::MysqlStats::read_latency_us},
-        {"write_latency_us", &baseline::MysqlStats::write_latency_us},
-    };
-    for (const HistDef& def : kHists) {
-      m->RegisterHistogram(
-          std::string("engine.mysql.") + def.name,
-          [stats, field = def.field] { return &(stats().*field); });
-    }
-    m->RegisterGauge("engine.mysql.flushed_lsn", [this] {
-      return static_cast<double>(db_->flushed_lsn());
-    });
-    m->RegisterGauge("engine.mysql.checkpoint_lsn", [this] {
-      return static_cast<double>(db_->checkpoint_lsn());
-    });
-    m->RegisterGauge("engine.mysql.dirty_pages", [this] {
-      return static_cast<double>(db_->dirty_pages());
-    });
-  }
-
-  // --- Network totals ------------------------------------------------------
-  m->RegisterCounter("net.total.messages_sent",
-                     [this] { return network_->total().messages_sent; });
-  m->RegisterCounter("net.total.bytes_sent",
-                     [this] { return network_->total().bytes_sent; });
-
-  // --- Simulator loop ------------------------------------------------------
-  m->RegisterCounter("sim.loop.events_executed",
-                     [this] { return loop_.events_executed(); });
-  m->RegisterCounter("sim.loop.tombstones", [this] { return loop_.tombstones(); });
-  m->RegisterCounter("sim.loop.heap_peak", [this] {
-    return static_cast<uint64_t>(loop_.heap_peak());
+  // Getters indirect through db_, which lives as long as the cluster (the
+  // baseline has no failover).
+  m->RegisterFields("engine.mysql.", [this] { return &db_->stats(); });
+  m->RegisterGauge("engine.mysql.flushed_lsn", [this] {
+    return static_cast<double>(db_->flushed_lsn());
   });
-  m->RegisterGauge("sim.now_us", [this] {
-    return static_cast<double>(loop_.now());
+  m->RegisterGauge("engine.mysql.checkpoint_lsn", [this] {
+    return static_cast<double>(db_->checkpoint_lsn());
   });
-  for (uint32_t s = 0; s < loop_.num_shards(); ++s) {
-    const std::string base = "sim.loop.shard" + std::to_string(s) + ".";
-    sim::EventLoop* shard = loop_.shard(s);
-    m->RegisterCounter(base + "events_executed",
-                       [shard] { return shard->events_executed(); });
-    m->RegisterCounter(base + "tombstones",
-                       [shard] { return shard->tombstones(); });
-    m->RegisterCounter(base + "heap_peak", [shard] {
-      return static_cast<uint64_t>(shard->heap_peak());
-    });
-  }
-  m->RegisterCounter("sim.pdes.horizon_syncs",
-                     [this] { return loop_.horizon_syncs(); });
-  m->RegisterCounter("sim.pdes.mailbox_msgs",
-                     [this] { return loop_.mailbox_msgs(); });
+  m->RegisterGauge("engine.mysql.dirty_pages", [this] {
+    return static_cast<double>(db_->dirty_pages());
+  });
+  m->RegisterFields("net.total.", [this] { return network_->total(); });
+  loop_.RegisterMetrics(m);
 }
 
 MysqlCluster::~MysqlCluster() = default;

@@ -28,11 +28,6 @@ struct MysqlClusterOptions {
   sim::DiskOptions ebs_disk;  // provisioned-IOPS EBS profile
   sim::FabricOptions fabric;
   int num_binlog_replicas = 0;
-  /// Cost for the replica's single SQL thread to re-execute one statement.
-  /// Much higher than the primary's per-statement CPU: the applier runs
-  /// serially and pays the row I/O the primary amortizes across many
-  /// connections (MySQL 5.6-era single-threaded replication).
-  SimDuration binlog_apply_cost = Micros(800);
   uint64_t seed = 42;
   /// Worker threads driving the simulation shards (PDES, DESIGN.md §11).
   /// The baseline partitions by object home — shard 0 is the whole
@@ -66,7 +61,6 @@ class MysqlCluster {
   baseline::MirroredMySql* db() { return db_.get(); }
   sim::Instance* instance() { return instance_.get(); }
   SimS3* s3() { return s3_.get(); }
-  sim::NodeId db_node() const { return db_node_; }
   size_t num_binlog_replicas() const { return replicas_.size(); }
   baseline::BinlogReplica* binlog_replica(size_t i) {
     return replicas_[i].get();
@@ -103,7 +97,6 @@ class MysqlCluster {
   std::unique_ptr<sim::Instance> instance_;
   std::unique_ptr<baseline::MirroredMySql> db_;
   std::vector<std::unique_ptr<baseline::BinlogReplica>> replicas_;
-  sim::NodeId db_node_ = sim::kInvalidNode;
   MetricsRegistry metrics_;
 };
 

@@ -315,24 +315,6 @@ void ChaosEngine::HealAt(SimDuration delay, sim::NodeId node) {
   });
 }
 
-void ChaosEngine::PartitionOneWayAt(SimDuration delay, sim::NodeId from,
-                                    sim::NodeId to) {
-  At(delay,
-     "cut " + std::to_string(from) + " -> " + std::to_string(to),
-     [this, from, to] {
-       cluster_->network()->SetPartitionedOneWay(from, to, true);
-     });
-}
-
-void ChaosEngine::HealOneWayAt(SimDuration delay, sim::NodeId from,
-                               sim::NodeId to) {
-  At(delay,
-     "heal " + std::to_string(from) + " -> " + std::to_string(to),
-     [this, from, to] {
-       cluster_->network()->SetPartitionedOneWay(from, to, false);
-     });
-}
-
 void ChaosEngine::Run(SimDuration d) { cluster_->RunFor(d); }
 
 }  // namespace aurora

@@ -150,9 +150,6 @@ class ChaosEngine {
   /// Cuts `node` off from every other host in both directions.
   void IsolateAt(SimDuration delay, sim::NodeId node);
   void HealAt(SimDuration delay, sim::NodeId node);
-  /// Grey failure: `from` can no longer reach `to`; replies still flow.
-  void PartitionOneWayAt(SimDuration delay, sim::NodeId from, sim::NodeId to);
-  void HealOneWayAt(SimDuration delay, sim::NodeId from, sim::NodeId to);
 
   // --- Execution -----------------------------------------------------------
   void StartChecker() { checker_.Start(); }

@@ -43,11 +43,9 @@ void Disk::Submit(uint64_t bytes, SimDuration base_latency, bool is_write,
   if (is_write && options_.torn_write_probability > 0 &&
       rng_.Bernoulli(options_.torn_write_probability)) {
     torn = true;
-    ++torn_writes_;
   }
   if (is_write && !torn && options_.latent_corruption_probability > 0 &&
       rng_.Bernoulli(options_.latent_corruption_probability)) {
-    ++latent_faults_;
     ++pending_latent_faults_;
   }
 

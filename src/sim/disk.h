@@ -89,13 +89,10 @@ class Disk {
   uint64_t reads() const { return reads_; }
   uint64_t bytes_written() const { return bytes_written_; }
   uint64_t bytes_read() const { return bytes_read_; }
-  uint64_t torn_writes() const { return torn_writes_; }
-  uint64_t latent_faults() const { return latent_faults_; }
   /// Current queue depth estimate in simulated time.
   SimDuration backlog() const {
     return busy_until_ > loop_->now() ? busy_until_ - loop_->now() : 0;
   }
-  void ResetStats() { writes_ = reads_ = bytes_written_ = bytes_read_ = 0; }
 
  private:
   void Submit(uint64_t bytes, SimDuration base_latency, bool is_write,
@@ -112,8 +109,6 @@ class Disk {
   uint64_t reads_ = 0;
   uint64_t bytes_written_ = 0;
   uint64_t bytes_read_ = 0;
-  uint64_t torn_writes_ = 0;
-  uint64_t latent_faults_ = 0;
   uint64_t pending_latent_faults_ = 0;
 };
 

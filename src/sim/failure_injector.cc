@@ -21,7 +21,6 @@ void FailureInjector::RestartNode(NodeId node) {
 }
 
 void FailureInjector::FailAz(AzId az, SimDuration downtime) {
-  ++az_failures_;
   network_->SetAzDown(az, true);
   for (NodeId node : topology_->NodesInAz(az)) {
     auto it = hooks_.find(node);

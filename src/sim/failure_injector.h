@@ -60,7 +60,6 @@ class FailureInjector {
   bool IsDown(NodeId node) const { return network_->IsNodeDown(node); }
 
   uint64_t crashes_injected() const { return crashes_; }
-  uint64_t az_failures_injected() const { return az_failures_; }
 
  private:
   void ScheduleNextNoiseEvent();
@@ -76,7 +75,6 @@ class FailureInjector {
   SimDuration noise_mean_downtime_ = 0;
 
   uint64_t crashes_ = 0;
-  uint64_t az_failures_ = 0;
 };
 
 }  // namespace aurora::sim

@@ -19,17 +19,16 @@ namespace aurora::sim {
 /// of Figures 6 and 7 (each r3 size doubles vCPUs and memory) without
 /// modelling an actual CPU.
 struct InstanceOptions {
-  int vcpus = 32;          // r3.8xlarge
-  uint64_t memory_bytes = 244ull << 30;
+  int vcpus = 32;  // r3.8xlarge
   std::string name = "r3.8xlarge";
 };
 
 /// The r3 family used throughout §6.1.
-inline InstanceOptions R3Large() { return {2, 15ull << 30, "r3.large"}; }
-inline InstanceOptions R3XLarge() { return {4, 30ull << 30, "r3.xlarge"}; }
-inline InstanceOptions R32XLarge() { return {8, 61ull << 30, "r3.2xlarge"}; }
-inline InstanceOptions R34XLarge() { return {16, 122ull << 30, "r3.4xlarge"}; }
-inline InstanceOptions R38XLarge() { return {32, 244ull << 30, "r3.8xlarge"}; }
+inline InstanceOptions R3Large() { return {2, "r3.large"}; }
+inline InstanceOptions R3XLarge() { return {4, "r3.xlarge"}; }
+inline InstanceOptions R32XLarge() { return {8, "r3.2xlarge"}; }
+inline InstanceOptions R34XLarge() { return {16, "r3.4xlarge"}; }
+inline InstanceOptions R38XLarge() { return {32, "r3.8xlarge"}; }
 
 class Instance {
  public:
@@ -49,27 +48,16 @@ class Instance {
     SimTime start = std::max(loop_->now(), *it);
     SimTime end = start + cpu_cost;
     *it = end;
-    busy_ += cpu_cost;
     loop_->ScheduleAt(end, std::move(done));
-  }
-
-  /// Fraction of capacity used since the given time window start.
-  double Utilization(SimTime window_start) const {
-    SimDuration window = loop_->now() - window_start;
-    if (window == 0) return 0;
-    return static_cast<double>(busy_) /
-           (static_cast<double>(window) * options_.vcpus);
   }
 
   const InstanceOptions& options() const { return options_; }
   int vcpus() const { return options_.vcpus; }
-  uint64_t memory_bytes() const { return options_.memory_bytes; }
 
  private:
   EventLoop* loop_;
   InstanceOptions options_;
   std::vector<SimTime> core_free_;
-  SimDuration busy_ = 0;
 };
 
 }  // namespace aurora::sim

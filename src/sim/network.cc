@@ -4,6 +4,7 @@
 
 #include "common/crc32c.h"
 #include "common/logging.h"
+#include "common/metrics.h"
 #include "sim/sharded_loop.h"
 
 namespace aurora::sim {
@@ -299,13 +300,7 @@ const NetStats& Network::stats_of(NodeId node) const {
 
 NetStats Network::total() const {
   NetStats t;
-  for (const NetStats& s : stats_) {
-    t.messages_sent += s.messages_sent;
-    t.messages_received += s.messages_received;
-    t.packets_sent += s.packets_sent;
-    t.bytes_sent += s.bytes_sent;
-    t.messages_dropped += s.messages_dropped;
-  }
+  for (const NetStats& s : stats_) AddFields(&t, s);
   return t;
 }
 

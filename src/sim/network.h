@@ -111,6 +111,16 @@ struct NetStats {
   uint64_t packets_sent = 0;  // payloads fragmented at MTU granularity
   uint64_t bytes_sent = 0;
   uint64_t messages_dropped = 0;
+
+  /// Every member once, under its exported metric name.
+  template <typename F>
+  static constexpr void Fields(F f) {
+    f("messages_sent", &NetStats::messages_sent);
+    f("messages_received", &NetStats::messages_received);
+    f("packets_sent", &NetStats::packets_sent);
+    f("bytes_sent", &NetStats::bytes_sent);
+    f("messages_dropped", &NetStats::messages_dropped);
+  }
 };
 
 /// Fabric-wide adversary counters (surfaced as net.adversary.*). All zero
@@ -124,6 +134,17 @@ struct AdversaryStats {
   std::atomic<uint64_t> corrupted_injected{0};  // frames bit-flipped in transit
   std::atomic<uint64_t> corrupted_dropped{0};   // rejected by VerifyFrame
   std::atomic<uint64_t> oneway_blocked{0};  // eaten by a one-way cut
+
+  /// Every member once, under its exported metric name.
+  template <typename F>
+  static constexpr void Fields(F f) {
+    using S = AdversaryStats;
+    f("duplicates_injected", &S::duplicates_injected);
+    f("reordered", &S::reordered);
+    f("corrupted_injected", &S::corrupted_injected);
+    f("corrupted_dropped", &S::corrupted_dropped);
+    f("oneway_blocked", &S::oneway_blocked);
+  }
 };
 
 /// The region's network fabric: delivers messages between registered hosts

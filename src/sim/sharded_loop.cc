@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <string>
 #include <utility>
+
+#include "common/metrics.h"
 
 namespace aurora::sim {
 
@@ -250,6 +253,34 @@ size_t ShardedEventLoop::heap_peak() const {
   size_t peak = control_.heap_peak();
   for (const auto& s : shards_) peak = std::max(peak, s->loop.heap_peak());
   return peak;
+}
+
+void ShardedEventLoop::RegisterMetrics(MetricsRegistry* m) {
+  m->RegisterCounter("sim.events_executed",
+                     [this] { return events_executed(); });
+  m->RegisterGauge("sim.now_us", [this] { return static_cast<double>(now()); });
+  // Event-queue internals: executed events, lazily-cancelled tombstones and
+  // the heap high-water mark (live + not-yet-purged entries).
+  m->RegisterCounter("sim.loop.events_executed",
+                     [this] { return events_executed(); });
+  m->RegisterCounter("sim.loop.tombstones", [this] { return tombstones(); });
+  m->RegisterCounter("sim.loop.heap_peak",
+                     [this] { return static_cast<uint64_t>(heap_peak()); });
+  for (uint32_t s = 0; s < num_shards(); ++s) {
+    const std::string base = "sim.loop.shard" + std::to_string(s) + ".";
+    EventLoop* shard = this->shard(s);
+    m->RegisterCounter(base + "events_executed",
+                       [shard] { return shard->events_executed(); });
+    m->RegisterCounter(base + "tombstones",
+                       [shard] { return shard->tombstones(); });
+    m->RegisterCounter(base + "heap_peak", [shard] {
+      return static_cast<uint64_t>(shard->heap_peak());
+    });
+  }
+  m->RegisterCounter("sim.pdes.horizon_syncs",
+                     [this] { return horizon_syncs(); });
+  m->RegisterCounter("sim.pdes.mailbox_msgs",
+                     [this] { return mailbox_msgs(); });
 }
 
 }  // namespace aurora::sim

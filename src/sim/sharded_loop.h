@@ -13,6 +13,10 @@
 #include "common/units.h"
 #include "sim/event_loop.h"
 
+namespace aurora {
+class MetricsRegistry;
+}  // namespace aurora
+
 namespace aurora::sim {
 
 /// Conservative parallel discrete-event coordinator (DESIGN.md §11).
@@ -123,6 +127,12 @@ class ShardedEventLoop {
   /// workers at barriers. NOT deterministic — exported to bench JSON only,
   /// never into a cluster's metrics registry.
   uint64_t stall_wall_us() const { return stall_wall_us_; }
+
+  /// Registers sim.*: the clock, executed events and queue internals, in
+  /// total and per logical shard, and the PDES coordinator's totals. All
+  /// deterministic: functions of the partition and the event set, never of
+  /// the worker count (stall_wall_us stays out).
+  void RegisterMetrics(MetricsRegistry* m);
 
  private:
   /// One cross-shard event staged for admission.

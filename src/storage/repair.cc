@@ -9,6 +9,18 @@
 
 namespace aurora {
 
+namespace {
+
+constexpr SimDuration kPollInterval = Millis(500);
+// Base per-chunk timeout; doubles per consecutive retry (capped at 2^5).
+constexpr SimDuration kChunkTimeout = Millis(50);
+// Consecutive timeouts of one chunk before trying a different donor.
+constexpr uint32_t kMaxChunkAttempts = 6;
+// Fleet-wide cap on concurrently running transfers; excess repairs queue.
+constexpr size_t kMaxConcurrent = 4;
+
+}  // namespace
+
 RepairManager::RepairManager(sim::EventLoop* loop, sim::Network* network,
                              const sim::Topology* topology,
                              ControlPlane* control_plane,
@@ -23,7 +35,7 @@ RepairManager::RepairManager(sim::EventLoop* loop, sim::Network* network,
 void RepairManager::Start() {
   if (running_) return;
   running_ = true;
-  poll_timer_ = loop_->Schedule(options_.poll_interval, [this] { Poll(); });
+  poll_timer_ = loop_->Schedule(kPollInterval, [this] { Poll(); });
 }
 
 void RepairManager::Stop() {
@@ -54,7 +66,7 @@ std::vector<RepairManager::ActiveRepairView> RepairManager::active_repairs()
 
 void RepairManager::Poll() {
   if (!running_) return;
-  poll_timer_ = loop_->Schedule(options_.poll_interval, [this] { Poll(); });
+  poll_timer_ = loop_->Schedule(kPollInterval, [this] { Poll(); });
 
   const SimTime now = loop_->now();
   for (const auto& [id, node] : control_plane_->storage_nodes()) {
@@ -102,7 +114,7 @@ void RepairManager::Poll() {
 
 void RepairManager::DispatchFromQueue() {
   while (!queue_.empty()) {
-    if (active_.size() >= options_.max_concurrent) {
+    if (active_.size() >= kMaxConcurrent) {
       ++stats_.queued;
       return;
     }
@@ -193,8 +205,7 @@ void RepairManager::RequestChunk(Repair* r) {
 
 void RepairManager::ArmChunkTimeout(Repair* r) {
   const SimDuration timeout =
-      options_.chunk_timeout *
-      (uint64_t{1} << std::min<uint32_t>(r->attempts, 5));
+      kChunkTimeout * (uint64_t{1} << std::min<uint32_t>(r->attempts, 5));
   const auto key = std::make_pair(r->pg, r->idx);
   const uint64_t req_id = r->req_id;
   r->timeout_event = loop_->Schedule(
@@ -210,7 +221,7 @@ void RepairManager::OnChunkTimeout(std::pair<PgId, ReplicaIdx> key,
   Repair* r = &it->second;
   ++stats_.chunk_retries;
   ++r->attempts;
-  if (r->attempts >= options_.max_chunk_attempts) {
+  if (r->attempts >= kMaxChunkAttempts) {
     // The donor looks unreachable (partitioned, overloaded, or the fabric is
     // eating this chunk). Prefer a different donor; with none available keep
     // hammering the same one at the max backoff.
@@ -222,7 +233,7 @@ void RepairManager::OnChunkTimeout(std::pair<PgId, ReplicaIdx> key,
       r->donor = next;
       r->attempts = 0;
     } else {
-      r->attempts = options_.max_chunk_attempts - 1;
+      r->attempts = kMaxChunkAttempts - 1;
     }
   }
   RequestChunk(r);
@@ -230,7 +241,7 @@ void RepairManager::OnChunkTimeout(std::pair<PgId, ReplicaIdx> key,
 
 void RepairManager::OnRepairProgress(PgId pg,
                                      const StorageNode::RepairProgress& p) {
-  // Route by (pg, req_id). Linear scan: active_ is at most max_concurrent.
+  // Route by (pg, req_id). Linear scan: active_ is at most kMaxConcurrent.
   auto it = active_.end();
   for (auto i = active_.begin(); i != active_.end(); ++i) {
     if (i->first.first == pg && i->second.req_id == p.req_id) {
@@ -285,7 +296,7 @@ void RepairManager::OnRepairProgress(PgId pg,
       control_plane_->ReplaceReplica(r->pg, r->idx, r->target);
       ++stats_.completed;
       const SimDuration mttr = loop_->now() - r->detected_at;
-      mttr_hist_.Record(mttr);
+      stats_.mttr_us.Record(mttr);
       repair_durations_.push_back(mttr);
       const auto key = it->first;
       active_.erase(it);

@@ -36,15 +36,8 @@ struct RepairOptions {
   /// How long a host must be down before repair starts (distinguishes a
   /// reboot blip from a real loss).
   SimDuration detection_threshold = Seconds(3);
-  SimDuration poll_interval = Millis(500);
   /// Size of one transfer chunk (the unit of retry and resume).
   uint32_t chunk_bytes = 64 * 1024;
-  /// Base per-chunk timeout; doubles per consecutive retry (capped at 2^5).
-  SimDuration chunk_timeout = Millis(50);
-  /// Consecutive timeouts of one chunk before trying a different donor.
-  uint32_t max_chunk_attempts = 6;
-  /// Fleet-wide cap on concurrently running transfers; excess repairs queue.
-  size_t max_concurrent = 4;
 };
 
 struct RepairStats {
@@ -57,7 +50,7 @@ struct RepairStats {
   uint64_t donor_failovers = 0;
   uint64_t bytes_copied = 0;
   uint64_t concurrent_peak = 0;
-  /// Dispatches deferred because max_concurrent transfers were running.
+  /// Dispatches deferred because kMaxConcurrent transfers were running.
   uint64_t queued = 0;
   /// Dead ends, each retried on a later poll: no healthy replacement host
   /// anywhere / no live member holding the segment.
@@ -67,6 +60,27 @@ struct RepairStats {
   /// changed mid-copy (failover to a peer with different state).
   uint64_t transfer_restarts = 0;
   uint64_t migrations = 0;
+  /// MTTR distribution (detection to installed copy, microseconds).
+  Histogram mttr_us;
+
+  /// Every member once, under its exported metric name.
+  template <typename F>
+  static constexpr void Fields(F f) {
+    using S = RepairStats;
+    f("started", &S::started);
+    f("completed", &S::completed);
+    f("failed", &S::failed);
+    f("chunk_retries", &S::chunk_retries);
+    f("donor_failovers", &S::donor_failovers);
+    f("bytes_copied", &S::bytes_copied);
+    f("concurrent_peak", &S::concurrent_peak);
+    f("queued", &S::queued);
+    f("no_replacement", &S::no_replacement);
+    f("no_donor", &S::no_donor);
+    f("transfer_restarts", &S::transfer_restarts);
+    f("migrations", &S::migrations);
+    f("mttr_us", &S::mttr_us);
+  }
 };
 
 class RepairManager {
@@ -89,8 +103,6 @@ class RepairManager {
   void MigrateReplicaTo(PgId pg, ReplicaIdx idx, sim::NodeId target);
 
   const RepairStats& stats() const { return stats_; }
-  /// MTTR distribution (detection to installed copy, microseconds).
-  const Histogram* mttr_histogram() const { return &mttr_hist_; }
   /// Completion times of finished repairs (simulated duration from
   /// detection to installed copy), for the §2.2 bench.
   const std::vector<SimDuration>& repair_durations() const {
@@ -178,7 +190,6 @@ class RepairManager {
   std::deque<PendingRepair> queue_;
   std::map<std::pair<PgId, ReplicaIdx>, Repair> active_;
   RepairStats stats_;
-  Histogram mttr_hist_;
   std::vector<SimDuration> repair_durations_;
   uint64_t next_req_ = 1;
 };

@@ -28,6 +28,16 @@ struct PageCacheStats {
   uint64_t partial_hits = 0;  // cached image + replay of a short LSN suffix
   uint64_t misses = 0;        // full rebuild from base page + hot log
   uint64_t evictions = 0;     // LRU evictions under the byte budget
+
+  /// Every member once, under its exported metric name.
+  template <typename F>
+  static constexpr void Fields(F f) {
+    using S = PageCacheStats;
+    f("hits", &S::hits);
+    f("partial_hits", &S::partial_hits);
+    f("misses", &S::misses);
+    f("evictions", &S::evictions);
+  }
 };
 
 /// One segment replica: the durable state a storage node keeps for one

@@ -5,8 +5,17 @@
 
 #include "common/crc32c.h"
 #include "common/logging.h"
+#include "common/metrics.h"
 
 namespace aurora {
+
+namespace {
+
+// Records one gossip push, and one S3 backup object, carry at most.
+constexpr size_t kGossipMaxRecords = 1024;
+constexpr size_t kBackupMaxRecords = 4096;
+
+}  // namespace
 
 StorageNode::StorageNode(sim::EventLoop* loop, sim::Network* network,
                          sim::NodeId id, ControlPlane* control_plane,
@@ -47,8 +56,6 @@ Segment* StorageNode::EnsureSegment(PgId pg) {
   CreateSegment(pg, page_size);
   return segments_.at(pg).get();
 }
-
-void StorageNode::DropSegment(PgId pg) { segments_.erase(pg); }
 
 Segment* StorageNode::segment(PgId pg) {
   auto it = segments_.find(pg);
@@ -105,11 +112,7 @@ uint64_t StorageNode::SegmentBytes(PgId pg) const {
 PageCacheStats StorageNode::PageCacheTotals() const {
   PageCacheStats total;
   for (const auto& [pg, seg] : segments_) {
-    const PageCacheStats& s = seg->page_cache_stats();
-    total.hits += s.hits;
-    total.partial_hits += s.partial_hits;
-    total.misses += s.misses;
-    total.evictions += s.evictions;
+    AddFields(&total, seg->page_cache_stats());
   }
   return total;
 }
@@ -542,7 +545,7 @@ void StorageNode::HandleGossipPull(const sim::Message& msg) {
     return;
   }
   std::vector<const LogRecord*> records =
-      seg->RecordsAbove(pull.scl, options_.gossip_max_records);
+      seg->RecordsAbove(pull.scl, kGossipMaxRecords);
   if (records.empty()) return;
   stats_.gossip_records_sent += records.size();
   std::string blob;
@@ -715,7 +718,7 @@ void StorageNode::BackupTick() {
     }
     if (uploader != id_) continue;
     std::vector<const LogRecord*> records =
-        seg->UnbackedRecords(options_.backup_max_records);
+        seg->UnbackedRecords(kBackupMaxRecords);
     if (records.empty()) continue;
     std::string blob;
     EncodeRecordBatch(records, &blob);

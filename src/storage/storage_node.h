@@ -29,8 +29,6 @@ struct StorageNodeOptions {
   SimDuration gc_interval = Millis(200);
   SimDuration scrub_interval = Seconds(30);
   SimDuration backup_interval = Millis(500);
-  size_t gossip_max_records = 1024;
-  size_t backup_max_records = 4096;
   /// Background work is deferred while the disk backlog exceeds this —
   /// §3.3's negative correlation between background and foreground load.
   SimDuration background_backlog_limit = Millis(5);
@@ -96,6 +94,46 @@ struct StorageNodeStats {
   /// Records back-filled per gossip push integrated (hole-repair depth —
   /// how far behind this replica had fallen when gossip healed it).
   Histogram gossip_fill_batch;
+
+  /// Every member once, under its exported metric name.
+  template <typename F>
+  static constexpr void Fields(F f) {
+    using S = StorageNodeStats;
+    f("batches_received", &S::batches_received);
+    f("records_received", &S::records_received);
+    f("acks_sent", &S::acks_sent);
+    f("page_reads_served", &S::page_reads_served);
+    f("page_read_errors", &S::page_read_errors);
+    f("page_read_errors_by_cause.incomplete", &S::read_errors_incomplete);
+    f("page_read_errors_by_cause.below_floor", &S::read_errors_below_floor);
+    f("page_read_errors_by_cause.not_found", &S::read_errors_not_found);
+    f("page_read_errors_by_cause.fenced", &S::read_errors_fenced);
+    f("page_read_errors_by_cause.stale_config", &S::read_errors_stale_config);
+    f("page_read_errors_by_cause.corrupt", &S::read_errors_corrupt);
+    f("gossip_rounds", &S::gossip_rounds);
+    f("gossip_records_sent", &S::gossip_records_sent);
+    f("gossip_records_filled", &S::gossip_records_filled);
+    f("gossip_state_transfers", &S::gossip_state_transfers);
+    f("records_coalesced", &S::records_coalesced);
+    f("records_gced", &S::records_gced);
+    f("scrub_rounds", &S::scrub_rounds);
+    f("pages_scrubbed", &S::pages_scrubbed);
+    f("corrupt_pages_found", &S::corrupt_pages_found);
+    f("corrupt_pages_repaired", &S::corrupt_pages_repaired);
+    f("read_repairs", &S::read_repairs);
+    f("backup_objects", &S::backup_objects);
+    f("background_deferrals", &S::background_deferrals);
+    f("stale_epoch_rejects", &S::stale_epoch_rejects);
+    f("stale_config_rejects", &S::stale_config_rejects);
+    f("torn_write_drops", &S::torn_write_drops);
+    f("latent_corruptions", &S::latent_corruptions);
+    f("repair_chunk_crc_drops", &S::repair_chunk_crc_drops);
+    f("repair_sessions_started", &S::repair_sessions_started);
+    f("evicted_segments_dropped", &S::evicted_segments_dropped);
+    f("duplicate_batches", &S::duplicate_batches);
+    f("corrupt_frames_dropped", &S::corrupt_frames_dropped);
+    f("trace.gossip_fill_batch", &S::gossip_fill_batch);
+  }
 };
 
 /// A storage host: local SSD plus the eight-step I/O pipeline of Figure 4:
@@ -127,10 +165,8 @@ class StorageNode {
   Segment* EnsureSegment(PgId pg);
   /// Installs the control plane's page synthesizer on all hosted segments.
   void InstallSynthesizerOnSegments(const Segment::PageSynthesizer& fn);
-  void DropSegment(PgId pg);
   Segment* segment(PgId pg);
   const Segment* segment(PgId pg) const;
-  size_t num_segments() const { return segments_.size(); }
 
   /// Crash-stop: in-flight (unpersisted) work is lost; segment state —
   /// which is persisted before every ACK — survives on disk.

@@ -11,7 +11,7 @@ namespace {
 
 class LockManagerTest : public ::testing::Test {
  protected:
-  LockManagerTest() : locks_(&loop_, Seconds(5)) {}
+  LockManagerTest() : locks_(&loop_) {}
 
   /// Convenience: request and record the grant status asynchronously.
   Status Lock(TxnId txn, const std::string& key, LockMode mode,

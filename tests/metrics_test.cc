@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cctype>
 #include <cstring>
+#include <fstream>
+#include <set>
 #include <string>
 
 #include "common/metrics.h"
 #include "harness/cluster.h"
+#include "harness/mysql_cluster.h"
 #include "tests/test_util.h"
 
 namespace aurora {
@@ -113,7 +117,7 @@ TEST(MetricsRegistryTest, RegisterSnapshotAndRead) {
   Histogram hist;
   hist.Record(100);
   hist.Record(200);
-  reg.RegisterCounter("a.b.count", &counter);
+  reg.RegisterCounter("a.b.count", [&counter] { return counter; });
   reg.RegisterCounter("a.b.fn_count", [] { return uint64_t{11}; });
   reg.RegisterGauge("a.depth", [] { return 2.5; });
   reg.RegisterHistogram("a.lat_us", &hist);
@@ -135,7 +139,7 @@ TEST(MetricsRegistryTest, RegisterSnapshotAndRead) {
   EXPECT_EQ(reg.Snapshot().histograms.at("a.lat_us").count, 3u);
 }
 
-TEST(MetricsRegistryTest, ReRegistrationReplacesAndUnregisterPrefixDrops) {
+TEST(MetricsRegistryTest, ReRegistrationReplaces) {
   MetricsRegistry reg;
   reg.RegisterCounter("x.one", [] { return uint64_t{1}; });
   reg.RegisterCounter("x.one", [] { return uint64_t{2}; });  // replaces
@@ -143,12 +147,57 @@ TEST(MetricsRegistryTest, ReRegistrationReplacesAndUnregisterPrefixDrops) {
   reg.RegisterCounter("y.one", [] { return uint64_t{4}; });
   EXPECT_EQ(reg.size(), 3u);
   EXPECT_EQ(reg.Snapshot().counters.at("x.one"), 2u);
+}
 
-  reg.UnregisterPrefix("x.");
+struct ToyStats {
+  uint64_t plain = 0;
+  std::atomic<uint64_t> atomic{0};
+  Histogram latency_us;
+
+  template <typename F>
+  static constexpr void Fields(F f) {
+    f("plain", &ToyStats::plain);
+    f("renamed.atomic", &ToyStats::atomic);
+    f("latency_us", &ToyStats::latency_us);
+  }
+};
+
+struct ToyTotals {
+  uint64_t a = 0;
+  uint64_t b = 0;
+
+  template <typename F>
+  static constexpr void Fields(F f) {
+    f("a", &ToyTotals::a);
+    f("b", &ToyTotals::b);
+  }
+};
+
+// A field list registers each member under its listed name, read through
+// the getter at snapshot time: by pointer, or by value for a computed sum.
+TEST(MetricsRegistryTest, RegisterFieldsWalksTheFieldList) {
+  MetricsRegistry reg;
+  ToyStats stats;
+  reg.RegisterFields("toy.", [&stats] { return &stats; });
+  ToyTotals parts[2];
+  reg.RegisterFields("sum.", [&parts] {
+    ToyTotals total;
+    for (const ToyTotals& p : parts) AddFields(&total, p);
+    return total;
+  });
+  EXPECT_EQ(reg.size(), 5u);
+
+  stats.plain = 3;
+  stats.atomic = 4;
+  stats.latency_us.Record(100);
+  parts[0] = {1, 10};
+  parts[1] = {2, 20};
   MetricsSnapshot snap = reg.Snapshot();
-  EXPECT_EQ(snap.counters.count("x.one"), 0u);
-  EXPECT_EQ(snap.counters.count("x.two"), 0u);
-  EXPECT_EQ(snap.counters.at("y.one"), 4u);
+  EXPECT_EQ(snap.counters.at("toy.plain"), 3u);
+  EXPECT_EQ(snap.counters.at("toy.renamed.atomic"), 4u);
+  EXPECT_EQ(snap.histograms.at("toy.latency_us").count, 1u);
+  EXPECT_EQ(snap.counters.at("sum.a"), 3u);
+  EXPECT_EQ(snap.counters.at("sum.b"), 30u);
 }
 
 TEST(MetricsSnapshotTest, DiffSemantics) {
@@ -157,7 +206,7 @@ TEST(MetricsSnapshotTest, DiffSemantics) {
   double level = 1.0;
   Histogram hist;
   hist.Record(50);
-  reg.RegisterCounter("c", &counter);
+  reg.RegisterCounter("c", [&counter] { return counter; });
   reg.RegisterGauge("g", [&level] { return level; });
   reg.RegisterHistogram("h", &hist);
 
@@ -191,7 +240,7 @@ TEST(MetricsSnapshotTest, JsonIsWellFormedAndNested) {
   uint64_t c = 42;
   Histogram h;
   h.Record(123);
-  reg.RegisterCounter("engine.writer.txns", &c);
+  reg.RegisterCounter("engine.writer.txns", [&c] { return c; });
   reg.RegisterCounter("storage.node3.gossip_rounds", [] { return uint64_t{9}; });
   reg.RegisterGauge("engine.writer.vdl", [] { return 1e6; });
   reg.RegisterHistogram("engine.writer.commit_latency_us", &h);
@@ -283,6 +332,76 @@ TEST(ClusterMetricsTest, RegistrySurvivesWriterFailover) {
   MetricsSnapshot snap = cluster.metrics()->Snapshot();
   EXPECT_GT(snap.counters.at("engine.writer.txns_committed"), 0u);
   EXPECT_TRUE(JsonChecker(cluster.DumpMetricsJson()).Valid());
+}
+
+// replica.rN.* names stay bound to replica N when a promotion removes
+// another replica from the cluster's list; the promoted replica's counters
+// hold their final totals, so no counter goes backwards.
+TEST(ClusterMetricsTest, ReplicaNamesSurviveFailover) {
+  ClusterOptions o;
+  o.engine.page_size = 4096;
+  o.engine.pages_per_pg = 64;
+  o.num_replicas = 2;
+  AuroraCluster cluster(o);
+  ASSERT_TRUE(cluster.BootstrapSync().ok());
+  ASSERT_TRUE(cluster.CreateTableSync("t").ok());
+  PageId table = *cluster.TableAnchorSync("t");
+  ASSERT_TRUE(cluster.PutSync(table, Key(1), "v").ok());
+  cluster.RunFor(Millis(50));
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(cluster.ReplicaGetSync(1, table, Key(1)).ok());
+  }
+
+  ASSERT_TRUE(cluster.FailoverToReplicaSync(0).ok());
+  MetricsSnapshot snap = cluster.metrics()->Snapshot();
+  EXPECT_EQ(snap.counters.at("replica.r0.reads"), 0u);
+  EXPECT_EQ(snap.counters.at("replica.r1.reads"), 10u);
+  EXPECT_EQ(snap.histograms.at("replica.r1.read_latency_us").count, 10u);
+  EXPECT_EQ(snap.histograms.count("replica.r0.lag_us"), 1u);
+}
+
+// The set of exported names, pinned. A dropped or renamed key would read as
+// 0 in every bench and script that looks it up by name.
+TEST(ClusterMetricsTest, ExportedNamesMatchGolden) {
+  std::set<std::string> actual;
+  auto add = [&actual](const std::string& cluster, const MetricsSnapshot& s) {
+    for (const auto& [name, v] : s.counters) {
+      actual.insert(cluster + " counter " + name);
+    }
+    for (const auto& [name, v] : s.gauges) {
+      actual.insert(cluster + " gauge " + name);
+    }
+    for (const auto& [name, v] : s.histograms) {
+      actual.insert(cluster + " histogram " + name);
+    }
+  };
+  ClusterOptions o;
+  o.num_replicas = 1;
+  AuroraCluster aurora(o);
+  ASSERT_TRUE(aurora.BootstrapSync().ok());
+  aurora.DumpMetricsJson();  // registers storage.pgN.* for bootstrap's PGs
+  add("aurora", aurora.metrics()->Snapshot());
+  MysqlClusterOptions mo;
+  mo.num_binlog_replicas = 1;
+  MysqlCluster mysql(mo);
+  add("mysql", mysql.metrics()->Snapshot());
+
+  const std::string path =
+      std::string(AURORA_TEST_GOLDEN_DIR) + "/metric_names.txt";
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << "cannot read " << path;
+  std::set<std::string> golden;
+  for (std::string line; std::getline(in, line);) {
+    if (!line.empty() && line[0] != '#') golden.insert(line);
+  }
+  std::string diff;
+  for (const std::string& name : golden) {
+    if (actual.count(name) == 0) diff += "- " + name + "\n";
+  }
+  for (const std::string& name : actual) {
+    if (golden.count(name) == 0) diff += "+ " + name + "\n";
+  }
+  EXPECT_TRUE(diff.empty()) << path << " (- missing, + extra):\n" << diff;
 }
 
 }  // namespace

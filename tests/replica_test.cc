@@ -144,8 +144,8 @@ TEST_F(ReplicaTest, MissRotatesPastDeadSameAzSegments) {
   EXPECT_EQ(fetches,
             replica->buffer_pool()->stats().installs - installs_before);
   // Each page waited out both same-AZ segments before a remote one served.
-  const SimDuration timeout = ReplicaCluster(2).engine.read_retry_timeout;
-  EXPECT_GE(replica->stats().read_latency_us.max(), fetches * 2 * timeout);
+  EXPECT_GE(replica->stats().read_latency_us.max(),
+            fetches * 2 * kReadRetryTimeout);
 }
 
 TEST_F(ReplicaTest, SnapshotGetSeesPreImageOfInFlightTxn) {
