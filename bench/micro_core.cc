@@ -422,8 +422,8 @@ void BM_SegmentAddRecord(benchmark::State& state) {
   const SharedRecords records =
       std::make_shared<const std::vector<LogRecord>>(std::move(batch));
   for (auto _ : state) {
-    for (const LogRecord& r : *records) {
-      benchmark::DoNotOptimize(seg.AddRecord({records, &r}));
+    for (uint32_t i = 0; i < records->size(); ++i) {
+      benchmark::DoNotOptimize(seg.AddRecord(records, i));
     }
     state.PauseTiming();
     (void)seg.Truncate(retained, 0);
@@ -512,8 +512,8 @@ void BM_StorageWriteFanout(benchmark::State& state) {
     for (Segment& seg : replicas) {
       const SharedRecords records = memo.Get<std::vector<LogRecord>>(
           [&blob] { return DecodeSharedRecords(blob); });
-      for (const LogRecord& r : *records) {
-        benchmark::DoNotOptimize(seg.AddRecord({records, &r}));
+      for (uint32_t i = 0; i < records->size(); ++i) {
+        benchmark::DoNotOptimize(seg.AddRecord(records, i));
       }
     }
     timed_ns += std::chrono::duration<double, std::nano>(

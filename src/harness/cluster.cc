@@ -118,10 +118,13 @@ void AuroraCluster::RegisterAllMetrics() {
     m->RegisterFields(base + "page_cache.",
                       [sn] { return sn->PageCacheTotals(); });
     m->RegisterGauge(base + "page_cache.bytes", [sn] {
-      return static_cast<double>(sn->PageCacheBytes());
+      return static_cast<double>(sn->SumSegments(&Segment::page_cache_bytes));
     });
     m->RegisterGauge(base + "hot_log_records", [sn] {
-      return static_cast<double>(sn->HotLogRecords());
+      return static_cast<double>(sn->SumSegments(&Segment::hot_log_size));
+    });
+    m->RegisterGauge(base + "hot_log_runs", [sn] {
+      return static_cast<double>(sn->SumSegments(&Segment::hot_log_runs));
     });
 
     sim::Disk* disk = sn->disk();
@@ -146,7 +149,9 @@ void AuroraCluster::RegisterAllMetrics() {
   });
   m->RegisterGauge("storage.page_cache.bytes", [this] {
     uint64_t bytes = 0;
-    for (const auto& sn : storage_nodes_) bytes += sn->PageCacheBytes();
+    for (const auto& sn : storage_nodes_) {
+      bytes += sn->SumSegments(&Segment::page_cache_bytes);
+    }
     return static_cast<double>(bytes);
   });
   // Robustness sums under their historical names; scrub.* is §2.2's

@@ -89,6 +89,10 @@ class AuroraCluster {
   sim::Instance* writer_instance() { return writer_instance_.get(); }
   sim::NodeId writer_node() const { return writer_node_; }
 
+  /// The live read replicas in creation order. A failover or promotion
+  /// removes the promoted one and closes the gap, so `replica(i)` may then
+  /// be another replica; metric names do not shift: `replica.r<N>.*` names
+  /// the replica created N-th (from 0), which was `replica(N)` until then.
   size_t num_replicas() const { return replicas_.size(); }
   ReadReplica* replica(size_t i) { return replicas_[i].get(); }
 
@@ -99,7 +103,8 @@ class AuroraCluster {
   /// Crashes/restarts the writer instance (volatile state lost).
   void CrashWriter();
 
-  /// Fails over to read replica `i` ("failovers to replicas without loss
+  /// Fails over to live read replica `i` (as `replica(i)` indexes them;
+  /// this removes it from that list) ("failovers to replicas without loss
   /// of data", abstract): the replica's host becomes the new writer, runs
   /// quorum recovery against the shared volume (no redo replay — the
   /// storage service already has everything durable), and the remaining
@@ -132,6 +137,8 @@ class AuroraCluster {
                  const std::string& value);
   Result<std::string> GetSync(PageId table, const std::string& key);
   Status DeleteSync(PageId table, const std::string& key);
+  /// A read on live replica `replica`, indexed as `replica(i)` is: after
+  /// a failover, not the replica `replica.r<replica>.*` names.
   Result<std::string> ReplicaGetSync(size_t replica, PageId table,
                                      const std::string& key);
 

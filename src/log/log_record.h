@@ -99,8 +99,8 @@ void EncodeRecordBatch(const std::vector<const LogRecord*>& records,
 Status DecodeRecordBatch(Slice input, std::vector<LogRecord>* out);
 
 /// One decoded batch under a single owner. Its records are immutable: the
-/// segment replicas that keep them hold aliasing pointers into the vector,
-/// so the batch is freed when the last holder drops its last record.
+/// segment replicas that keep them hold runs of the vector (hot_log.h), so
+/// the batch is freed when the last holder drops its last record.
 using SharedRecords = std::shared_ptr<const std::vector<LogRecord>>;
 /// DecodeRecordBatch into a new owner; null if `input` is malformed.
 SharedRecords DecodeSharedRecords(Slice input);

@@ -8,34 +8,18 @@
 
 namespace aurora {
 
-namespace {
-
-template <typename Entry>
-bool LsnBelow(const Entry& e, Lsn lsn) {
-  return e.lsn < lsn;
-}
-template <typename Entry>
-bool LsnAbove(Lsn lsn, const Entry& e) {
-  return lsn < e.lsn;
-}
-template <typename Backlink>
-bool PrevBelow(const Backlink& b, Lsn prev) {
-  return b.prev < prev;
-}
-
-}  // namespace
-
-bool Segment::AddRecord(std::shared_ptr<const LogRecord> record) {
-  const Lsn lsn = record->lsn;
-  const Lsn prev = record->prev_pg_lsn;
-  const PageId page = record->page_id;
+bool Segment::AddRecord(const SharedRecords& owner, uint32_t index) {
+  const LogRecord& record = (*owner)[index];
+  const Lsn lsn = record.lsn;
+  const Lsn prev = record.prev_pg_lsn;
+  const PageId page = record.page_id;
   if (lsn == kInvalidLsn) return false;
   // Records at or below the applied floor are already reflected in base
   // pages (and possibly garbage collected); re-adding them (late gossip)
   // would leave unreclaimable junk.
   if (lsn <= applied_lsn_) return false;
-  const bool newest = hot_log_.empty() || lsn > hot_log_.back().lsn;
-  if (!Insert(std::move(record))) return false;
+  const bool newest = lsn > hot_log_.last_lsn();
+  if (!Insert(owner, index)) return false;
   if (lsn > max_lsn_) max_lsn_ = lsn;
   // A record above the cached entry's build point is picked up by partial
   // replay; one at or below it (late gossip filling a gap) means the cached
@@ -56,19 +40,22 @@ bool Segment::AddRecord(std::shared_ptr<const LogRecord> record) {
   return true;
 }
 
-bool Segment::Insert(std::shared_ptr<const LogRecord> record) {
-  const Lsn lsn = record->lsn;
-  const Lsn prev = record->prev_pg_lsn;
-  const PageId page = record->page_id;
-  if (hot_log_.empty() || lsn > hot_log_.back().lsn) {
-    hot_log_.push_back({lsn, std::move(record)});
+bool Segment::Insert(const SharedRecords& owner, uint32_t index) {
+  const LogRecord& record = (*owner)[index];
+  const Lsn lsn = record.lsn;
+  const Lsn prev = record.prev_pg_lsn;
+  const PageId page = record.page_id;
+  const LogRecord* cut = nullptr;
+  const HotLog::Placed placed = hot_log_.Add(owner, index, &cut);
+  if (placed == HotLog::Placed::kHeld) return false;
+  if (cut != nullptr) Unimply(cut->prev_pg_lsn, cut->lsn);
+  if (placed == HotLog::Placed::kImplied) {
+    // Its run states the link, and it is the newest with this backlink.
+    EraseExplicit(prev);
+    dead_links_.erase(prev);
   } else {
-    auto it = std::lower_bound(hot_log_.begin(), hot_log_.end(), lsn,
-                               LsnBelow<HotEntry>);
-    if (it->lsn == lsn) return false;
-    hot_log_.insert(it, {lsn, std::move(record)});
+    SetBacklink(prev, lsn);
   }
-  SetBacklink(prev, lsn);
   Slot slot = FindPageRecords(page);
   if (slot == SlotIndex::kNone) {
     if (free_page_records_.empty()) {
@@ -101,37 +88,36 @@ void Segment::ReleasePageRecordsIfEmpty(Slot slot) {
 }
 
 void Segment::AdvanceScl() {
-  for (auto it = FindBacklink(scl_); it != chain_.end();
-       it = FindBacklink(scl_)) {
-    scl_ = it->lsn;
+  for (Lsn next = FindBacklink(scl_); next != kInvalidLsn;
+       next = FindBacklink(scl_)) {
+    scl_ = next;
   }
 }
 
-const LogRecord* Segment::RecordAt(Lsn lsn) const {
-  auto it = std::lower_bound(hot_log_.begin(), hot_log_.end(), lsn,
-                             LsnBelow<HotEntry>);
-  return it == hot_log_.end() || it->lsn != lsn ? nullptr : it->rec.get();
+Lsn Segment::FindBacklink(Lsn prev) const {
+  auto it = FindExplicit(prev);
+  if (it != chain_.end()) return it->lsn;
+  if (dead_links_.count(prev) != 0) return kInvalidLsn;
+  const LogRecord* next = hot_log_.ImpliedSuccessor(prev);
+  return next == nullptr ? kInvalidLsn : next->lsn;
 }
 
-Segment::HotLog::const_iterator Segment::FirstAbove(Lsn lsn) const {
-  return std::upper_bound(hot_log_.begin(), hot_log_.end(), lsn,
-                          LsnAbove<HotEntry>);
+Segment::Backlinks::const_iterator Segment::ExplicitSlot(Lsn prev) const {
+  // Runs start at the newest records, so new entries nearly always append.
+  if (chain_.empty() || prev > chain_.back().prev) return chain_.end();
+  return std::lower_bound(
+      chain_.begin(), chain_.end(), prev,
+      [](const Backlink& b, Lsn key) { return b.prev < key; });
 }
 
-Segment::Backlinks::const_iterator Segment::FindBacklink(Lsn prev) const {
-  auto it = std::lower_bound(chain_.begin(), chain_.end(), prev,
-                             PrevBelow<Backlink>);
+Segment::Backlinks::const_iterator Segment::FindExplicit(Lsn prev) const {
+  auto it = ExplicitSlot(prev);
   return it == chain_.end() || it->prev != prev ? chain_.end() : it;
 }
 
 void Segment::SetBacklink(Lsn prev, Lsn lsn) {
-  if (chain_.empty() || prev > chain_.back().prev) {
-    chain_.push_back({prev, lsn});
-    return;
-  }
-  auto it = std::lower_bound(chain_.begin(), chain_.end(), prev,
-                             PrevBelow<Backlink>);
-  if (it->prev == prev) {
+  auto it = chain_.begin() + (ExplicitSlot(prev) - chain_.cbegin());
+  if (it != chain_.end() && it->prev == prev) {
     // Records sharing a backlink (an annulled record that gossip brought
     // back beside its successor): the last one added wins.
     it->lsn = lsn;
@@ -140,17 +126,32 @@ void Segment::SetBacklink(Lsn prev, Lsn lsn) {
   }
 }
 
-void Segment::EraseBacklink(Lsn prev) {
-  auto it = FindBacklink(prev);
+void Segment::EraseExplicit(Lsn prev) {
+  auto it = FindExplicit(prev);
   if (it != chain_.end()) chain_.erase(it);
+}
+
+void Segment::EraseBacklink(Lsn prev) {
+  EraseExplicit(prev);
+  if (hot_log_.ImpliedSuccessor(prev) != nullptr) {
+    dead_links_.insert(prev);
+  } else {
+    dead_links_.erase(prev);
+  }
+}
+
+void Segment::Unimply(Lsn prev, Lsn lsn) {
+  // No run implies `prev` any more, so its dead mark has done its job.
+  if (dead_links_.erase(prev) != 0) return;
+  if (FindExplicit(prev) == chain_.end()) SetBacklink(prev, lsn);
 }
 
 std::vector<const LogRecord*> Segment::RecordsAbove(Lsn from,
                                                     size_t max) const {
   std::vector<const LogRecord*> out;
-  for (auto it = FirstAbove(from); it != hot_log_.end() && out.size() < max;
-       ++it) {
-    out.push_back(it->rec.get());
+  for (auto it = hot_log_.UpperBound(from);
+       it != hot_log_.end() && out.size() < max; ++it) {
+    out.push_back(&*it);
   }
   return out;
 }
@@ -158,9 +159,8 @@ std::vector<const LogRecord*> Segment::RecordsAbove(Lsn from,
 std::vector<InventoryEntry> Segment::Inventory() const {
   std::vector<InventoryEntry> out;
   out.reserve(hot_log_.size());
-  for (const HotEntry& e : hot_log_) {
-    out.push_back({e.lsn, e.rec->prev_pg_lsn, e.rec->prev_vol_lsn,
-                   e.rec->flags});
+  for (const LogRecord& r : hot_log_) {
+    out.push_back({r.lsn, r.prev_pg_lsn, r.prev_vol_lsn, r.flags});
   }
   return out;
 }
@@ -185,10 +185,10 @@ size_t Segment::CoalesceStep(size_t max_records) {
   const Lsn limit = MaterializationLimit();
   size_t applied = 0;
   std::vector<PageId> touched;
-  for (auto it = FirstAbove(applied_lsn_);
+  for (auto it = hot_log_.UpperBound(applied_lsn_);
        it != hot_log_.end() && it->lsn <= limit && applied < max_records;
        ++it) {
-    const LogRecord& rec = *it->rec;
+    const LogRecord& rec = *it;
     Page* page = BasePage(rec.page_id);
     if (!page->IsFormatted() && rec.op != RedoOp::kFormatPage) {
       // The page's base image was dropped for repair after its format
@@ -220,7 +220,7 @@ bool Segment::CompleteAt(Lsn read_point, std::optional<Lsn> tail) const {
   if (tail.has_value()) {
     // A record of this PG in (tail, read_point] contradicts the reader's
     // tail: this log and the writer's disagree, so vouch for nothing.
-    auto next = FirstAbove(*tail);
+    auto next = hot_log_.UpperBound(*tail);
     if (next != hot_log_.end() && next->lsn <= read_point) return false;
     // The PG has no records in (tail, read_point], so a chain that reaches
     // the tail covers the read point.
@@ -392,11 +392,13 @@ size_t Segment::GarbageCollect() {
   const Lsn floor = std::min(applied_lsn_, pgmrpl_);
   size_t collected = 0;
   while (!hot_log_.empty() && hot_log_.front().lsn <= floor) {
-    const LogRecord& rec = *hot_log_.front().rec;
+    const LogRecord& rec = hot_log_.front();
     // The chain head stays: recovery learns the PG's newest record (the
     // backlink of the next one) from this hot log's inventory.
     if (rec.lsn == scl_) break;
-    EraseBacklink(rec.prev_pg_lsn);
+    // Its backlink names a record older than any held, which no run can
+    // imply, so only an explicit entry can hold it.
+    EraseExplicit(rec.prev_pg_lsn);
     // The log's oldest record is also its page's oldest.
     const Slot records = FindPageRecords(rec.page_id);
     if (records != SlotIndex::kNone) {
@@ -424,7 +426,9 @@ size_t Segment::GarbageCollect() {
         }
       }
     }
-    hot_log_.pop_front();
+    // Popping may free the batch `rec` lives in.
+    const Lsn lsn = rec.lsn;
+    if (const LogRecord* next = hot_log_.PopFront()) Unimply(lsn, next->lsn);
     ++collected;
   }
   return collected;
@@ -438,15 +442,16 @@ Status Segment::Truncate(Lsn above, Epoch epoch) {
   AURORA_CHECK(applied_lsn_ <= above,
                "truncation below materialized pages — VDL went backwards");
   while (!hot_log_.empty() && hot_log_.back().lsn > above) {
-    const LogRecord& rec = *hot_log_.back().rec;
-    EraseBacklink(rec.prev_pg_lsn);
+    const LogRecord& rec = hot_log_.back();
+    const Lsn prev = rec.prev_pg_lsn;
     // The log's newest record is also its page's newest.
     const Slot records = FindPageRecords(rec.page_id);
     if (records != SlotIndex::kNone) {
       page_records_[records].lsns->pop_back();
       ReleasePageRecordsIfEmpty(records);
     }
-    hot_log_.pop_back();
+    hot_log_.PopBack();
+    EraseBacklink(prev);
   }
   // The newest surviving record, not `above` itself: the writer's next
   // record of this PG links to it, and the chain must meet the SCL there.
@@ -509,9 +514,9 @@ bool Segment::CorruptNthBasePage(uint64_t nth) {
 
 std::vector<const LogRecord*> Segment::UnbackedRecords(size_t max) const {
   std::vector<const LogRecord*> out;
-  for (auto it = FirstAbove(backup_lsn_);
+  for (auto it = hot_log_.UpperBound(backup_lsn_);
        it != hot_log_.end() && it->lsn <= scl_ && out.size() < max; ++it) {
-    out.push_back(it->rec.get());
+    out.push_back(&*it);
   }
   return out;
 }
@@ -527,7 +532,7 @@ void Segment::SerializeTo(std::string* dst) const {
   PutVarint64(dst, epoch_);
   PutVarint64(dst, applied_lsn_);
   PutVarint64(dst, hot_log_.size());
-  for (const HotEntry& e : hot_log_) e.rec->EncodeTo(dst);
+  for (const LogRecord& r : hot_log_) r.EncodeTo(dst);
   PutVarint64(dst, base_pages_.size());
   for (const auto& [id, page] : base_pages_) {
     PutVarint64(dst, id);
@@ -548,8 +553,9 @@ Status Segment::DeserializeFrom(Slice input) {
   }
   pg_ = pg;
   page_size_ = page_size;
-  hot_log_.clear();
+  hot_log_ = HotLog();
   chain_.clear();
+  dead_links_.clear();
   page_records_.clear();
   free_page_records_.clear();
   page_index_.Clear();
@@ -564,7 +570,7 @@ Status Segment::DeserializeFrom(Slice input) {
     records->push_back(std::move(rec));
   }
   const SharedRecords owner = std::move(records);
-  for (const LogRecord& rec : *owner) Insert({owner, &rec});
+  for (uint32_t i = 0; i < owner->size(); ++i) Insert(owner, i);
   if (!GetVarint64(&input, &n_pages)) {
     return Status::Corruption("bad segment state pages");
   }
@@ -584,7 +590,7 @@ Status Segment::DeserializeFrom(Slice input) {
 
 uint64_t Segment::ApproximateBytes() const {
   uint64_t bytes = 0;
-  for (const HotEntry& e : hot_log_) bytes += e.rec->EncodedSize();
+  for (const LogRecord& r : hot_log_) bytes += r.EncodedSize();
   bytes += base_pages_.size() * page_size_;
   return bytes;
 }

@@ -18,6 +18,7 @@
 #include "log/log_record.h"
 #include "log/types.h"
 #include "page/page.h"
+#include "storage/hot_log.h"
 #include "storage/wire.h"
 
 namespace aurora {
@@ -79,16 +80,17 @@ class Segment {
   size_t page_size() const { return page_size_; }
 
   // --- Hot log -------------------------------------------------------------
-  /// Adds a record (from a writer batch or peer gossip); duplicates are
-  /// ignored. Returns true if the record was new. Advances the SCL when the
-  /// backlink chain extends. A record newer than every held one is appended
-  /// in O(1); an older one is placed by binary search. The segment keeps
-  /// `record` itself, usually an aliasing pointer into a decoded batch that
-  /// other replicas keep too (SharedRecords): records are never modified.
-  bool AddRecord(std::shared_ptr<const LogRecord> record);
+  /// Adds `(*owner)[index]` (from a writer batch or peer gossip);
+  /// duplicates are ignored. Returns true if the record was new. Advances
+  /// the SCL when the backlink chain extends. A record newer than every held
+  /// one is appended in O(1); an older one is placed by binary search. The
+  /// segment keeps the record in `owner`, a decoded batch the PG's other
+  /// replicas usually keep too: records are never modified.
+  bool AddRecord(const SharedRecords& owner, uint32_t index);
   /// Adds a private copy of `record` (restore, tests, benchmarks).
   bool AddRecord(const LogRecord& record) {
-    return AddRecord(std::make_shared<const LogRecord>(record));
+    return AddRecord(std::make_shared<const std::vector<LogRecord>>(1, record),
+                     0);
   }
 
   /// Segment Complete LSN: every record of the PG with LSN <= scl() is here.
@@ -100,6 +102,8 @@ class Segment {
 
   bool HasRecord(Lsn lsn) const { return RecordAt(lsn) != nullptr; }
   size_t hot_log_size() const { return hot_log_.size(); }
+  /// Runs the hot log keeps its records in (hot_log.h).
+  size_t hot_log_runs() const { return hot_log_.runs(); }
 
   /// Records this replica has with LSN > `from`, up to `max` of them, in
   /// LSN order — the gossip-push payload. Returns views of the held
@@ -207,7 +211,7 @@ class Segment {
   /// still bridge that replica's gap. Once GC collects the successor, the
   /// gap is only healable by a full state copy.
   bool CanBridgeFrom(Lsn scl) const {
-    return FindBacklink(scl) != chain_.end();
+    return FindBacklink(scl) != kInvalidLsn;
   }
 
   /// Removes every record with LSN > `above`. Stale if `epoch` is older than
@@ -255,29 +259,29 @@ class Segment {
     Lsn prev;
     Lsn lsn;
   };
-  /// One hot-log record; `lsn` is rec->lsn, kept inline for the searches.
-  struct HotEntry {
-    Lsn lsn;
-    std::shared_ptr<const LogRecord> rec;
-  };
-  using HotLog = std::deque<HotEntry>;
   using Backlinks = std::deque<Backlink>;
   using PageLsns = std::deque<Lsn>;
   using LsnRange =
       std::pair<PageLsns::const_iterator, PageLsns::const_iterator>;
   using Slot = uint32_t;
 
-  /// Places `record` in the hot log and both indexes; false if its LSN is
-  /// already there.
-  bool Insert(std::shared_ptr<const LogRecord> record);
+  /// Places the record in the hot log and both indexes; false if its LSN
+  /// is already there.
+  bool Insert(const SharedRecords& owner, uint32_t index);
   void AdvanceScl();
-  const LogRecord* RecordAt(Lsn lsn) const;
-  /// First hot-log record with LSN > `lsn`.
-  HotLog::const_iterator FirstAbove(Lsn lsn) const;
-  /// The backlink entry for `prev`, or chain_.end().
-  Backlinks::const_iterator FindBacklink(Lsn prev) const;
+  const LogRecord* RecordAt(Lsn lsn) const { return hot_log_.Find(lsn); }
+  /// The record whose backlink is `prev` (the newest added), or kInvalidLsn.
+  Lsn FindBacklink(Lsn prev) const;
+  /// Where an explicit entry for `prev` is or would go in chain_.
+  Backlinks::const_iterator ExplicitSlot(Lsn prev) const;
+  Backlinks::const_iterator FindExplicit(Lsn prev) const;
   void SetBacklink(Lsn prev, Lsn lsn);
+  void EraseExplicit(Lsn prev);
+  /// Erases the link keyed `prev`, explicit or implied.
   void EraseBacklink(Lsn prev);
+  /// Keeps the link prev -> lsn, which its run stopped implying (a split or
+  /// GC separated the two records), unless it was erased or overridden.
+  void Unimply(Lsn prev, Lsn lsn);
   /// LSNs of `page`'s hot-log records in (after, through], ascending.
   LsnRange PageRecordsIn(PageId page, Lsn after, Lsn through) const;
   /// Applies the records `lsns` names to `image`.
@@ -341,13 +345,16 @@ class Segment {
   PgId pg_;
   size_t page_size_;
 
-  /// LSN-ordered sequences (DESIGN.md §5): records nearly always arrive as
-  /// the segment's newest, so inserts append; GC pops the front and
-  /// truncation the back. Entries share their records with the PG's other
-  /// replicas; dropping one only releases this replica's reference.
+  /// LSN-ordered (DESIGN.md §5): records nearly always arrive as the
+  /// segment's newest, so inserts append; GC pops the front and truncation
+  /// the back. Runs share their batches with the PG's other replicas;
+  /// dropping one only releases this replica's reference.
   HotLog hot_log_;
-  /// Sorted by prev; an equal prev keeps the last record added with it.
+  /// The backlink index (prev -> the newest record added with it, erased
+  /// by prev): implied records' links (hot_log.h), overridden by chain_'s
+  /// entries (sorted by prev) and hidden by dead_links_ (erased since).
   Backlinks chain_;
+  std::set<Lsn> dead_links_;
   /// Per-page LSN lists in stable slots (a deque: slots never move), found
   /// through `page_index_` by a fixed hash of the page id and never
   /// iterated, so no address or bucket order reaches the simulation.

@@ -117,18 +117,6 @@ PageCacheStats StorageNode::PageCacheTotals() const {
   return total;
 }
 
-uint64_t StorageNode::PageCacheBytes() const {
-  uint64_t bytes = 0;
-  for (const auto& [pg, seg] : segments_) bytes += seg->page_cache_bytes();
-  return bytes;
-}
-
-uint64_t StorageNode::HotLogRecords() const {
-  uint64_t records = 0;
-  for (const auto& [pg, seg] : segments_) records += seg->hot_log_size();
-  return records;
-}
-
 bool StorageNode::Busy() const {
   return disk_.backlog() > options_.background_backlog_limit;
 }
@@ -278,7 +266,7 @@ void StorageNode::HandleWriteBatch(const sim::Message& msg) {
     seg->ObserveEpoch(batch.epoch);
     seg->SetVdlHint(batch.vdl_hint);
     seg->SetPgmrpl(batch.pgmrpl_hint);
-    for (const LogRecord& r : *records) seg->AddRecord({records, &r});
+    for (uint32_t i = 0; i < records->size(); ++i) seg->AddRecord(records, i);
     // The device may have planted a latent sector fault under this write;
     // rot a materialized base page in response (the scrubber or a CRC-
     // verified read will catch it later). The RNG draw is gated on the
@@ -592,8 +580,8 @@ void StorageNode::HandleGossipPush(const sim::Message& msg) {
     if (seg == nullptr) return;
     seg->ObserveEpoch(epoch);
     uint64_t filled = 0;
-    for (const LogRecord& r : *records) {
-      if (seg->AddRecord({records, &r})) ++filled;
+    for (uint32_t i = 0; i < records->size(); ++i) {
+      if (seg->AddRecord(records, i)) ++filled;
     }
     stats_.gossip_records_filled += filled;
     if (filled > 0) stats_.gossip_fill_batch.Record(filled);

@@ -179,10 +179,14 @@ class StorageNode {
 
   /// Reconstruction-cache counters summed across hosted segments.
   PageCacheStats PageCacheTotals() const;
-  /// Current reconstruction-cache footprint across hosted segments.
-  uint64_t PageCacheBytes() const;
-  /// Hot-log records held across hosted segments.
-  uint64_t HotLogRecords() const;
+  /// A Segment accessor such as &Segment::hot_log_size, summed across
+  /// hosted segments.
+  template <typename Stat>
+  uint64_t SumSegments(Stat stat) const {
+    uint64_t sum = 0;
+    for (const auto& [pg, seg] : segments_) sum += ((*seg).*stat)();
+    return sum;
+  }
 
   /// For the repair manager: serialized segment state bytes.
   uint64_t SegmentBytes(PgId pg) const;

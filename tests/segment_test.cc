@@ -556,6 +556,172 @@ std::string ReadOutcome(const Result<std::shared_ptr<const Page>>& page) {
   return page.ok() ? (*page)->raw() : page.status().ToString();
 }
 
+// A Segment and its reference model fed the same steps, for the directed
+// hot-log run tests. After every step both agree on the SCL, on
+// CanBridgeFrom at every LSN a record names, and on the inventory.
+class RunSteps {
+ public:
+  RunSteps() : seg_(0, 4096), ref_(4096) {}
+
+  // One decoded batch of page-0 records, {lsn, backlink} each; a record
+  // without a backlink formats the page.
+  static SharedRecords Batch(std::vector<std::pair<Lsn, Lsn>> links) {
+    std::vector<LogRecord> records;
+    for (const auto& [lsn, prev] : links) {
+      LogRecord r;
+      r.lsn = lsn;
+      r.prev_pg_lsn = prev;
+      r.prev_vol_lsn = lsn - 1;
+      r.page_id = 0;
+      r.txn_id = 1;
+      r.op = prev == kInvalidLsn ? RedoOp::kFormatPage : RedoOp::kSetNext;
+      r.payload = prev == kInvalidLsn
+                      ? LogRecord::MakeFormatPayload(
+                            static_cast<uint8_t>(PageType::kBTreeLeaf), 0)
+                      : LogRecord::MakePageIdPayload(lsn);
+      records.push_back(std::move(r));
+    }
+    return std::make_shared<const std::vector<LogRecord>>(std::move(records));
+  }
+
+  // Delivers the batch's records in order, except those in `lost`.
+  void Add(const SharedRecords& owner, const std::set<Lsn>& lost = {}) {
+    for (uint32_t i = 0; i < owner->size(); ++i) {
+      const LogRecord& r = (*owner)[i];
+      if (lost.count(r.lsn) != 0) continue;
+      probes_.insert({r.lsn, r.prev_pg_lsn});
+      EXPECT_EQ(seg_.AddRecord(owner, i), ref_.AddRecord(r)) << r.lsn;
+      Check("add " + std::to_string(r.lsn));
+    }
+  }
+  // Coalesces everything at or below `through`, then collects.
+  void Collect(Lsn through) {
+    seg_.SetVdlHint(through);
+    seg_.SetPgmrpl(through);
+    ref_.SetVdlHint(through);
+    ref_.SetPgmrpl(through);
+    EXPECT_EQ(seg_.CoalesceStep(1000), ref_.CoalesceStep(1000));
+    EXPECT_EQ(seg_.GarbageCollect(), ref_.GarbageCollect());
+    Check("collect through " + std::to_string(through));
+  }
+  void Truncate(Lsn above, Epoch epoch) {
+    EXPECT_EQ(seg_.Truncate(above, epoch).ToString(),
+              ref_.Truncate(above, epoch).ToString());
+    Check("truncate above " + std::to_string(above));
+  }
+
+  const Segment& seg() const { return seg_; }
+
+ private:
+  void Check(const std::string& step) {
+    SCOPED_TRACE(step);
+    EXPECT_EQ(seg_.scl(), ref_.scl());
+    for (Lsn lsn : probes_) {
+      EXPECT_EQ(seg_.CanBridgeFrom(lsn), ref_.CanBridgeFrom(lsn))
+          << "from " << lsn;
+    }
+    std::vector<std::pair<Lsn, Lsn>> inv, ref_inv;
+    for (const InventoryEntry& e : seg_.Inventory()) {
+      inv.emplace_back(e.lsn, e.prev);
+    }
+    for (const InventoryEntry& e : ref_.Inventory()) {
+      ref_inv.emplace_back(e.lsn, e.prev);
+    }
+    EXPECT_EQ(inv, ref_inv);
+  }
+
+  Segment seg_;
+  ReferenceSegment ref_;
+  std::set<Lsn> probes_;
+};
+
+TEST(SegmentTest, InOrderBatchFormsOneRun) {
+  RunSteps steps;
+  steps.Add(RunSteps::Batch({{100, 0}, {110, 100}, {120, 110}, {130, 120}}));
+  EXPECT_EQ(steps.seg().hot_log_runs(), 1u);
+  EXPECT_EQ(steps.seg().scl(), 130u);
+  // The next batch links to the first one's last record: a second run.
+  steps.Add(RunSteps::Batch({{140, 130}, {150, 140}}));
+  EXPECT_EQ(steps.seg().hot_log_runs(), 2u);
+  EXPECT_EQ(steps.seg().hot_log_size(), 6u);
+}
+
+// A gossip push is its own batch: its first new record starts a run even
+// where its index continues the newest run's batch.
+TEST(SegmentTest, GossipPushStartsItsOwnRun) {
+  RunSteps steps;
+  steps.Add(RunSteps::Batch({{100, 0}, {110, 100}, {125, 110}}),
+            /*lost=*/{125});
+  steps.Add(RunSteps::Batch({{100, 0}, {110, 100}, {120, 110}}));
+  EXPECT_EQ(steps.seg().hot_log_runs(), 2u);
+  EXPECT_EQ(steps.seg().scl(), 120u);
+}
+
+// A late record inside a run splits it, and the record cut from its
+// predecessor keeps its backlink (120 -> 130 stays bridgeable).
+TEST(SegmentTest, LateRecordSplitsARun) {
+  RunSteps steps;
+  steps.Add(RunSteps::Batch({{100, 0}, {110, 100}, {120, 110}, {130, 120}}));
+  steps.Add(RunSteps::Batch({{125, 105}}));  // an annulled record
+  EXPECT_EQ(steps.seg().hot_log_runs(), 3u);
+  EXPECT_TRUE(steps.seg().CanBridgeFrom(120));
+  // A batch delivered after its successor batch joins one run as well.
+  steps.Add(RunSteps::Batch({{160, 150}, {170, 160}}));
+  steps.Add(RunSteps::Batch({{140, 130}, {150, 140}}));
+  EXPECT_EQ(steps.seg().hot_log_runs(), 5u);
+  EXPECT_EQ(steps.seg().scl(), 170u);
+}
+
+// GC of a run's first record keeps the link to its successor.
+TEST(SegmentTest, GcAcrossARunsFirstRecord) {
+  RunSteps steps;
+  steps.Add(RunSteps::Batch({{100, 0}, {110, 100}, {120, 110}}));
+  steps.Add(RunSteps::Batch({{130, 120}, {140, 130}, {150, 140}, {160, 150}}));
+  steps.Collect(110);
+  EXPECT_TRUE(steps.seg().CanBridgeFrom(110));
+  steps.Collect(140);
+  EXPECT_TRUE(steps.seg().CanBridgeFrom(140));
+  EXPECT_EQ(steps.seg().hot_log_runs(), 1u);
+}
+
+TEST(SegmentTest, TruncationInsideARun) {
+  RunSteps steps;
+  steps.Add(RunSteps::Batch({{100, 0}, {110, 100}, {120, 110}, {130, 120}}));
+  steps.Truncate(115, 1);
+  EXPECT_EQ(steps.seg().scl(), 110u);
+  EXPECT_FALSE(steps.seg().CanBridgeFrom(110));
+  // The next incarnation links to the newest record kept.
+  steps.Add(RunSteps::Batch({{140, 110}, {150, 140}}));
+  EXPECT_EQ(steps.seg().scl(), 150u);
+  steps.Collect(140);
+}
+
+// An annulled record that gossip brings back shares its backlink with an
+// implied record and overrides it; truncating it erases that backlink, and
+// the implied record must not revive it.
+TEST(SegmentTest, AnnulledCollisionErasedByTruncation) {
+  RunSteps steps;
+  steps.Add(RunSteps::Batch({{100, 0}, {110, 100}, {120, 110}, {130, 120}}));
+  steps.Add(RunSteps::Batch({{125, 110}}));
+  steps.Truncate(121, 1);
+  EXPECT_FALSE(steps.seg().CanBridgeFrom(110));
+  steps.Add(RunSteps::Batch({{135, 120}, {145, 135}}));
+  steps.Collect(135);
+  EXPECT_FALSE(steps.seg().CanBridgeFrom(110));
+}
+
+// The same collision, erased by GC instead.
+TEST(SegmentTest, AnnulledCollisionErasedByGc) {
+  RunSteps steps;
+  steps.Add(RunSteps::Batch({{100, 0}, {110, 100}, {120, 110}, {130, 120}}));
+  steps.Add(RunSteps::Batch({{135, 110}}));
+  steps.Add(RunSteps::Batch({{115, 110}}));
+  steps.Collect(110);
+  steps.Collect(130);
+  steps.Truncate(130, 1);
+  steps.Add(RunSteps::Batch({{140, 130}}));
+}
+
 // One randomized schedule against two segment replicas of one PG, each
 // checked against its own reference model: one Segment with the
 // reconstruction cache off and one with a cache small enough to evict. Both
@@ -573,8 +739,13 @@ class SegmentEquivalence {
   static constexpr size_t kPageSize = 4096;
   static constexpr PageId kPages = 5;
 
-  explicit SegmentEquivalence(uint64_t seed)
-      : rng_(seed), replicas_{Replica(false), Replica(true)} {}
+  // `max_batch` bounds a writer batch's records. Above 6 it also turns gap
+  // fills into gossip pushes: a stretch of consecutive records, decoded
+  // into one owner, that can start with records a replica already holds.
+  explicit SegmentEquivalence(uint64_t seed, uint64_t max_batch = 6)
+      : rng_(seed),
+        max_batch_(max_batch),
+        replicas_{Replica(false), Replica(true)} {}
 
   void Run(int steps) {
     for (step_ = 0; step_ < steps; ++step_) {
@@ -628,15 +799,15 @@ class SegmentEquivalence {
   }
 
   // Both replicas receive the same record object.
-  void Deliver(const std::shared_ptr<const LogRecord>& rec) {
+  void Deliver(const SharedRecords& owner, uint32_t i) {
     for (Replica& r : replicas_) {
-      const bool added = r.ref.AddRecord(*rec);
-      EXPECT_EQ(r.seg.AddRecord(rec), added) << Where();
+      const bool added = r.ref.AddRecord((*owner)[i]);
+      EXPECT_EQ(r.seg.AddRecord(owner, i), added) << Where();
     }
   }
   // A record decoded on its own (a gossip push, a late copy).
   void Deliver(const LogRecord& rec) {
-    Deliver(std::make_shared<const LogRecord>(rec));
+    Deliver(std::make_shared<const std::vector<LogRecord>>(1, rec), 0);
   }
 
   template <typename T>
@@ -658,7 +829,7 @@ class SegmentEquivalence {
       case 1:
       case 2: {  // a writer batch, usually in order, sometimes reordered
         std::vector<LogRecord> batch;
-        for (uint64_t n = 1 + rng_.Uniform(6); n > 0; --n) {
+        for (uint64_t n = 1 + rng_.Uniform(max_batch_); n > 0; --n) {
           batch.push_back(Produce());
         }
         if (rng_.Bernoulli(0.2)) {
@@ -669,17 +840,28 @@ class SegmentEquivalence {
         // One decoded batch: both replicas keep pointers into it.
         const SharedRecords owner =
             std::make_shared<const std::vector<LogRecord>>(std::move(batch));
-        for (const LogRecord& r : *owner) {
+        for (uint32_t i = 0; i < owner->size(); ++i) {
           if (rng_.Bernoulli(0.1)) {
-            held_.push_back(r);  // lost to both replicas for now
+            held_.push_back((*owner)[i]);  // lost to both replicas for now
           } else {
-            Deliver({owner, &r});
+            Deliver(owner, i);
           }
         }
         break;
       }
       case 3:  // gossip fills a gap
-        if (!held_.empty()) {
+        if (max_batch_ > 6 && !produced_.empty()) {
+          const size_t from = rng_.Uniform(produced_.size());
+          const size_t to =
+              std::min(produced_.size(), from + 1 + rng_.Uniform(12));
+          const SharedRecords push = std::make_shared<
+              const std::vector<LogRecord>>(produced_.begin() + from,
+                                            produced_.begin() + to);
+          for (uint32_t i = 0; i < push->size(); ++i) Deliver(push, i);
+          std::erase_if(held_, [&](const LogRecord& r) {
+            return r.lsn >= (*push)[0].lsn && r.lsn <= push->back().lsn;
+          });
+        } else if (!held_.empty()) {
           const size_t i = rng_.Uniform(held_.size());
           Deliver(held_[i]);
           held_.erase(held_.begin() + static_cast<std::ptrdiff_t>(i));
@@ -846,6 +1028,7 @@ class SegmentEquivalence {
   }
 
   Random rng_;
+  const uint64_t max_batch_;
   std::array<Replica, 2> replicas_;
   int step_ = 0;
   Lsn next_lsn_ = 100;
@@ -865,6 +1048,16 @@ TEST(SegmentEquivalenceTest, RandomSchedulesMatchTheTreeModel) {
   for (uint64_t seed = 1; seed <= 24; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     SegmentEquivalence(seed).Run(300);
+    if (HasFailure()) return;
+  }
+}
+
+// The same with 1-40-record batches, so the hot log holds long runs that
+// late records split, GC and truncation cut into, and gossip pushes extend.
+TEST(SegmentEquivalenceTest, LongBatchSchedulesMatchTheTreeModel) {
+  for (uint64_t seed = 1; seed <= 24; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    SegmentEquivalence(seed, /*max_batch=*/40).Run(300);
     if (HasFailure()) return;
   }
 }
