@@ -6,6 +6,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -26,6 +27,7 @@
 #include "page/page.h"
 #include "sim/event_loop.h"
 #include "sim/network.h"
+#include "storage/base_image_store.h"
 #include "storage/segment.h"
 #include "tests/test_util.h"
 
@@ -527,6 +529,93 @@ void BM_StorageWriteFanout(benchmark::State& state) {
       timed_ns / static_cast<double>(state.iterations() * kBatch);
 }
 BENCHMARK(BM_StorageWriteFanout);
+
+// Materialization on the six replicas of one PG (Figure 4 step 5, six
+// times): each replica coalesces the same decoded 512-record batch of
+// updates over 64 pages of 4 KiB, and the six share one BaseImageStore, as
+// a volume's segments do. Time is per batch; ns_per_record divides it by
+// the batch's records, all six replicas included. images_per_page is the
+// number of distinct base image objects the six hold per page at the end:
+// 1 when they share every image, 6 when each keeps its own. Delivering the
+// batch and collecting it afterwards is not timed.
+void BM_ReplicaCoalesceSharedImages(benchmark::State& state) {
+  constexpr size_t kBatch = 512;
+  constexpr PageId kPages = 64;
+  constexpr size_t kPageSize = 4096;
+  const auto images = std::make_shared<BaseImageStore>();
+  std::vector<Segment> replicas;
+  for (int i = 0; i < kReplicasPerPg; ++i) {
+    replicas.emplace_back(0, kPageSize, images);
+  }
+  // Each page gets a format record and the one key its updates name.
+  Lsn lsn = 0;
+  std::vector<LogRecord> setup;
+  for (PageId page = 0; page < kPages; ++page) {
+    LogRecord format = SegmentRecord(lsn + 1, lsn, kPages);
+    format.page_id = page;
+    format.op = RedoOp::kFormatPage;
+    format.payload = LogRecord::MakeFormatPayload(
+        static_cast<uint8_t>(PageType::kBTreeLeaf), 0);
+    setup.push_back(std::move(format));
+    ++lsn;
+    LogRecord insert = SegmentRecord(lsn + 1, lsn, kPages);
+    insert.page_id = page;
+    insert.op = RedoOp::kInsert;
+    insert.payload = LogRecord::MakeKeyValuePayload(
+        "key" + std::to_string(page), std::string(100, 'v'));
+    setup.push_back(std::move(insert));
+    ++lsn;
+  }
+  auto deliver = [&replicas](std::vector<LogRecord> records) {
+    const Lsn last = records.back().lsn;
+    const SharedRecords batch =
+        std::make_shared<const std::vector<LogRecord>>(std::move(records));
+    for (Segment& seg : replicas) {
+      for (uint32_t i = 0; i < batch->size(); ++i) seg.AddRecord(batch, i);
+      seg.SetVdlHint(last);
+      seg.SetPgmrpl(last);
+    }
+  };
+  deliver(std::move(setup));
+  for (Segment& seg : replicas) seg.CoalesceStep(2 * kPages);
+  double timed_ns = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::vector<LogRecord> batch;
+    for (size_t i = 0; i < kBatch; ++i, ++lsn) {
+      batch.push_back(SegmentRecord(lsn + 1, lsn, kPages));
+    }
+    deliver(std::move(batch));
+    state.ResumeTiming();
+    const auto start = std::chrono::steady_clock::now();
+    for (Segment& seg : replicas) {
+      benchmark::DoNotOptimize(seg.CoalesceStep(kBatch));
+    }
+    timed_ns += std::chrono::duration<double, std::nano>(
+                    std::chrono::steady_clock::now() - start)
+                    .count();
+    state.PauseTiming();
+    for (Segment& seg : replicas) seg.GarbageCollect();
+    state.ResumeTiming();
+  }
+  state.counters["ns_per_record"] =
+      timed_ns / static_cast<double>(state.iterations() * kBatch);
+  // A read at the applied LSN, with no newer record, serves the base image
+  // object itself.
+  size_t distinct = 0;
+  for (PageId page = 0; page < kPages; ++page) {
+    std::vector<const Page*> held;
+    for (const Segment& seg : replicas) {
+      auto image = seg.GetPageAsOf(page, seg.applied_lsn());
+      if (image.ok()) held.push_back(image->get());
+    }
+    std::sort(held.begin(), held.end());
+    distinct += std::unique(held.begin(), held.end()) - held.begin();
+  }
+  state.counters["images_per_page"] =
+      static_cast<double>(distinct) / static_cast<double>(kPages);
+}
+BENCHMARK(BM_ReplicaCoalesceSharedImages);
 
 }  // namespace
 }  // namespace aurora

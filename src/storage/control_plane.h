@@ -4,6 +4,7 @@
 #include <array>
 #include <functional>
 #include <map>
+#include <memory>
 #include <vector>
 
 #include "common/logging.h"
@@ -11,6 +12,7 @@
 #include "common/thread_annotations.h"
 #include "log/types.h"
 #include "sim/topology.h"
+#include "storage/base_image_store.h"
 
 namespace aurora {
 
@@ -109,6 +111,11 @@ class ControlPlane {
   const std::function<bool(PageId, class Page*)>& page_synthesizer() const {
     return synthesizer_;
   }
+  /// The volume's materialized base images, shared by every segment replica
+  /// (StorageNode hands the store to each segment it creates).
+  const std::shared_ptr<BaseImageStore>& base_images() const {
+    return base_images_;
+  }
 
   // --- Durable volume metadata (recovery, §4.3) ----------------------------
   /// Current volume epoch; recovery bumps it before truncating.
@@ -142,6 +149,8 @@ class ControlPlane {
   std::vector<ConfigRecord> config_history_ GUARDED_BY(mu_);
   PgId next_pg_ GUARDED_BY(mu_) = 0;
   std::function<bool(PageId, class Page*)> synthesizer_;
+  const std::shared_ptr<BaseImageStore> base_images_ =
+      std::make_shared<BaseImageStore>();
   Epoch volume_epoch_ = 1;
   std::vector<TruncationRange> truncations_;
 };

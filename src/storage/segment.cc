@@ -1,6 +1,7 @@
 #include "storage/segment.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/coding.h"
 #include "common/logging.h"
@@ -52,7 +53,7 @@ bool Segment::Insert(const SharedRecords& owner, uint32_t index) {
   if (placed == HotLog::Placed::kImplied) {
     // Its run states the link, and it is the newest with this backlink.
     EraseExplicit(prev);
-    dead_links_.erase(prev);
+    if (!dead_links_.empty()) dead_links_.erase(prev);
   } else {
     SetBacklink(prev, lsn);
   }
@@ -172,47 +173,88 @@ Lsn Segment::MaterializationLimit() const {
   return std::min(scl_, std::min(vdl_hint_, pgmrpl_));
 }
 
-Page* Segment::BasePage(PageId page) {
-  auto it = base_pages_.find(page);
-  if (it == base_pages_.end()) {
-    it = base_pages_.emplace(page, Page(page_size_)).first;
-    if (synthesizer_) synthesizer_(page, &it->second);
-  }
-  return &it->second;
-}
-
 size_t Segment::CoalesceStep(size_t max_records) {
   const Lsn limit = MaterializationLimit();
-  size_t applied = 0;
-  std::vector<PageId> touched;
+  // The step's records, grouped by page and in LSN order within a page.
+  struct Item {
+    PageId page;
+    Lsn lsn;
+    const LogRecord* rec;
+  };
+  std::vector<Item> step;
   for (auto it = hot_log_.UpperBound(applied_lsn_);
-       it != hot_log_.end() && it->lsn <= limit && applied < max_records;
+       it != hot_log_.end() && it->lsn <= limit && step.size() < max_records;
        ++it) {
-    const LogRecord& rec = *it;
-    Page* page = BasePage(rec.page_id);
-    if (!page->IsFormatted() && rec.op != RedoOp::kFormatPage) {
-      // The page's base image was dropped for repair after its format
-      // record retired into it: this record cannot apply locally. Hold the
-      // materialization frontier here until a peer copy is restored (and
-      // drop the unformatted placeholder BasePage just created — an empty
-      // entry is indistinguishable from a missing one, and reads must keep
-      // treating the page as lost).
-      base_pages_.erase(rec.page_id);
-      break;
-    }
-    Status s = LogApplicator::Apply(rec, page);
-    AURORA_CHECK(s.ok(), "coalesce apply failed (non-deterministic redo?)");
-    if (touched.empty() || touched.back() != rec.page_id) {
-      touched.push_back(rec.page_id);
-    }
-    applied_lsn_ = rec.lsn;
-    ++applied;
+    step.push_back({it->page_id, it->lsn, &*it});
   }
-  // One CRC per page touched: nothing reads a base page within a step, so
-  // only the step's final bytes need one.
-  std::sort(touched.begin(), touched.end());
-  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
-  for (PageId id : touched) base_pages_.at(id).UpdateCrc();
+  if (step.empty()) return 0;
+  std::sort(step.begin(), step.end(), [](const Item& a, const Item& b) {
+    return a.page != b.page ? a.page < b.page : a.lsn < b.lsn;
+  });
+  // Each page's records, with its base image or the page this step
+  // creates. A record cannot apply to an unformatted page unless it formats
+  // it: the page's base image was dropped for repair after its format
+  // record retired into it. The step stops below the first such record, so
+  // the materialization frontier holds there until a peer copy is
+  // restored, and creates no base page for it: an empty entry is
+  // indistinguishable from a missing one, and reads must keep treating the
+  // page as lost.
+  struct Touched {
+    size_t begin;
+    size_t end;
+    std::map<PageId, BaseImageStore::Image>::iterator base;
+    std::shared_ptr<Page> created;  // when the page has no base image
+  };
+  std::vector<Touched> touched;
+  Lsn stop = std::numeric_limits<Lsn>::max();
+  for (size_t begin = 0; begin < step.size();) {
+    const PageId id = step[begin].page;
+    size_t end = begin + 1;
+    while (end < step.size() && step[end].page == id) ++end;
+    Touched t{begin, end, base_pages_.find(id), nullptr};
+    if (t.base == base_pages_.end()) {
+      t.created = std::make_shared<Page>(page_size_);
+      if (synthesizer_) synthesizer_(id, t.created.get());
+    }
+    const Page& start = t.created ? *t.created : *t.base->second;
+    if (!start.IsFormatted() && step[begin].rec->op != RedoOp::kFormatPage) {
+      stop = std::min(stop, step[begin].lsn);
+    }
+    touched.push_back(std::move(t));
+    begin = end;
+  }
+  size_t applied = 0;
+  for (Touched& t : touched) {
+    size_t end = t.begin;
+    while (end < t.end && step[end].lsn < stop) ++end;
+    if (end == t.begin) {
+      if (t.base != base_pages_.end() && step[t.begin].lsn == stop) {
+        base_pages_.erase(t.base);
+      }
+      continue;
+    }
+    // Peers, readers and the reconstruction cache may hold the base image:
+    // advance a copy.
+    const PageId id = step[t.begin].page;
+    std::shared_ptr<Page> image =
+        t.created ? std::move(t.created)
+                  : std::make_shared<Page>(*t.base->second);
+    for (size_t i = t.begin; i < end; ++i) {
+      Status s = LogApplicator::Apply(*step[i].rec, image.get());
+      AURORA_CHECK(s.ok(), "coalesce apply failed (non-deterministic redo?)");
+      applied_lsn_ = std::max(applied_lsn_, step[i].lsn);
+    }
+    // One CRC per page: nothing reads the image within a step, so only the
+    // step's final bytes need one.
+    image->UpdateCrc();
+    BaseImageStore::Image interned = images_->Intern(id, std::move(image));
+    if (t.base != base_pages_.end()) {
+      t.base->second = std::move(interned);
+    } else {
+      base_pages_.emplace(id, std::move(interned));
+    }
+    applied += end - t.begin;
+  }
   return applied;
 }
 
@@ -279,28 +321,46 @@ Result<std::shared_ptr<const Page>> Segment::GetPageAsOf(
     }
   }
 
-  std::shared_ptr<Page> result;
+  std::shared_ptr<const Page> image;
   auto base_it = base_pages_.find(page);
-  if (base_it != base_pages_.end()) {
+  if (base_it != base_pages_.end() && base_it->second->IsFormatted()) {
+    const Page& base = *base_it->second;
     // Verify the stored image before serving it: a latent sector fault
     // planted between scrub rounds must surface as Corruption (triggering
     // read-repair from a peer), never as a silently wrong page.
-    if (base_it->second.IsFormatted() && !base_it->second.VerifyCrc()) {
+    if (!base.VerifyCrc()) {
       corrupt_pages_.insert(page);
       return Status::Corruption("base page CRC mismatch");
     }
-    result = std::make_shared<Page>(base_it->second);
+    // Redo at or below the page LSN would be skipped, so only newer
+    // records change the image. With none, the base image is the answer.
+    LsnRange newer = PageRecordsIn(page, base.page_lsn(), read_point);
+    if (newer.first == newer.second) {
+      image = base_it->second;
+    } else {
+      auto result = std::make_shared<Page>(base);
+      Status s = Replay(newer, result.get());
+      if (!s.ok()) return s;
+      result->UpdateCrc();
+      image = std::move(result);
+    }
   } else {
-    result = std::make_shared<Page>(page_size_);
-    if (synthesizer_) synthesizer_(page, result.get());
+    std::shared_ptr<Page> result;
+    if (base_it != base_pages_.end()) {
+      result = std::make_shared<Page>(*base_it->second);
+    } else {
+      result = std::make_shared<Page>(page_size_);
+      if (synthesizer_) synthesizer_(page, result.get());
+    }
+    Status s =
+        Replay(PageRecordsIn(page, kInvalidLsn, read_point), result.get());
+    if (!s.ok()) return s;
+    if (!result->IsFormatted()) {
+      return Status::NotFound("page never written");
+    }
+    result->UpdateCrc();
+    image = std::move(result);
   }
-  Status s = Replay(PageRecordsIn(page, kInvalidLsn, read_point), result.get());
-  if (!s.ok()) return s;
-  if (!result->IsFormatted()) {
-    return Status::NotFound("page never written");
-  }
-  result->UpdateCrc();
-  std::shared_ptr<const Page> image = std::move(result);
   if (cache_on) {
     ++cache_stats_.misses;
     // Historical reads must not displace the newer cached version.
@@ -420,7 +480,7 @@ size_t Segment::GarbageCollect() {
       if (slot != SlotIndex::kNone) {
         auto base_it = base_pages_.find(rec.page_id);
         const bool base_lost = base_it == base_pages_.end() ||
-                               !base_it->second.IsFormatted();
+                               !base_it->second->IsFormatted();
         if (base_lost || cache_slots_[slot].built_lsn < rec.lsn) {
           CacheFree(slot);
         }
@@ -472,7 +532,7 @@ Status Segment::Truncate(Lsn above, Epoch epoch) {
 size_t Segment::ScrubPages() {
   size_t corrupt = 0;
   for (const auto& [id, page] : base_pages_) {
-    if (!page.VerifyCrc()) {
+    if (!page->VerifyCrc()) {
       corrupt_pages_.insert(id);
       ++corrupt;
     }
@@ -488,27 +548,39 @@ void Segment::DropPageForRepair(PageId page) {
 
 void Segment::RestoreBasePage(PageId page, Page healthy) {
   corrupt_pages_.erase(page);
-  base_pages_.insert_or_assign(page, std::move(healthy));
+  base_pages_.insert_or_assign(
+      page, images_->Intern(page, std::make_shared<Page>(std::move(healthy))));
   // The installed copy may be ahead of what the cached image was built
   // against; rebuild from the fresh base on the next read.
   CacheErase(page);
 }
 
+void Segment::CorruptBasePage(
+    std::map<PageId, BaseImageStore::Image>::iterator it) {
+  // Peers may share the image: rot a private copy, which is never interned.
+  auto copy = std::make_shared<Page>(*it->second);
+  copy->CorruptForTesting(100);
+  it->second = std::move(copy);
+  // Keep reads faithful to the (now corrupt) base image so scrub/repair
+  // observe the corruption rather than a cached clean copy.
+  CacheErase(it->first);
+}
+
 void Segment::CorruptBasePageForTesting(PageId page) {
   auto it = base_pages_.find(page);
-  if (it != base_pages_.end()) it->second.CorruptForTesting(100);
-  // Keep reads faithful to the (now corrupt) base image so scrub/repair
-  // tests observe the corruption rather than a cached clean copy.
-  CacheErase(page);
+  if (it != base_pages_.end()) {
+    CorruptBasePage(it);
+  } else {
+    CacheErase(page);
+  }
 }
 
 bool Segment::CorruptNthBasePage(uint64_t nth) {
   if (base_pages_.empty()) return false;
   auto it = base_pages_.begin();
   std::advance(it, nth % base_pages_.size());
-  if (!it->second.IsFormatted()) return false;
-  it->second.CorruptForTesting(100);
-  CacheErase(it->first);
+  if (!it->second->IsFormatted()) return false;
+  CorruptBasePage(it);
   return true;
 }
 
@@ -536,7 +608,7 @@ void Segment::SerializeTo(std::string* dst) const {
   PutVarint64(dst, base_pages_.size());
   for (const auto& [id, page] : base_pages_) {
     PutVarint64(dst, id);
-    PutLengthPrefixedSlice(dst, page.raw());
+    PutLengthPrefixedSlice(dst, page->raw());
   }
 }
 
@@ -580,10 +652,10 @@ Status Segment::DeserializeFrom(Slice input) {
     if (!GetVarint64(&input, &id) || !GetLengthPrefixedSlice(&input, &raw)) {
       return Status::Corruption("bad segment page entry");
     }
-    Page page(page_size_);
-    Status s = page.LoadRaw(raw);
+    auto page = std::make_shared<Page>(page_size_);
+    Status s = page->LoadRaw(raw);
     if (!s.ok()) return s;
-    base_pages_.emplace(id, std::move(page));
+    base_pages_.emplace(id, images_->Intern(id, std::move(page)));
   }
   return Status::OK();
 }

@@ -18,6 +18,7 @@
 #include "log/log_record.h"
 #include "log/types.h"
 #include "page/page.h"
+#include "storage/base_image_store.h"
 #include "storage/hot_log.h"
 #include "storage/wire.h"
 
@@ -53,12 +54,21 @@ struct PageCacheStats {
 ///  - materialized base pages: each page's image advanced by coalescing log
 ///    records (Figure 4 step 5), never beyond min(SCL, VDL hint, PGMRPL) so
 ///    that (a) truncation after a crash can never undo a materialized page
-///    and (b) any read point >= PGMRPL remains reconstructable;
+///    and (b) any read point >= PGMRPL remains reconstructable. Images are
+///    immutable and interned in the volume's BaseImageStore, so replicas
+///    that built equal images hold one;
 ///  - watermarks: VDL hint (piggybacked by the writer), PGMRPL, the volume
 ///    epoch, and the S3 backup high-water mark.
 class Segment {
  public:
-  Segment(PgId pg, size_t page_size) : pg_(pg), page_size_(page_size) {}
+  /// `images` is the volume's store of base images, shared with its other
+  /// segments; a segment built on its own gets a private store.
+  Segment(PgId pg, size_t page_size,
+          std::shared_ptr<BaseImageStore> images = nullptr)
+      : pg_(pg),
+        page_size_(page_size),
+        images_(images != nullptr ? std::move(images)
+                                  : std::make_shared<BaseImageStore>()) {}
 
   // Movable, not copyable: cache entries point at their own LRU nodes.
   Segment(Segment&&) = default;
@@ -149,7 +159,9 @@ class Segment {
 
   // --- Materialization & reads ---------------------------------------------
   /// Applies up to `max_records` coalescable records (LSN <= the
-  /// materialization limit) to base pages. Returns how many were applied.
+  /// materialization limit) to base pages, advancing a copy of each touched
+  /// page's image once, and interns the results. Returns how many records
+  /// were applied.
   size_t CoalesceStep(size_t max_records);
 
   /// LSN up to which base pages may be advanced.
@@ -175,8 +187,11 @@ class Segment {
   /// Fails with CheckReadPoint's status, or NotFound if the page has never
   /// been written. The image is published: nothing modifies it after this
   /// returns, and a reconstruction cache entry may share it, so a full
-  /// cache hit copies nothing. The caller may keep it as long as it likes;
-  /// replacing or evicting the entry only drops the cache's reference.
+  /// cache hit copies nothing, and neither does a read the base image
+  /// already answers (no record of the page in (page LSN, read_point]),
+  /// which returns the base image itself. The caller may keep it as long as
+  /// it likes; replacing or evicting the entry only drops the cache's
+  /// reference.
   Result<std::shared_ptr<const Page>> GetPageAsOf(
       PageId page, Lsn read_point,
       std::optional<Lsn> tail = std::nullopt) const;
@@ -228,7 +243,9 @@ class Segment {
   /// may be ahead of this replica's applied floor; redo application is
   /// idempotent so subsequent coalescing is safe.
   void RestoreBasePage(PageId page, Page healthy);
-  /// Testing hook: flips a bit in a materialized base page.
+  /// Testing hook: flips a bit in a materialized base page. Like
+  /// CorruptNthBasePage it flips it in a private copy, never in an image a
+  /// peer may share.
   void CorruptBasePageForTesting(PageId page);
   /// Latent-fault hook for sim::Disk: flips a bit in the nth (mod count)
   /// materialized base page, as if a sector under it rotted. Returns false
@@ -362,10 +379,12 @@ class Segment {
   std::vector<Slot> free_page_records_;
   SlotIndex page_index_;
 
-  /// Fetches the base page, creating it (empty or synthesized) on demand.
-  Page* BasePage(PageId page);
+  /// Replaces the base image of `it`'s page with a copy that has one bit
+  /// flipped, and drops the page's cache entry.
+  void CorruptBasePage(std::map<PageId, BaseImageStore::Image>::iterator it);
 
-  std::map<PageId, Page> base_pages_;
+  std::map<PageId, BaseImageStore::Image> base_pages_;
+  std::shared_ptr<BaseImageStore> images_;
   PageSynthesizer synthesizer_;
   Lsn applied_lsn_ = kInvalidLsn;
 

@@ -33,7 +33,8 @@ StorageNode::StorageNode(sim::EventLoop* loop, sim::Network* network,
 }
 
 void StorageNode::CreateSegment(PgId pg, size_t page_size) {
-  auto seg = std::make_unique<Segment>(pg, page_size);
+  auto seg = std::make_unique<Segment>(pg, page_size,
+                                       control_plane_->base_images());
   seg->set_page_cache_budget(options_.page_cache_budget_bytes);
   if (control_plane_->page_synthesizer()) {
     seg->set_page_synthesizer(control_plane_->page_synthesizer());
@@ -736,7 +737,8 @@ void StorageNode::HandleSegmentStateResp(const sim::Message& msg) {
 }
 
 bool StorageNode::InstallSegmentCopy(PgId pg, Slice state) {
-  auto seg = std::make_unique<Segment>(pg, Page::kMinPageSize);
+  auto seg = std::make_unique<Segment>(pg, Page::kMinPageSize,
+                                       control_plane_->base_images());
   if (!seg->DeserializeFrom(state).ok()) return false;
   // Replacing local state is only safe when the copy is a superset of
   // everything this replica ever held (and thus ever acknowledged): its

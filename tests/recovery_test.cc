@@ -158,7 +158,9 @@ TEST_F(RecoveryTest, WritesAfterRecoveryExtendAFullyCollectedChain) {
   cluster_.RunFor(Seconds(1));
   for (size_t i = 0; i < cluster_.num_storage_nodes(); ++i) {
     const Segment* seg = cluster_.storage_node(i)->segment(pg);
-    if (seg != nullptr) EXPECT_GE(seg->scl(), cluster_.writer()->vdl());
+    if (seg != nullptr) {
+      EXPECT_GE(seg->scl(), cluster_.writer()->vdl());
+    }
   }
   cluster_.writer()->buffer_pool()->Discard(table_);
   cluster_.writer()->buffer_pool()->Discard(table_ + 1);  // the tree's root
