@@ -7,131 +7,23 @@
 #include <utility>
 #include <vector>
 
-#include "harness/bulk_load.h"
-#include "harness/client_api.h"
-#include "harness/cluster.h"
-#include "harness/synthetic_table.h"
-#include "sim/chaos.h"
+#include "common/random.h"
 #include "sim/event_loop.h"
-#include "tests/test_util.h"
-#include "workload/sysbench.h"
+#include "tests/determinism_inputs.h"
 
 namespace aurora {
 namespace {
 
-using testing::Key;
+using testing::RunReadMissSysbench;
+using testing::RunRepairScrubWorkload;
+using testing::RunSeededWorkload;
+using testing::RunWindowedSysbench;
 
 // The whole repository rests on the simulator being bit-for-bit
 // deterministic: identical seeds must produce identical histories no matter
 // how the event queue is implemented internally. These tests pin that
 // contract so the kernel can be rebuilt (std::map -> d-ary heap with lazy
 // cancellation) without silently reordering same-time events.
-
-/// Writes 40 rows of 300 bytes one by one, then rewrites them all in one
-/// transaction and lets purge run. Called right after a writer recovery,
-/// when the undo tree is not resident: the first write's MTR misses on it
-/// halfway and aborts, restoring the pages it touched. The big
-/// transaction's undo records span several leaves, so purging it walks
-/// across leaf boundaries. Both paths are then part of the pinned history.
-void WriteUndoHeavyTransaction(AuroraCluster* cluster, PageId table) {
-  for (int i = 0; i < 40; ++i) {
-    EXPECT_TRUE(
-        cluster->PutSync(table, Key(100 + i), std::string(300, 'a')).ok());
-  }
-  Database* db = cluster->writer();
-  const TxnId txn = db->Begin();
-  for (int i = 0; i < 40; ++i) {
-    bool done = false;
-    db->Put(txn, table, Key(100 + i), std::string(300, 'b'), [&](Status s) {
-      EXPECT_TRUE(s.ok());
-      done = true;
-    });
-    EXPECT_TRUE(cluster->RunUntil([&] { return done; }, Seconds(30)));
-  }
-  bool committed = false;
-  db->Commit(txn, [&](Status s) {
-    EXPECT_TRUE(s.ok());
-    committed = true;
-  });
-  EXPECT_TRUE(cluster->RunUntil([&] { return committed; }, Seconds(30)));
-  cluster->RunFor(Seconds(1));
-}
-
-/// Runs one fixed seeded workload — bootstrap, chaos (drops + AZ failure +
-/// node crash, which exercise Cancel() heavily), writer crash + recovery,
-/// then WriteUndoHeavyTransaction — and returns the full metrics dump plus
-/// the executed-event count. With
-/// `adversary` set, the fabric additionally duplicates, reorders and
-/// corrupts frames (all drawn from the seeded network RNG).
-std::pair<std::string, uint64_t> RunSeededWorkload(uint64_t seed,
-                                                   bool adversary = false,
-                                                   int sim_shards = 1) {
-  ClusterOptions o;
-  o.seed = seed;
-  o.sim_shards = sim_shards;
-  o.engine.page_size = 4096;
-  o.engine.pages_per_pg = 64;
-  o.engine.buffer_pool_pages = 512;
-  o.storage_nodes_per_az = 3;
-  o.num_replicas = 1;
-  o.repair.detection_threshold = Seconds(2);
-  AuroraCluster cluster(o);
-  EXPECT_TRUE(cluster.BootstrapSync().ok());
-  EXPECT_TRUE(cluster.CreateTableSync("t").ok());
-  PageId table = *cluster.TableAnchorSync("t");
-
-  Random rng(seed * 131 + 7);
-  ChaosEngine chaos(&cluster);
-  if (adversary) {
-    AdversaryConfig cfg;
-    cfg.drop_probability = 0.02;
-    cfg.duplicate_probability = 0.05;
-    cfg.reorder_window = Millis(2);
-    cfg.corrupt_probability = 0.001;
-    chaos.SetAdversary(cfg);
-  } else {
-    cluster.network()->set_drop_probability(0.01);
-  }
-  std::map<std::string, std::string> acked;
-  for (int round = 0; round < 3; ++round) {
-    if (round == 1) {
-      cluster.failure_injector()->FailAz(static_cast<sim::AzId>(1),
-                                         Seconds(1));
-    }
-    if (round == 2) {
-      cluster.failure_injector()->CrashNode(cluster.storage_node(0)->id(),
-                                            Seconds(1));
-    }
-    for (int i = 0; i < 20; ++i) {
-      std::string key = Key(rng.Uniform(64));
-      std::string value = "v" + std::to_string(round * 100 + i);
-      if (cluster.PutSync(table, key, value).ok()) acked[key] = value;
-    }
-    cluster.RunFor(Millis(300));
-  }
-  chaos.ClearAdversary();
-  cluster.CrashWriter();
-  EXPECT_TRUE(cluster.RecoverSync().ok());
-  cluster.RunFor(Seconds(2));
-  for (const auto& [key, value] : acked) {
-    auto got = cluster.GetSync(table, key);
-    EXPECT_TRUE(got.ok());
-    if (got.ok()) {
-      EXPECT_EQ(*got, value);
-    }
-  }
-  // The same keys through the replica: its cache-miss fetches (routing,
-  // retries, install, waiter wake-up) are part of the pinned history too.
-  for (const auto& [key, value] : acked) {
-    auto got = cluster.ReplicaGetSync(0, table, key);
-    EXPECT_TRUE(got.ok());
-    if (got.ok()) {
-      EXPECT_EQ(*got, value);
-    }
-  }
-  WriteUndoHeavyTransaction(&cluster, table);
-  return {cluster.DumpMetricsJson(), cluster.loop()->events_executed()};
-}
 
 // Identical seeds => byte-identical metrics JSON (every counter, gauge and
 // histogram bucket in the cluster) and the exact same number of executed
@@ -190,67 +82,6 @@ TEST(DeterminismTest, ShardWorkerSweepUnderAdversaryIsByteIdentical) {
   EXPECT_EQ(json_1, json_4);
 }
 
-/// The PR-10 robustness surface in one pot: chunked repair (permanent node
-/// loss), the scrubber racing latent disk corruption and torn writes, and
-/// the fabric adversary — all of whose retry/failover/read-repair decisions
-/// draw from seeded RNG streams — then a writer crash + recovery and
-/// WriteUndoHeavyTransaction. Returns the metrics dump + event count.
-std::pair<std::string, uint64_t> RunRepairScrubWorkload(uint64_t seed,
-                                                        int sim_shards) {
-  ClusterOptions o;
-  o.seed = seed;
-  o.sim_shards = sim_shards;
-  o.engine.page_size = 4096;
-  o.engine.pages_per_pg = 64;
-  o.engine.buffer_pool_pages = 512;
-  o.storage_nodes_per_az = 4;
-  o.repair.detection_threshold = Seconds(1);
-  o.repair.chunk_bytes = 2048;
-  o.storage.scrub_interval = Seconds(1);
-  o.storage.disk.torn_write_probability = 0.02;
-  o.storage.disk.latent_corruption_probability = 0.05;
-  AuroraCluster cluster(o);
-  EXPECT_TRUE(cluster.BootstrapSync().ok());
-  EXPECT_TRUE(cluster.CreateTableSync("t").ok());
-  PageId table = *cluster.TableAnchorSync("t");
-
-  Random rng(seed * 131 + 7);
-  ChaosEngine chaos(&cluster);
-  AdversaryConfig cfg;
-  cfg.drop_probability = 0.02;
-  cfg.duplicate_probability = 0.05;
-  cfg.reorder_window = Millis(2);
-  cfg.corrupt_probability = 0.001;
-  chaos.SetAdversary(cfg);
-  std::map<std::string, std::string> acked;
-  for (int round = 0; round < 3; ++round) {
-    if (round == 1) {
-      // Permanent loss: the repair state machine (chunked transfer, chunk
-      // timeouts, possibly donor failover) runs under the adversary.
-      cluster.failure_injector()->CrashNode(cluster.storage_node(0)->id(), 0);
-    }
-    for (int i = 0; i < 20; ++i) {
-      std::string key = Key(rng.Uniform(64));
-      std::string value = "v" + std::to_string(round * 100 + i);
-      if (cluster.PutSync(table, key, value).ok()) acked[key] = value;
-    }
-    cluster.RunFor(Seconds(1));  // scrub rounds + repair progress
-  }
-  cluster.RunFor(Seconds(3));
-  chaos.ClearAdversary();
-  for (const auto& [key, value] : acked) {
-    auto got = cluster.GetSync(table, key);
-    EXPECT_TRUE(got.ok());
-    if (got.ok()) {
-      EXPECT_EQ(*got, value);
-    }
-  }
-  cluster.CrashWriter();
-  EXPECT_TRUE(cluster.RecoverSync().ok());
-  WriteUndoHeavyTransaction(&cluster, table);
-  return {cluster.DumpMetricsJson(), cluster.loop()->events_executed()};
-}
-
 // Repair + scrubber + disk faults active, swept across worker counts: the
 // whole robustness stack must stay byte-identical under parallel shard
 // execution, or chaos CI results would depend on the host's core count.
@@ -267,71 +98,6 @@ TEST(DeterminismTest, RepairScrubDiskFaultSweepIsByteIdentical) {
   EXPECT_NE(json_1.find("\"torn_write_drops\""), std::string::npos);
   EXPECT_NE(json_1.find("\"repair\""), std::string::npos);
   EXPECT_NE(json_1.find("\"scrub\""), std::string::npos);
-}
-
-/// A short sysbench run with 100 ms interval-windowed metrics, returning
-/// every window serialized, then the final metrics dump and the
-/// executed-event count. Windows are snapshotted from the control shard
-/// (a barrier-consistent global cut), so the whole time series — not just
-/// the final dump — must be byte-identical at any worker count. A
-/// shard-local snapshot would read other shards' counters at an
-/// execution-order-dependent point and fail this under workers > 1.
-///
-/// `contended` switches to a skewed mix that drives the lock queues (waits,
-/// grants on release, deadlock victims, timeouts); `lock_stats` receives
-/// the writer's lock counters. After the run, a writer crash + recovery and
-/// WriteUndoHeavyTransaction land in the final dump.
-std::string RunWindowedSysbench(int sim_shards, bool contended = false,
-                                LockManager::Stats* lock_stats = nullptr) {
-  ClusterOptions o;
-  o.seed = 7;
-  o.sim_shards = sim_shards;
-  o.engine.page_size = 4096;
-  o.engine.pages_per_pg = 64;
-  o.engine.buffer_pool_pages = 512;
-  o.storage_nodes_per_az = 3;
-  AuroraCluster cluster(o);
-  EXPECT_TRUE(cluster.BootstrapSync().ok());
-  const uint64_t rows = contended ? 3000 : 4000;
-  SyntheticCatalog catalog;
-  auto layout = AttachSyntheticTable(&cluster, &catalog, "sbtest", rows, 100);
-  EXPECT_TRUE(layout.ok());
-  AuroraClient client(cluster.writer());
-  SysbenchOptions sopts;
-  sopts.mode = SysbenchOptions::Mode::kOltp;
-  sopts.connections = 8;
-  sopts.table_rows = rows;
-  sopts.duration = Millis(600);
-  sopts.warmup = Millis(200);
-  if (contended) {
-    sopts.connections = 96;
-    sopts.zipf_theta = 0.9;
-    sopts.point_selects = 4;
-    sopts.index_updates = 4;
-  }
-  SysbenchDriver driver(cluster.writer_loop(), &client, (*layout)->anchor(),
-                        sopts);
-  driver.EnableIntervalMetrics(cluster.metrics(), Millis(100),
-                               cluster.loop()->control());
-  bool done = false;
-  driver.Run([&] { done = true; });
-  EXPECT_TRUE(cluster.RunUntil([&] { return done; }, Minutes(5)));
-  EXPECT_GE(driver.metric_windows().size(), 6u);
-  std::string out;
-  for (const MetricsSnapshot& w : driver.metric_windows()) {
-    out += w.ToJson();
-    out += '\n';
-  }
-  cluster.CrashWriter();
-  EXPECT_TRUE(cluster.RecoverSync().ok());
-  WriteUndoHeavyTransaction(&cluster, (*layout)->anchor());
-  out += cluster.DumpMetricsJson();
-  out += "\nevents_executed=" +
-         std::to_string(cluster.loop()->events_executed()) + "\n";
-  if (lock_stats != nullptr) {
-    *lock_stats = cluster.writer()->lock_manager()->stats();
-  }
-  return out;
 }
 
 TEST(DeterminismTest, IntervalWindowsAreByteIdenticalAcrossWorkers) {
@@ -354,69 +120,6 @@ TEST(DeterminismTest, ContendedLockQueuesAreByteIdenticalAcrossWorkers) {
   std::string w4 = RunWindowedSysbench(4, /*contended=*/true);
   EXPECT_EQ(w1, w2);
   EXPECT_EQ(w1, w4);
-}
-
-/// Fig. 9's read path in small: the writer's pool holds about a third of
-/// the table's pages, so most selects fetch a page from storage, and each
-/// segment's reconstruction cache holds 16 pages, so storage serves full
-/// hits, partial hits (the updates run beside the reads) and misses, and
-/// evicts. Returns the serialized interval windows, the final metrics dump
-/// and the executed-event count; `fetches` and `cache` (both nullable)
-/// receive the writer's storage fetches and the fleet's cache counters.
-std::string RunReadMissSysbench(int sim_shards, uint64_t* fetches = nullptr,
-                                PageCacheStats* cache = nullptr) {
-  constexpr uint64_t kRows = 4000;
-  constexpr size_t kPageSize = 4096;
-  ClusterOptions o;
-  o.seed = 11;
-  o.sim_shards = sim_shards;
-  o.engine.page_size = kPageSize;
-  o.engine.pages_per_pg = 64;
-  o.engine.buffer_pool_pages =
-      SyntheticTableLayout(0, kRows, kPageSize, 100).page_count() / 3;
-  o.storage_nodes_per_az = 3;
-  o.storage.page_cache_budget_bytes = 16 * kPageSize;
-  AuroraCluster cluster(o);
-  EXPECT_TRUE(cluster.BootstrapSync().ok());
-  SyntheticCatalog catalog;
-  auto layout = AttachSyntheticTable(&cluster, &catalog, "sbtest", kRows, 100);
-  EXPECT_TRUE(layout.ok());
-  AuroraClient client(cluster.writer());
-  SysbenchOptions sopts;
-  sopts.mode = SysbenchOptions::Mode::kOltp;
-  sopts.connections = 8;
-  sopts.table_rows = kRows;
-  sopts.duration = Millis(500);
-  sopts.warmup = Millis(100);
-  SysbenchDriver driver(cluster.writer_loop(), &client, (*layout)->anchor(),
-                        sopts);
-  driver.EnableIntervalMetrics(cluster.metrics(), Millis(100),
-                               cluster.loop()->control());
-  bool done = false;
-  driver.Run([&] { done = true; });
-  EXPECT_TRUE(cluster.RunUntil([&] { return done; }, Minutes(5)));
-  std::string out;
-  for (const MetricsSnapshot& w : driver.metric_windows()) {
-    out += w.ToJson();
-    out += '\n';
-  }
-  out += cluster.DumpMetricsJson();
-  out += "\nevents_executed=" +
-         std::to_string(cluster.loop()->events_executed()) + "\n";
-  if (fetches != nullptr) {
-    *fetches = cluster.writer()->stats().storage_page_reads;
-  }
-  if (cache != nullptr) {
-    *cache = PageCacheStats();
-    for (size_t i = 0; i < cluster.num_storage_nodes(); ++i) {
-      const PageCacheStats s = cluster.storage_node(i)->PageCacheTotals();
-      cache->hits += s.hits;
-      cache->partial_hits += s.partial_hits;
-      cache->misses += s.misses;
-      cache->evictions += s.evictions;
-    }
-  }
-  return out;
 }
 
 // The storage read path under load: writer fetches, and every kind of
