@@ -421,8 +421,7 @@ void BM_SegmentAddRecord(benchmark::State& state) {
       std::swap(batch[i], batch[i + 1]);
     }
   }
-  const SharedRecords records =
-      std::make_shared<const std::vector<LogRecord>>(std::move(batch));
+  const SharedRecords records = ShareRecords(std::move(batch));
   for (auto _ : state) {
     for (uint32_t i = 0; i < records->size(); ++i) {
       benchmark::DoNotOptimize(seg.AddRecord(records, i));
@@ -512,7 +511,7 @@ void BM_StorageWriteFanout(benchmark::State& state) {
     const auto start = std::chrono::steady_clock::now();
     sim::DecodeMemo memo;
     for (Segment& seg : replicas) {
-      const SharedRecords records = memo.Get<std::vector<LogRecord>>(
+      const SharedRecords records = memo.Get<RecordBatch>(
           [&blob] { return DecodeSharedRecords(blob); });
       for (uint32_t i = 0; i < records->size(); ++i) {
         benchmark::DoNotOptimize(seg.AddRecord(records, i));
@@ -568,8 +567,7 @@ void BM_ReplicaCoalesceSharedImages(benchmark::State& state) {
   }
   auto deliver = [&replicas](std::vector<LogRecord> records) {
     const Lsn last = records.back().lsn;
-    const SharedRecords batch =
-        std::make_shared<const std::vector<LogRecord>>(std::move(records));
+    const SharedRecords batch = ShareRecords(std::move(records));
     for (Segment& seg : replicas) {
       for (uint32_t i = 0; i < batch->size(); ++i) seg.AddRecord(batch, i);
       seg.SetVdlHint(last);
@@ -616,6 +614,70 @@ void BM_ReplicaCoalesceSharedImages(benchmark::State& state) {
       static_cast<double>(distinct) / static_cast<double>(kPages);
 }
 BENCHMARK(BM_ReplicaCoalesceSharedImages);
+
+// The read-after-write pattern of fig10 on one segment (§4.2.3): 200
+// decoded 250-record batches of updates over 64 pages of 4 KiB, none
+// coalesced, so reading a page replays every record of it from the hot log.
+// Each iteration reads every page at the newest LSN; ns_per_read is the
+// time per read. entries_per_record is the page index's entries per
+// hot-log record: 1 when each record has its own, about 64 / 250 when a
+// run's records of one page share one.
+void BM_SegmentReadAfterWrite(benchmark::State& state) {
+  constexpr size_t kBatches = 200;
+  constexpr size_t kBatch = 250;
+  constexpr PageId kPages = 64;
+  Segment seg(0, 4096);
+  auto deliver = [&seg](std::vector<LogRecord> records) {
+    const SharedRecords batch = ShareRecords(std::move(records));
+    for (uint32_t i = 0; i < batch->size(); ++i) seg.AddRecord(batch, i);
+  };
+  // Each page gets a format record and the one key its updates name.
+  Lsn lsn = 0;
+  std::vector<LogRecord> setup;
+  for (PageId page = 0; page < kPages; ++page) {
+    LogRecord format = SegmentRecord(lsn + 1, lsn, kPages);
+    format.page_id = page;
+    format.op = RedoOp::kFormatPage;
+    format.payload = LogRecord::MakeFormatPayload(
+        static_cast<uint8_t>(PageType::kBTreeLeaf), 0);
+    setup.push_back(std::move(format));
+    ++lsn;
+    LogRecord insert = SegmentRecord(lsn + 1, lsn, kPages);
+    insert.page_id = page;
+    insert.op = RedoOp::kInsert;
+    insert.payload = LogRecord::MakeKeyValuePayload(
+        "key" + std::to_string(page), std::string(100, 'v'));
+    setup.push_back(std::move(insert));
+    ++lsn;
+  }
+  deliver(std::move(setup));
+  for (size_t b = 0; b < kBatches; ++b) {
+    std::vector<LogRecord> batch;
+    for (size_t i = 0; i < kBatch; ++i, ++lsn) {
+      batch.push_back(SegmentRecord(lsn + 1, lsn, kPages));
+    }
+    deliver(std::move(batch));
+  }
+  const Lsn newest = seg.max_lsn();
+  double timed_ns = 0;
+  for (auto _ : state) {
+    const auto start = std::chrono::steady_clock::now();
+    for (PageId page = 0; page < kPages; ++page) {
+      auto image = seg.GetPageAsOf(page, newest);
+      if (!image.ok()) state.SkipWithError("read failed");
+      benchmark::DoNotOptimize(image);
+    }
+    timed_ns += std::chrono::duration<double, std::nano>(
+                    std::chrono::steady_clock::now() - start)
+                    .count();
+  }
+  state.counters["ns_per_read"] =
+      timed_ns / static_cast<double>(state.iterations() * kPages);
+  state.counters["entries_per_record"] =
+      static_cast<double>(seg.page_index_entries()) /
+      static_cast<double>(seg.hot_log_size());
+}
+BENCHMARK(BM_SegmentReadAfterWrite);
 
 }  // namespace
 }  // namespace aurora

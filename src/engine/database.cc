@@ -271,6 +271,7 @@ void Database::Crash() {
   pg_config_.clear();
   replica_stream_buffer_.clear();
   replica_commit_buffer_.clear();
+  unacked_front_seq_ += unacked_.size();
   unacked_.clear();
   pending_cpls_.clear();
   txn_table_.reset();
@@ -314,6 +315,7 @@ Status Database::CommitMtr(MiniTransaction* mtr) {
     next_lsn_ += rec.EncodedSize();
     max_allocated_ = rec.lsn;
     pages[i]->set_page_lsn(rec.lsn);
+    const uint64_t unacked_seq = unacked_front_seq_ + unacked_.size();
     unacked_.emplace_back(rec.lsn, false);
     above_vdl_.emplace_back(rec.lsn, pg);
     if (rec.is_cpl()) pending_cpls_.push_back(rec.lsn);
@@ -322,7 +324,7 @@ Status Database::CommitMtr(MiniTransaction* mtr) {
     if (!replicas_.empty()) replica_stream_buffer_.push_back(rec);
     // The MTR is discarded after commit: its records move into the batch.
     if (i + 1 == records.size()) mtr->set_commit_lsn(rec.lsn);
-    AppendToBatch(std::move(rec));
+    AppendToBatch(std::move(rec), unacked_seq);
   }
   return Status::OK();
 }
@@ -362,13 +364,14 @@ void Database::RefreshPgConfig(PgId pg) {
   it->second.config_epoch = members.config_epoch;
 }
 
-void Database::AppendToBatch(LogRecord&& record) {
+void Database::AppendToBatch(LogRecord&& record, uint64_t unacked_seq) {
   PgId pg = PgOf(record.page_id);
   PendingBatch& batch = pending_batches_[pg];
   batch.pg = pg;
   if (batch.records.empty()) batch.first_append_at = loop_->now();
   batch.bytes += record.EncodedSize();
   batch.records.push_back(std::move(record));
+  batch.unacked_seqs.push_back(unacked_seq);
   if (batch.bytes >= kBatchMaxBytes) {
     FlushBatch(pg);
     return;
@@ -397,6 +400,7 @@ void Database::FlushBatch(PgId pg) {
   ob->flushed_at = loop_->now();
   stats_.batch_append_to_flush_us.Record(ob->flushed_at - ob->appended_at);
   ob->records = std::move(batch.records);
+  ob->unacked_seqs = std::move(batch.unacked_seqs);
   OutstandingBatch* raw = ob.get();
   outstanding_[ob->seq] = std::move(ob);
   ++stats_.log_batches_sent;
@@ -510,13 +514,13 @@ void Database::HandleWriteAck(const sim::Message& msg) {
 }
 
 void Database::RetireAcked(const OutstandingBatch& batch) {
-  for (const LogRecord& r : batch.records) {
-    auto it = std::lower_bound(
-        unacked_.begin(), unacked_.end(), r.lsn,
-        [](const std::pair<Lsn, bool>& e, Lsn lsn) { return e.first < lsn; });
-    if (it != unacked_.end() && it->first == r.lsn) it->second = true;
+  for (uint64_t seq : batch.unacked_seqs) {
+    unacked_[seq - unacked_front_seq_].second = true;
   }
-  while (!unacked_.empty() && unacked_.front().second) unacked_.pop_front();
+  while (!unacked_.empty() && unacked_.front().second) {
+    unacked_.pop_front();
+    ++unacked_front_seq_;
+  }
 }
 
 void Database::AdvanceDurability() {

@@ -287,6 +287,7 @@ class Database : public WalSink, public PageProvider, private FetchPolicy {
   struct PendingBatch {
     PgId pg;
     std::vector<LogRecord> records;
+    std::vector<uint64_t> unacked_seqs;  // each record's, in unacked_
     size_t bytes = 0;
     sim::EventId linger_event = 0;
     bool linger_armed = false;
@@ -297,6 +298,7 @@ class Database : public WalSink, public PageProvider, private FetchPolicy {
     PgId pg;
     uint64_t seq;
     std::vector<LogRecord> records;  // kept for per-replica (re)sends
+    std::vector<uint64_t> unacked_seqs;
     WriteTracker tracker;
     sim::EventId retry_event = 0;
     int attempts = 0;
@@ -340,12 +342,13 @@ class Database : public WalSink, public PageProvider, private FetchPolicy {
   };
   const CachedConfig& PgConfig(PgId pg);
   void RefreshPgConfig(PgId pg);
-  void AppendToBatch(LogRecord&& record);
+  /// `unacked_seq` is the record's sequence number in unacked_.
+  void AppendToBatch(LogRecord&& record, uint64_t unacked_seq);
   void FlushBatch(PgId pg);
   void SendBatch(OutstandingBatch* batch);
   void HandleWriteAck(const sim::Message& msg);
-  /// Marks `batch`'s records acknowledged and pops every acknowledged
-  /// record off the front of unacked_.
+  /// Marks `batch`'s records acknowledged, by sequence number, and pops
+  /// every acknowledged record off the front of unacked_.
   void RetireAcked(const OutstandingBatch& batch);
   void AdvanceDurability();
   void ProcessCommitQueue();
@@ -438,8 +441,10 @@ class Database : public WalSink, public PageProvider, private FetchPolicy {
   /// Every record from the oldest unacknowledged one on, in LSN order (the
   /// order CommitMtr allocates them), each with whether its batch reached
   /// a write quorum. The front is never acknowledged: everything below it
-  /// is durable.
+  /// is durable. Each record has a sequence number, its place in this
+  /// order: the front's is unacked_front_seq_.
   std::deque<std::pair<Lsn, bool>> unacked_;
+  uint64_t unacked_front_seq_ = 0;
   /// CPLs above the VDL, in LSN order.
   std::deque<Lsn> pending_cpls_;
   Lsn max_allocated_ = kInvalidLsn;

@@ -1,5 +1,9 @@
 #include "log/log_record.h"
 
+#include <algorithm>
+#include <limits>
+#include <utility>
+
 #include "common/coding.h"
 #include "common/crc32c.h"
 
@@ -190,10 +194,32 @@ Status DecodeRecordBatch(Slice input, std::vector<LogRecord>* out) {
   return Status::OK();
 }
 
+RecordBatch::RecordBatch(std::vector<LogRecord> records)
+    : records_(std::move(records)), links_(records_.size()) {
+  // Each page's records, in batch order: sort (page, index) pairs.
+  std::vector<std::pair<PageId, uint32_t>> by_page;
+  by_page.reserve(records_.size());
+  for (uint32_t i = 0; i < records_.size(); ++i) {
+    by_page.emplace_back(records_[i].page_id, i);
+  }
+  std::sort(by_page.begin(), by_page.end());
+  for (size_t k = 1; k < by_page.size(); ++k) {
+    if (by_page[k].first != by_page[k - 1].first) continue;
+    const uint32_t gap = by_page[k].second - by_page[k - 1].second;
+    if (gap > std::numeric_limits<uint16_t>::max()) continue;
+    links_[by_page[k - 1].second].next = static_cast<uint16_t>(gap);
+    links_[by_page[k].second].prev = static_cast<uint16_t>(gap);
+  }
+}
+
+SharedRecords ShareRecords(std::vector<LogRecord> records) {
+  return std::make_shared<const RecordBatch>(std::move(records));
+}
+
 SharedRecords DecodeSharedRecords(Slice input) {
-  auto records = std::make_shared<std::vector<LogRecord>>();
-  if (!DecodeRecordBatch(input, records.get()).ok()) return nullptr;
-  return records;
+  std::vector<LogRecord> records;
+  if (!DecodeRecordBatch(input, &records).ok()) return nullptr;
+  return ShareRecords(std::move(records));
 }
 
 }  // namespace aurora

@@ -8,6 +8,7 @@
 #include <iterator>
 #include <utility>
 
+#include "common/logging.h"
 #include "log/log_record.h"
 #include "log/types.h"
 
@@ -19,7 +20,10 @@ namespace aurora {
 /// record allocates nothing, and a batch is freed once no replica holds any
 /// of its records. A record is *implied* when it directly follows, in its
 /// run, the record its backlink names: the run states that link, so the
-/// segment's backlink index keeps no entry for it.
+/// segment's backlink index keeps no entry for it. It is *page-implied*
+/// when its run holds its batch's previous record of the same page: the
+/// batch's same-page links (RecordBatch) lead to it from that record, so
+/// the segment's page index keeps no entry for it either.
 class HotLog {
   struct Run {
     SharedRecords owner;
@@ -29,6 +33,10 @@ class HotLog {
     const LogRecord& operator[](uint32_t i) const { return (*owner)[i]; }
     bool Implied(uint32_t i) const {
       return i > begin && (*this)[i].prev_pg_lsn == (*this)[i - 1].lsn;
+    }
+    bool PageImplied(uint32_t i) const {
+      const uint32_t back = owner->prev_on_page(i);
+      return back != 0 && i - back >= begin;
     }
   };
   using Runs = std::deque<Run>;
@@ -93,14 +101,21 @@ class HotLog {
     return it.run_->Implied(it.i_) ? &*it : nullptr;
   }
 
-  enum class Placed { kHeld, kLinked, kImplied };
+  /// Where Add placed a record.
+  struct Placed {
+    bool held = false;          // its LSN was already held; nothing changed
+    bool implied = false;       // its run states its backlink
+    bool page_implied = false;  // its run holds its previous page record
+  };
   /// Places `(*owner)[i]`. It extends the run before its place when it is
   /// the next record of that run's batch, and starts a run otherwise,
   /// splitting the run it falls in; nearly every record is the newest, and
-  /// is placed in O(1). Returns kHeld if its LSN is already held, kImplied
-  /// if the record is implied. When the split cuts an implied record from
-  /// its predecessor, `*cut` names that record.
-  Placed Add(const SharedRecords& owner, uint32_t i, const LogRecord** cut) {
+  /// is placed in O(1). When the split cuts an implied record from its
+  /// predecessor, `*cut` names that record, and `page_cut` is called with
+  /// each record it cuts from its previous record of the same page.
+  template <typename PageCut>
+  Placed Add(const SharedRecords& owner, uint32_t i, const LogRecord** cut,
+             PageCut page_cut) {
     const Lsn lsn = (*owner)[i].lsn;
     *cut = nullptr;
     auto run = runs_.end();
@@ -108,11 +123,14 @@ class HotLog {
       const Iterator at = UpperBound(lsn - 1);
       run = runs_.begin() + (at.run_ - runs_.cbegin());
       const uint32_t k = at.i_;
-      if ((*run)[k].lsn == lsn) return Placed::kHeld;
+      if ((*run)[k].lsn == lsn) return {.held = true};
       if (k != run->begin) {  // split: the head keeps the records below
         if (run->Implied(k)) *cut = &(*run)[k];
         Run head{run->owner, run->begin, k, (*run)[k - 1].lsn};
         run->begin = k;
+        for (uint32_t j = k; j < run->end; ++j) {
+          if (head.PageImplied(j) && !run->PageImplied(j)) page_cut((*run)[j]);
+        }
         run = runs_.insert(run, std::move(head)) + 1;
       }
     }
@@ -122,26 +140,53 @@ class HotLog {
       if (before.owner == owner && before.end == i) {
         ++before.end;
         before.last_lsn = lsn;
-        return before.Implied(i) ? Placed::kImplied : Placed::kLinked;
+        return {.implied = before.Implied(i),
+                .page_implied = before.PageImplied(i)};
       }
     }
     runs_.insert(run, Run{owner, i, i + 1, lsn});
-    return Placed::kLinked;
+    return {};
   }
 
-  /// Drops the oldest record. Returns its run's next record if the dropped
-  /// one implied it (the run now starts with it), else null.
-  const LogRecord* PopFront() {
+  /// Calls `visit(record)` for the held record `lsn` names, then for each
+  /// later record of its page in its run, in LSN order, while `visit`
+  /// returns true: one search, then the batch's same-page links.
+  template <typename Visit>
+  void WalkPage(Lsn lsn, Visit visit) const {
+    const Iterator at = UpperBound(lsn - 1);
+    AURORA_CHECK(at != end() && at->lsn == lsn, "page entry names no record");
+    const Run& run = *at.run_;
+    for (uint32_t i = at.i_; visit(run[i]);) {
+      const uint32_t step = run.owner->next_on_page(i);
+      if (step == 0 || step >= run.end - i) return;
+      i += step;
+    }
+  }
+
+  /// What dropping the oldest record leaves unstated in its run.
+  struct Popped {
+    const LogRecord* implied = nullptr;    // the next record, if implied
+    const LogRecord* page_next = nullptr;  // the next record of its page
+  };
+  /// Drops the oldest record. The run now starts after it, so its next
+  /// record is no longer implied, nor its next record of the same page
+  /// page-implied.
+  Popped PopFront() {
     --size_;
     Run& oldest = runs_.front();
     const uint32_t next = oldest.begin + 1;
     if (next == oldest.end) {
       runs_.pop_front();
-      return nullptr;
+      return {};
     }
-    const bool implied = oldest.Implied(next);
+    Popped popped;
+    if (oldest.Implied(next)) popped.implied = &oldest[next];
+    const uint32_t step = oldest.owner->next_on_page(oldest.begin);
+    if (step != 0 && step < oldest.end - oldest.begin) {
+      popped.page_next = &oldest[oldest.begin + step];
+    }
     oldest.begin = next;
-    return implied ? &oldest[next] : nullptr;
+    return popped;
   }
   void PopBack() {
     --size_;

@@ -243,7 +243,7 @@ void StorageNode::HandleWriteBatch(const sim::Message& msg) {
   const Slice blob = std::exchange(batch.records, Slice());
   auto decode = [blob] { return DecodeSharedRecords(blob); };
   SharedRecords records =
-      msg.memo ? msg.memo->Get<std::vector<LogRecord>>(decode) : decode();
+      msg.memo ? msg.memo->Get<RecordBatch>(decode) : decode();
   if (records == nullptr) return;
   stats_.records_received += records->size();
 

@@ -46,8 +46,8 @@ std::vector<LogRecord> Chain(int n, int pages) {
 // Records [begin, end) of `chain` as one decoded batch.
 SharedRecords Batch(const std::vector<LogRecord>& chain, size_t begin,
                     size_t end) {
-  return std::make_shared<const std::vector<LogRecord>>(chain.begin() + begin,
-                                                        chain.begin() + end);
+  return ShareRecords(
+      std::vector<LogRecord>(chain.begin() + begin, chain.begin() + end));
 }
 
 // Adds the batch to `seg` and lets it materialize through its last record.
