@@ -2,6 +2,32 @@
 
 namespace aurora {
 
+namespace {
+
+// A list is checked whole before its first insert, so a malformed one
+// leaves the page untouched. A full page or a key the page already holds
+// still fails partway, as the kInsert records it stands for would; the
+// forward path's MTR then restores the page.
+Status InsertList(const LogRecord& record, Page* page) {
+  Slice list(record.payload), key, value, prev;
+  if (list.empty()) return Status::Corruption("empty insert list");
+  for (bool first = true; !list.empty(); first = false, prev = key) {
+    Status s = LogRecord::GetListEntry(&list, &key, &value);
+    if (!s.ok()) return s;
+    if (!first && prev.compare(key) >= 0) {
+      return Status::Corruption("insert list keys not ascending");
+    }
+  }
+  for (list = Slice(record.payload); !list.empty();) {
+    Status s = LogRecord::GetListEntry(&list, &key, &value);
+    if (s.ok()) s = page->InsertRecord(key, value);
+    if (!s.ok()) return s;
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 Status LogApplicator::Apply(const LogRecord& record, Page* page) {
   if (record.lsn != kInvalidLsn && page->IsFormatted() &&
       page->page_lsn() >= record.lsn) {
@@ -69,6 +95,20 @@ Status LogApplicator::Apply(const LogRecord& record, Page* page) {
       page->set_schema_version(v);
       break;
     }
+    case RedoOp::kInsertList:
+      s = InsertList(record, page);
+      if (!s.ok()) return s;
+      break;
+    case RedoOp::kDeleteListEnd: {
+      Slice key;
+      s = record.GetKey(&key);
+      if (!s.ok()) return s;
+      s = page->DeleteFrom(key);
+      if (!s.ok()) return s;
+      break;
+    }
+    default:
+      return Status::Corruption("unknown redo op");
   }
   if (record.lsn != kInvalidLsn) {
     page->set_page_lsn(record.lsn);

@@ -28,6 +28,9 @@ class LogApplicator {
   ///
   /// Records with invalid LSNs (forward path, before allocation) are applied
   /// unconditionally and do not stamp the page; the MTR commit stamps pages.
+  ///
+  /// A record whose op names no RedoOp returns Corruption and leaves the
+  /// page untouched.
   static Status Apply(const LogRecord& record, Page* page);
 
   /// Applies a batch in order, stopping at the first error.

@@ -89,6 +89,9 @@ Status LogRecord::DecodeFrom(Slice* input, LogRecord* out) {
   if (crc32c::Unmask(masked_crc) != crc) {
     return Status::Corruption("log record crc mismatch");
   }
+  if (!IsRedoOp(static_cast<uint8_t>(op))) {
+    return Status::Corruption("log record has an unknown op");
+  }
   out->lsn = lsn;
   out->prev_pg_lsn = prev;
   out->prev_vol_lsn = vprev;
@@ -110,8 +113,7 @@ std::string LogRecord::MakeFormatPayload(uint8_t page_type, uint8_t level) {
 std::string LogRecord::MakeKeyValuePayload(const Slice& key,
                                            const Slice& value) {
   std::string p;
-  PutLengthPrefixedSlice(&p, key);
-  PutLengthPrefixedSlice(&p, value);
+  AppendListEntry(&p, key, value);
   return p;
 }
 
@@ -133,6 +135,12 @@ std::string LogRecord::MakeVersionPayload(uint32_t version) {
   return p;
 }
 
+void LogRecord::AppendListEntry(std::string* payload, const Slice& key,
+                                const Slice& value) {
+  PutLengthPrefixedSlice(payload, key);
+  PutLengthPrefixedSlice(payload, value);
+}
+
 Status LogRecord::GetFormat(uint8_t* page_type, uint8_t* level) const {
   if (payload.size() < 2) return Status::Corruption("bad format payload");
   *page_type = static_cast<uint8_t>(payload[0]);
@@ -142,8 +150,12 @@ Status LogRecord::GetFormat(uint8_t* page_type, uint8_t* level) const {
 
 Status LogRecord::GetKeyValue(Slice* key, Slice* value) const {
   Slice in(payload);
-  if (!GetLengthPrefixedSlice(&in, key) ||
-      !GetLengthPrefixedSlice(&in, value)) {
+  return GetListEntry(&in, key, value);
+}
+
+Status LogRecord::GetListEntry(Slice* list, Slice* key, Slice* value) {
+  if (!GetLengthPrefixedSlice(list, key) ||
+      !GetLengthPrefixedSlice(list, value)) {
     return Status::Corruption("bad key/value payload");
   }
   return Status::OK();

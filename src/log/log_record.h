@@ -32,7 +32,21 @@ enum class RedoOp : uint8_t {
   kSetPrev = 6,
   /// Sets the page's schema version (online DDL, §7.3). payload = {version}.
   kSetSchemaVersion = 7,
+  /// Inserts records in turn, as InnoDB's MLOG_LIST_END_COPY_CREATED does
+  /// for the new half of a split. payload = one or more {key, value}
+  /// entries (AppendListEntry) in strictly ascending key order.
+  kInsertList = 8,
+  /// Deletes the record with the given key and every record after it, as
+  /// MLOG_LIST_END_DELETE does for the old half of a split. payload = {key}.
+  kDeleteListEnd = 9,
 };
+
+/// True if `op` is a RedoOp's byte (the last op bounds the range);
+/// DecodeFrom refuses any other.
+inline bool IsRedoOp(uint8_t op) {
+  return op >= static_cast<uint8_t>(RedoOp::kFormatPage) &&
+         op <= static_cast<uint8_t>(RedoOp::kDeleteListEnd);
+}
 
 /// Record flags.
 enum RecordFlags : uint8_t {
@@ -70,7 +84,8 @@ struct LogRecord {
   void EncodeTo(std::string* dst) const;
 
   /// Decodes one record from the front of `input`, advancing it. Verifies
-  /// the CRC; returns Corruption on any malformed input.
+  /// the CRC; returns Corruption on any malformed input, an op byte that
+  /// names no RedoOp included.
   static Status DecodeFrom(Slice* input, LogRecord* out);
 
   // --- Payload constructors (the only way payloads should be built) -------
@@ -79,6 +94,10 @@ struct LogRecord {
   static std::string MakeKeyPayload(const Slice& key);
   static std::string MakePageIdPayload(PageId id);
   static std::string MakeVersionPayload(uint32_t version);
+  /// Appends one {key, value} entry to a kInsertList payload. One entry
+  /// alone is the bytes of MakeKeyValuePayload(key, value).
+  static void AppendListEntry(std::string* payload, const Slice& key,
+                              const Slice& value);
 
   // --- Payload accessors ---------------------------------------------------
   Status GetFormat(uint8_t* page_type, uint8_t* level) const;
@@ -86,6 +105,9 @@ struct LogRecord {
   Status GetKey(Slice* key) const;
   Status GetPageId(PageId* id) const;
   Status GetVersion(uint32_t* version) const;
+  /// Decodes the next kInsertList entry from the front of `list`, a slice
+  /// of this record's payload, advancing it.
+  static Status GetListEntry(Slice* list, Slice* key, Slice* value);
 };
 
 /// Encodes a batch of records into one wire blob (the unit shipped to a

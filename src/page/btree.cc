@@ -145,35 +145,32 @@ Status BTree::SplitAndPropagate(std::vector<PathEntry>* path, const Slice& key,
   AURORA_CHECK(n >= 2, "cannot split page with fewer than two records");
   int mid = SplitPoint(page);
 
-  // Copy out the upper half (slices die on mutation).
+  // Logged as InnoDB logs a split: the upper half, encoded straight from
+  // the page, becomes one kInsertList for the new right page, and one
+  // kDeleteListEnd at the separator cuts it off this page. Both payloads
+  // are built before any mutation, since slices die on mutation.
   std::string sep_key = page->KeyAt(mid).ToString();
-  std::vector<std::pair<std::string, std::string>> moved;
-  moved.reserve(n - mid);
+  LogRecord copy;
+  copy.op = RedoOp::kInsertList;
   for (int j = mid; j < n; ++j) {
-    moved.emplace_back(page->KeyAt(j).ToString(), page->ValueAt(j).ToString());
+    LogRecord::AppendListEntry(&copy.payload, page->KeyAt(j),
+                               page->ValueAt(j));
   }
+  LogRecord cut;
+  cut.page_id = page->page_id();
+  cut.op = RedoOp::kDeleteListEnd;
+  cut.payload = LogRecord::MakeKeyPayload(sep_key);
 
   Result<Page*> right_r = provider_->AllocatePage(
       page->page_type(), page->level(), mtr);
   if (!right_r.ok()) return right_r.status();
   Page* right = *right_r;
 
-  for (const auto& [k, v] : moved) {
-    LogRecord rec;
-    rec.page_id = right->page_id();
-    rec.op = RedoOp::kInsert;
-    rec.payload = LogRecord::MakeKeyValuePayload(k, v);
-    Status s = mtr->Apply(right, std::move(rec));
-    if (!s.ok()) return s;
-  }
-  for (int j = n - 1; j >= mid; --j) {
-    LogRecord rec;
-    rec.page_id = page->page_id();
-    rec.op = RedoOp::kDelete;
-    rec.payload = LogRecord::MakeKeyPayload(moved[j - mid].first);
-    Status s = mtr->Apply(page, std::move(rec));
-    if (!s.ok()) return s;
-  }
+  copy.page_id = right->page_id();
+  Status s = mtr->Apply(right, std::move(copy));
+  if (!s.ok()) return s;
+  s = mtr->Apply(page, std::move(cut));
+  if (!s.ok()) return s;
 
   if (is_leaf) {
     // Rewire the leaf chain: page <-> right <-> old_next.
@@ -183,7 +180,7 @@ Status BTree::SplitAndPropagate(std::vector<PathEntry>* path, const Slice& key,
       rec.page_id = right->page_id();
       rec.op = RedoOp::kSetNext;
       rec.payload = LogRecord::MakePageIdPayload(old_next);
-      Status s = mtr->Apply(right, std::move(rec));
+      s = mtr->Apply(right, std::move(rec));
       if (!s.ok()) return s;
       rec = LogRecord();
       rec.page_id = right->page_id();
@@ -206,7 +203,7 @@ Status BTree::SplitAndPropagate(std::vector<PathEntry>* path, const Slice& key,
       rec.page_id = old_next;
       rec.op = RedoOp::kSetPrev;
       rec.payload = LogRecord::MakePageIdPayload(right->page_id());
-      Status s = mtr->Apply(*sib, std::move(rec));
+      s = mtr->Apply(*sib, std::move(rec));
       if (!s.ok()) return s;
     }
   }
@@ -224,7 +221,7 @@ Status BTree::SplitAndPropagate(std::vector<PathEntry>* path, const Slice& key,
     rec.op = RedoOp::kInsert;
     rec.payload = LogRecord::MakeKeyValuePayload(
         Slice("", 0), EncodeChild(page->page_id()));
-    Status s = mtr->Apply(new_root, std::move(rec));
+    s = mtr->Apply(new_root, std::move(rec));
     if (!s.ok()) return s;
     rec = LogRecord();
     rec.page_id = new_root->page_id();
@@ -248,7 +245,7 @@ Status BTree::SplitAndPropagate(std::vector<PathEntry>* path, const Slice& key,
     Page* parent = parent_path.back().page;
     if (!parent->HasRoomFor(sep_key.size(), kChildEntrySize)) {
       Page* ptarget = nullptr;
-      Status s = SplitAndPropagate(&parent_path, sep_key, mtr, &ptarget);
+      s = SplitAndPropagate(&parent_path, sep_key, mtr, &ptarget);
       if (!s.ok()) return s;
       parent = ptarget;
     }
@@ -257,7 +254,7 @@ Status BTree::SplitAndPropagate(std::vector<PathEntry>* path, const Slice& key,
     rec.op = RedoOp::kInsert;
     rec.payload = LogRecord::MakeKeyValuePayload(sep_key,
                                                  EncodeChild(right->page_id()));
-    Status s = mtr->Apply(parent, std::move(rec));
+    s = mtr->Apply(parent, std::move(rec));
     if (!s.ok()) return s;
   }
 

@@ -196,9 +196,11 @@ void Page::Compact() {
 }
 
 Status Page::InsertRecord(const Slice& key, const Slice& value) {
-  int pos = LowerBound(key);
-  if (pos < slot_count() && KeyAt(pos) == key) {
-    return Status::InvalidArgument("duplicate key");
+  const int n = slot_count();
+  int pos = n;
+  if (n > 0 && KeyAt(n - 1).compare(key) >= 0) {
+    pos = LowerBound(key);
+    if (KeyAt(pos) == key) return Status::InvalidArgument("duplicate key");
   }
   size_t need = RecordSize(key, value) + kSlotSize;
   if (FreeSpace() < need) {
@@ -210,7 +212,6 @@ Status Page::InsertRecord(const Slice& key, const Slice& value) {
   uint16_t off = AppendToHeap(key, value);
   // Shift slots [pos, n) down by one (slot directory grows toward lower
   // addresses, so "down" means toward the heap).
-  int n = slot_count();
   for (int i = n; i > pos; --i) {
     SetSlotOffset(i, SlotOffset(i - 1));
   }
@@ -232,6 +233,24 @@ Status Page::DeleteRecord(const Slice& key) {
     SetSlotOffset(i, SlotOffset(i + 1));
   }
   set_nslots(static_cast<uint16_t>(n - 1));
+  return Status::OK();
+}
+
+Status Page::DeleteFrom(const Slice& key) {
+  const int pos = LowerBound(key);
+  if (pos >= slot_count() || KeyAt(pos) != key) {
+    return Status::NotFound("key not in page");
+  }
+  // Deleting from the last slot down shifts no slot: each delete only adds
+  // its record to the dead space and drops the slot count by one.
+  size_t dead = dead_space();
+  for (int i = pos; i < slot_count(); ++i) {
+    Slice k, v;
+    RecordAt(SlotOffset(i), &k, &v);
+    dead += RecordSize(k, v);
+  }
+  set_dead_space(static_cast<uint16_t>(dead));
+  set_nslots(static_cast<uint16_t>(pos));
   return Status::OK();
 }
 

@@ -76,10 +76,16 @@ class Page {
   // --- Record operations ---------------------------------------------------
   /// Inserts a new record. Fails with OutOfRange when the page is full
   /// (caller must split) and InvalidArgument when the key already exists.
+  /// A key above the last record's is appended without a search.
   Status InsertRecord(const Slice& key, const Slice& value);
 
   /// Removes the record with `key`; NotFound if absent.
   Status DeleteRecord(const Slice& key);
+
+  /// Removes the record with `key` and every record after it; NotFound if
+  /// `key` is absent. The bytes equal DeleteRecord of each of those keys
+  /// from the last one down.
+  Status DeleteFrom(const Slice& key);
 
   /// Replaces the value of an existing record; NotFound if absent,
   /// OutOfRange if the larger value doesn't fit even after compaction.

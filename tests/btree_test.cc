@@ -241,6 +241,59 @@ TEST_P(BTreeTest, OversizedKeyOrValueRejected) {
   EXPECT_TRUE(Insert("", "v").IsInvalidArgument());
 }
 
+// A split logs the entries it moves as two list records: one kInsertList
+// for the new right page and one kDeleteListEnd at the separator for the
+// page that split, never a kInsert or kDelete per moved entry. Replaying
+// the MTR's records on copies of its pages' before-images rebuilds the
+// after-images byte for byte. Keys of page_size / 16 bytes keep the fan-out
+// small, so the loop meets a leaf split alone and one that splits its
+// parent too.
+TEST_P(BTreeTest, SplitLogsTwoListRecordsPerLevel) {
+  Random rng(5);
+  int leaf_splits = 0, parent_splits = 0;
+  for (int i = 0; i < 5000 && (leaf_splits == 0 || parent_splits == 0);
+       ++i) {
+    std::string key = Key(rng.Uniform(1000000));
+    key.resize(GetParam() / 16, '.');
+    MiniTransaction mtr(1);
+    Status s = tree_->Insert(key, "v", &mtr);
+    if (s.IsInvalidArgument()) continue;  // a repeated key
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    const std::vector<LogRecord> records = mtr.records();
+    const std::vector<Page*> pages = mtr.pages();
+    std::map<Page*, std::string> after;
+    for (Page* p : pages) after[p] = p->raw();
+    mtr.Abort();  // every touched page is back at its before-image
+    std::map<Page*, Page> replay;
+    for (size_t r = 0; r < records.size(); ++r) {
+      Page& copy = replay.try_emplace(pages[r], *pages[r]).first->second;
+      ASSERT_TRUE(LogApplicator::Apply(records[r], &copy).ok()) << r;
+    }
+    for (const auto& [page, bytes] : after) {
+      EXPECT_EQ(replay.at(page).raw(), bytes) << "insert " << i;
+    }
+    int lists = 0, cuts = 0, inserts = 0, deletes = 0, root_moves = 0;
+    for (const LogRecord& r : records) {
+      lists += r.op == RedoOp::kInsertList;
+      cuts += r.op == RedoOp::kDeleteListEnd;
+      inserts += r.op == RedoOp::kInsert;
+      deletes += r.op == RedoOp::kDelete;
+      root_moves += r.op == RedoOp::kUpdate;  // the anchor's root pointer
+    }
+    // Per split level one list and one cut, and one separator into the
+    // parent (two into a new root); then the key itself.
+    EXPECT_EQ(cuts, lists) << "insert " << i;
+    EXPECT_EQ(deletes, 0) << "insert " << i;
+    EXPECT_EQ(inserts, lists + root_moves + 1) << "insert " << i;
+    leaf_splits += lists == 1;
+    parent_splits += lists == 2;
+    ASSERT_TRUE(Insert(key, "v").ok());
+  }
+  EXPECT_GT(leaf_splits, 0);
+  EXPECT_GT(parent_splits, 0);
+  EXPECT_TRUE(tree_->CheckInvariants().ok());
+}
+
 // Property: rebuilding every page purely from the log (the storage node's
 // view of the world) reproduces the tree bit-for-bit. This is the
 // "log is the database" invariant at the unit level.

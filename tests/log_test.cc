@@ -254,6 +254,128 @@ TEST_F(ApplicatorTest, ApplyAllStopsOnError) {
   EXPECT_TRUE(LogApplicator::ApplyAll(recs, &page_).IsNotFound());
 }
 
+// A record carrying an op byte that names no RedoOp, with a valid CRC.
+LogRecord UnknownOpRecord(uint8_t op) {
+  LogRecord r = MakeInsert(9, "k", "v");
+  r.lsn = 20;
+  r.op = static_cast<RedoOp>(op);
+  return r;
+}
+
+TEST(LogRecordTest, UnknownOpIsRejectedByDecode) {
+  for (uint8_t op : {uint8_t{0}, uint8_t{10}, uint8_t{255}}) {
+    std::string buf;
+    UnknownOpRecord(op).EncodeTo(&buf);
+    Slice in(buf);
+    LogRecord d;
+    EXPECT_TRUE(LogRecord::DecodeFrom(&in, &d).IsCorruption()) << int{op};
+  }
+}
+
+TEST_F(ApplicatorTest, UnknownOpIsCorruptionAndLeavesThePage) {
+  ASSERT_TRUE(LogApplicator::Apply(MakeInsert(9, "a", "1"), &page_).ok());
+  const std::string before = page_.raw();
+  for (uint8_t op : {uint8_t{0}, uint8_t{10}, uint8_t{255}}) {
+    EXPECT_TRUE(LogApplicator::Apply(UnknownOpRecord(op), &page_)
+                    .IsCorruption())
+        << int{op};
+    EXPECT_EQ(page_.raw(), before) << int{op};
+  }
+}
+
+LogRecord MakeInsertList(
+    PageId page, const std::vector<std::pair<std::string, std::string>>& kvs) {
+  LogRecord r;
+  r.page_id = page;
+  r.op = RedoOp::kInsertList;
+  for (const auto& [k, v] : kvs) LogRecord::AppendListEntry(&r.payload, k, v);
+  return r;
+}
+
+LogRecord MakeDeleteListEnd(PageId page, const std::string& key) {
+  LogRecord r;
+  r.page_id = page;
+  r.op = RedoOp::kDeleteListEnd;
+  r.payload = LogRecord::MakeKeyPayload(key);
+  return r;
+}
+
+TEST(LogRecordTest, ListRecordsRoundTrip) {
+  LogRecord list = MakeInsertList(3, {{"a", "1"}, {"b", ""}, {"c", "333"}});
+  list.lsn = 77;
+  LogRecord cut = MakeDeleteListEnd(3, "b");
+  cut.lsn = 99;
+  cut.flags = kFlagCpl;
+  std::string buf;
+  EncodeRecordBatch({list, cut}, &buf);
+  std::vector<LogRecord> out;
+  ASSERT_TRUE(DecodeRecordBatch(buf, &out).ok());
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0].op, RedoOp::kInsertList);
+  EXPECT_EQ(out[0].payload, list.payload);
+  EXPECT_EQ(out[1].op, RedoOp::kDeleteListEnd);
+  EXPECT_EQ(out[1].lsn, 99u);
+  EXPECT_TRUE(out[1].is_cpl());
+  Slice entries(out[0].payload), k, v;
+  std::vector<std::string> seen;
+  while (!entries.empty()) {
+    ASSERT_TRUE(LogRecord::GetListEntry(&entries, &k, &v).ok());
+    seen.push_back(k.ToString() + "=" + v.ToString());
+  }
+  EXPECT_EQ(seen, (std::vector<std::string>{"a=1", "b=", "c=333"}));
+  Slice key;
+  ASSERT_TRUE(out[1].GetKey(&key).ok());
+  EXPECT_EQ(key.ToString(), "b");
+  // One entry alone is a kInsert's payload.
+  EXPECT_EQ(MakeInsertList(3, {{"a", "1"}}).payload,
+            LogRecord::MakeKeyValuePayload("a", "1"));
+}
+
+TEST_F(ApplicatorTest, ListRecordsApplyInTurn) {
+  ASSERT_TRUE(LogApplicator::Apply(MakeInsert(9, "b", "0"), &page_).ok());
+  LogRecord list = MakeInsertList(9, {{"a", "1"}, {"c", "3"}, {"d", "4"}});
+  list.lsn = 5;
+  ASSERT_TRUE(LogApplicator::Apply(list, &page_).ok());
+  EXPECT_EQ(page_.slot_count(), 4);
+  EXPECT_EQ(page_.page_lsn(), 5u);
+  LogRecord cut = MakeDeleteListEnd(9, "c");
+  cut.lsn = 6;
+  ASSERT_TRUE(LogApplicator::Apply(cut, &page_).ok());
+  ASSERT_EQ(page_.slot_count(), 2);
+  EXPECT_EQ(page_.KeyAt(0).ToString(), "a");
+  EXPECT_EQ(page_.KeyAt(1).ToString(), "b");
+  EXPECT_EQ(page_.page_lsn(), 6u);
+}
+
+// A malformed list is refused before the page changes: no entry, a
+// truncated entry, keys out of order, or a cut at a key the page lacks.
+TEST_F(ApplicatorTest, MalformedListRecordsFailAndLeaveThePage) {
+  ASSERT_TRUE(LogApplicator::Apply(MakeInsert(9, "b", "0"), &page_).ok());
+  const std::string before = page_.raw();
+  LogRecord truncated = MakeInsertList(9, {{"c", "3"}, {"d", "4"}});
+  truncated.payload.pop_back();
+  LogRecord partial = MakeInsertList(9, {{"c", "3"}});
+  partial.payload.push_back('\x05');  // an entry cut after its key length
+  const std::vector<std::pair<std::string, LogRecord>> bad = {
+      {"empty", MakeInsertList(9, {})},
+      {"truncated value", truncated},
+      {"partial entry", partial},
+      {"descending", MakeInsertList(9, {{"d", "4"}, {"c", "3"}})},
+      {"repeated", MakeInsertList(9, {{"c", "3"}, {"c", "4"}})},
+  };
+  for (const auto& [what, record] : bad) {
+    EXPECT_TRUE(LogApplicator::Apply(record, &page_).IsCorruption()) << what;
+    EXPECT_EQ(page_.raw(), before) << what;
+  }
+  EXPECT_TRUE(
+      LogApplicator::Apply(MakeDeleteListEnd(9, "a"), &page_).IsNotFound());
+  EXPECT_EQ(page_.raw(), before);
+  LogRecord no_key = MakeDeleteListEnd(9, "b");
+  no_key.payload.clear();
+  EXPECT_TRUE(LogApplicator::Apply(no_key, &page_).IsCorruption());
+  EXPECT_EQ(page_.raw(), before);
+}
+
 TEST(MtrTest, AppliesAndBuffers) {
   Page page(4096);
   MiniTransaction mtr(77);

@@ -372,5 +372,113 @@ TEST(PageCompactionTest, WriterAndReplicaBuildIdenticalImages) {
   EXPECT_EQ(replica.page_lsn(), sink.all_records().back().lsn);
 }
 
+// A B+-tree leaf or internal page of `size` bytes under random inserts and
+// deletes until one insert no longer fits, so it carries dead space. An
+// internal page holds the empty key in slot 0 and 8-byte child values, as
+// the tree's do.
+Page RandomTreePage(size_t size, PageType type, Random* rng) {
+  const bool internal = type == PageType::kBTreeInternal;
+  Page page(size);
+  page.Format(7, type, internal ? 1 : 0);
+  if (internal) {
+    EXPECT_TRUE(page.InsertRecord("", std::string(8, 'c')).ok());
+  }
+  for (int i = 0;; ++i) {
+    const std::string key = "k" + std::to_string(rng->Uniform(1000000));
+    const size_t len = internal ? 8 : 1 + rng->Uniform(60);
+    Status s = page.InsertRecord(key, std::string(len, 'a' + i % 26));
+    if (s.IsOutOfRange()) return page;
+    if (rng->Bernoulli(0.25)) {
+      const int slot = 1 + static_cast<int>(rng->Uniform(page.slot_count()));
+      if (slot < page.slot_count()) {
+        EXPECT_TRUE(page.DeleteRecord(page.KeyAt(slot).ToString()).ok());
+      }
+    }
+  }
+}
+
+// One kDeleteListEnd is the tail of a split's left page: cutting it off in
+// one step leaves the bytes that deleting each record from the last one down
+// leaves.
+TEST(PageListOpsTest, DeleteFromMatchesDeletingEachKeyFromTheLastDown) {
+  Random rng(31);
+  for (size_t size : {size_t{4096}, size_t{16384}}) {
+    for (PageType type : {PageType::kBTreeLeaf, PageType::kBTreeInternal}) {
+      for (int trial = 0; trial < 25; ++trial) {
+        SCOPED_TRACE(std::to_string(size) + " type " +
+                     std::to_string(static_cast<int>(type)) + " trial " +
+                     std::to_string(trial));
+        Page page = RandomTreePage(size, type, &rng);
+        const int from = static_cast<int>(rng.Uniform(page.slot_count()));
+        const std::string key = page.KeyAt(from).ToString();
+        Page each = page;
+        for (int j = each.slot_count() - 1; j >= from; --j) {
+          ASSERT_TRUE(each.DeleteRecord(each.KeyAt(j).ToString()).ok());
+        }
+        ASSERT_TRUE(page.DeleteFrom(key).ok());
+        EXPECT_EQ(page.slot_count(), from);
+        EXPECT_EQ(page.raw(), each.raw());
+        EXPECT_TRUE(page.DeleteFrom(key).IsNotFound());
+        EXPECT_EQ(page.raw(), each.raw());
+      }
+    }
+  }
+}
+
+// One kInsertList is the new right page of a split: its entries, inserted
+// in turn, leave the bytes one kInsert per entry leaves, on an empty page
+// and on a used one, where the list lands between old keys and can force a
+// compaction part way through.
+TEST(PageListOpsTest, InsertListMatchesOneInsertPerEntry) {
+  Random rng(32);
+  for (size_t size : {size_t{4096}, size_t{16384}}) {
+    for (PageType type : {PageType::kBTreeLeaf, PageType::kBTreeInternal}) {
+      const bool internal = type == PageType::kBTreeInternal;
+      for (int trial = 0; trial < 25; ++trial) {
+        SCOPED_TRACE(std::to_string(size) + " type " +
+                     std::to_string(static_cast<int>(type)) + " trial " +
+                     std::to_string(trial));
+        Page page = RandomTreePage(size, type, &rng);
+        if (trial % 2 == 0) {
+          page.Format(7, type, internal ? 1 : 0);
+        } else {
+          for (int d = static_cast<int>(rng.Uniform(20)); d > 0; --d) {
+            const int slot = 1 + static_cast<int>(rng.Uniform(
+                                     page.slot_count() - 1));
+            ASSERT_TRUE(page.DeleteRecord(page.KeyAt(slot).ToString()).ok());
+          }
+        }
+        std::map<std::string, std::string> entries;
+        for (int e = 1 + static_cast<int>(rng.Uniform(150)); e > 0; --e) {
+          const std::string key = "k" + std::to_string(rng.Uniform(1000000));
+          Slice unused;
+          if (page.GetRecord(key, &unused)) continue;
+          entries[key] = std::string(internal ? 8 : 1 + rng.Uniform(60),
+                                     'A' + e % 26);
+        }
+        // One kInsert per entry, in key order, while they fit; the list
+        // carries the entries that did.
+        Page each = page;
+        LogRecord list;
+        list.page_id = 7;
+        list.op = RedoOp::kInsertList;
+        for (const auto& [key, value] : entries) {
+          LogRecord insert;
+          insert.page_id = 7;
+          insert.op = RedoOp::kInsert;
+          insert.payload = LogRecord::MakeKeyValuePayload(key, value);
+          Status s = LogApplicator::Apply(insert, &each);
+          if (s.IsOutOfRange()) break;
+          ASSERT_TRUE(s.ok()) << s.ToString();
+          LogRecord::AppendListEntry(&list.payload, key, value);
+        }
+        if (list.payload.empty()) continue;
+        ASSERT_TRUE(LogApplicator::Apply(list, &page).ok());
+        EXPECT_EQ(page.raw(), each.raw());
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace aurora

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 
+#include "common/random.h"
 #include "harness/cluster.h"
 #include "tests/test_util.h"
 
@@ -79,6 +81,37 @@ TEST_F(ReplicaTest, ReplicaDiscardsRecordsForUncachedPages) {
   // The replica never read anything: every streamed record hit an uncached
   // page and was discarded (§4.2.4 — replicas add no write amplification).
   EXPECT_GT(cluster_.replica(0)->stats().records_discarded, 0u);
+}
+
+// A replica that cached a leaf before it split patches it with each
+// split's cut of its tail (the new right pages and root are not cached, so
+// their lists are dropped) and reads, through the new root, what the writer
+// reads.
+TEST_F(ReplicaTest, ReplicaReadsWhatTheWriterReadsAcrossSplits) {
+  std::map<std::string, std::string> rows;
+  for (int i = 0; i < 10; ++i) {
+    rows[Key(i * 100)] = "v" + std::to_string(i);
+    ASSERT_TRUE(cluster_.PutSync(table_, Key(i * 100), rows[Key(i * 100)]).ok());
+  }
+  cluster_.RunFor(Millis(50));
+  ASSERT_EQ(*cluster_.ReplicaGetSync(0, table_, Key(0)), "v0");  // caches
+  const uint64_t applied = cluster_.replica(0)->stats().records_applied;
+  Random rng(3);
+  for (int i = 0; i < 400; ++i) {
+    const std::string key = Key(rng.Uniform(1000));
+    rows[key] = std::string(40, 'a' + i % 26) + std::to_string(i);
+    ASSERT_TRUE(cluster_.PutSync(table_, key, rows[key]).ok());
+  }
+  cluster_.RunFor(Millis(200));
+  EXPECT_GT(cluster_.replica(0)->stats().records_applied, applied);
+  for (const auto& [key, value] : rows) {
+    Result<std::string> writer = cluster_.GetSync(table_, key);
+    ASSERT_TRUE(writer.ok()) << key;
+    EXPECT_EQ(*writer, value) << key;
+    Result<std::string> replica = cluster_.ReplicaGetSync(0, table_, key);
+    ASSERT_TRUE(replica.ok()) << key << " " << replica.status().ToString();
+    EXPECT_EQ(*replica, value) << key;
+  }
 }
 
 TEST_F(ReplicaTest, ReplicaLagIsMilliseconds) {

@@ -13,8 +13,10 @@
 #include "common/coding.h"
 #include "common/random.h"
 #include "log/applicator.h"
+#include "page/btree.h"
 #include "storage/segment.h"
 #include "storage/wire.h"
+#include "tests/test_util.h"
 
 namespace aurora {
 namespace {
@@ -862,6 +864,67 @@ TEST(SegmentTest, PageRecordsTooFarApartToLinkAreBothIndexed) {
   EXPECT_EQ(ReadOutcome(seg.GetPageAsOf(0, seg.scl())), expected.raw());
 }
 
+// The writer's B+-tree, split at the leaf and the internal level, shipped to
+// a segment in writer-sized batches: with the first half of the log
+// coalesced into base images and the rest replayed from the hot log, the
+// segment and its reference model serve every page with the writer's bytes.
+TEST(SegmentTest, ReplayedBTreeSplitsServeTheWritersPages) {
+  constexpr size_t kPageSize = 512;
+  testing::MemoryPageProvider provider(kPageSize);
+  testing::LocalWalSink sink;
+  MiniTransaction create(0);
+  Result<PageId> anchor = BTree::Create(&provider, &create);
+  ASSERT_TRUE(anchor.ok());
+  ASSERT_TRUE(sink.CommitMtr(&create).ok());
+  BTree tree(&provider, *anchor);
+  Random rng(11);
+  for (int i = 0; i < 400; ++i) {
+    MiniTransaction mtr(1);
+    Status s = tree.Insert(testing::Key(rng.Uniform(100000)),
+                           std::string(20, 'a' + i % 26), &mtr);
+    if (s.IsInvalidArgument()) continue;  // a repeated key
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    ASSERT_TRUE(sink.CommitMtr(&mtr).ok());
+  }
+  Result<PageId> root = tree.root_id();
+  ASSERT_TRUE(root.ok());
+  ASSERT_GE((*provider.GetPage(*root))->level(), 2) << "no internal split";
+  const std::vector<LogRecord>& log = sink.all_records();
+  ASSERT_GT(std::count_if(log.begin(), log.end(), [](const LogRecord& r) {
+              return r.op == RedoOp::kDeleteListEnd;
+            }),
+            0);
+
+  Segment seg(0, kPageSize);
+  ReferenceSegment ref(kPageSize);
+  for (size_t begin = 0; begin < log.size(); begin += 64) {
+    const SharedRecords batch = ShareRecords(std::vector<LogRecord>(
+        log.begin() + static_cast<std::ptrdiff_t>(begin),
+        log.begin() + static_cast<std::ptrdiff_t>(
+                          std::min(begin + 64, log.size()))));
+    for (uint32_t i = 0; i < batch->size(); ++i) {
+      ASSERT_TRUE(seg.AddRecord(batch, i));
+      ASSERT_TRUE(ref.AddRecord((*batch)[i]));
+    }
+  }
+  ASSERT_EQ(seg.scl(), log.back().lsn);
+  const Lsn half = log[log.size() / 2].lsn;
+  seg.SetVdlHint(half);
+  seg.SetPgmrpl(half);
+  ref.SetVdlHint(half);
+  ref.SetPgmrpl(half);
+  EXPECT_EQ(seg.CoalesceStep(log.size()), ref.CoalesceStep(log.size()));
+  for (const auto& [id, page] : provider.pages()) {
+    Page expected = *page;
+    expected.UpdateCrc();
+    EXPECT_EQ(ReadOutcome(seg.GetPageAsOf(id, seg.scl())), expected.raw())
+        << "page " << id;
+    EXPECT_EQ(ReadOutcome(ref.GetPageAsOf(id, ref.scl(), std::nullopt)),
+              expected.raw())
+        << "page " << id;
+  }
+}
+
 // One randomized schedule against two segment replicas of one PG, each
 // checked against its own reference model: one Segment with the
 // reconstruction cache off and one with a cache small enough to evict. Both
@@ -873,7 +936,8 @@ TEST(SegmentTest, PageRecordsTooFarApartToLinkAreBothIndexed) {
 // late records below the applied floor, gossip filling gaps, annulled
 // records coming back and sharing a backlink with the next incarnation),
 // and each replica must agree with its model on every observable after
-// every step.
+// every step. The records format pages, insert keys one at a time or as a
+// split's list, cut a list's tail as a split does, and set page links.
 class SegmentEquivalence {
  public:
   static constexpr size_t kPageSize = 4096;
@@ -886,6 +950,10 @@ class SegmentEquivalence {
       : rng_(seed),
         max_batch_(max_batch),
         replicas_{Replica(false), Replica(true)} {}
+
+  // Tail cuts the schedule produced: a list applied by both replicas was
+  // cut, as a split cuts its page.
+  size_t cuts() const { return cuts_; }
 
   void Run(int steps) {
     for (step_ = 0; step_ < steps; ++step_) {
@@ -923,11 +991,29 @@ class SegmentEquivalence {
       r.payload = LogRecord::MakeFormatPayload(
           static_cast<uint8_t>(PageType::kBTreeLeaf), 0);
       formatted_[r.page_id] = r.lsn;
+    } else if (listed_[r.page_id] != kInvalidLsn &&
+               listed_[r.page_id] <= AppliedEverywhere()) {
+      // A split's cut of the list's tail. It waits until every replica has
+      // applied the list: then no truncation can annul the list under it.
+      r.op = RedoOp::kDeleteListEnd;
+      r.payload = LogRecord::MakeKeyPayload(ListKey(listed_[r.page_id], 1));
+      listed_[r.page_id] = kInvalidLsn;
+      ++cuts_;
     } else if (inserts_[r.page_id] < 40) {
       ++inserts_[r.page_id];
-      r.op = RedoOp::kInsert;
-      r.payload = LogRecord::MakeKeyValuePayload("k" + std::to_string(r.lsn),
-                                                 "v" + std::to_string(step_));
+      if (listed_[r.page_id] == kInvalidLsn && rng_.Bernoulli(0.2)) {
+        // A split's list: keys above every key the page already holds.
+        r.op = RedoOp::kInsertList;
+        for (int i = 0; i < 3; ++i) {
+          LogRecord::AppendListEntry(&r.payload, ListKey(r.lsn, i),
+                                     "v" + std::to_string(step_));
+        }
+        listed_[r.page_id] = r.lsn;
+      } else {
+        r.op = RedoOp::kInsert;
+        r.payload = LogRecord::MakeKeyValuePayload(
+            "k" + std::to_string(r.lsn), "v" + std::to_string(step_));
+      }
     } else {
       r.op = RedoOp::kSetNext;
       r.payload = LogRecord::MakePageIdPayload(r.lsn);
@@ -936,6 +1022,21 @@ class SegmentEquivalence {
     tail_ = r.lsn;
     produced_.push_back(r);
     return r;
+  }
+
+  // Entry `i` of the list logged at `lsn`. List keys sort above every
+  // kInsert key and by LSN, so a cut at entry 1 removes that list's entries
+  // 1 and 2 and no other page record.
+  static std::string ListKey(Lsn lsn, int i) {
+    char buf[32];
+    snprintf(buf, sizeof(buf), "l%012llu.%d",
+             static_cast<unsigned long long>(lsn), i);
+    return buf;
+  }
+
+  Lsn AppliedEverywhere() const {
+    return std::min(replicas_[0].ref.applied_lsn(),
+                    replicas_[1].ref.applied_lsn());
   }
 
   // Both replicas receive the same record object.
@@ -1103,6 +1204,9 @@ class SegmentEquivalence {
     for (Lsn& lsn : formatted_) {
       if (lsn > above) lsn = kInvalidLsn;
     }
+    for (Lsn& lsn : listed_) {
+      if (lsn > above) lsn = kInvalidLsn;
+    }
   }
 
   std::string Where() const { return "step " + std::to_string(step_); }
@@ -1176,6 +1280,8 @@ class SegmentEquivalence {
   std::vector<LogRecord> annulled_;  // cut by a truncation
   std::array<Lsn, kPages> formatted_{};  // each page's format record, if kept
   std::array<int, kPages> inserts_{};
+  std::array<Lsn, kPages> listed_{};  // each page's list not yet cut, if kept
+  size_t cuts_ = 0;
 };
 
 // The LSN-ordered hot log and its indexes behave exactly like the ordered
@@ -1183,21 +1289,29 @@ class SegmentEquivalence {
 // replicas sharing record objects never see each other's GC, truncation or
 // rebuild.
 TEST(SegmentEquivalenceTest, RandomSchedulesMatchTheTreeModel) {
+  size_t cuts = 0;
   for (uint64_t seed = 1; seed <= 24; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
-    SegmentEquivalence(seed).Run(300);
+    SegmentEquivalence schedule(seed);
+    schedule.Run(300);
+    cuts += schedule.cuts();
     if (HasFailure()) return;
   }
+  EXPECT_GT(cuts, 0u);  // the schedules play splits, not only inserts
 }
 
 // The same with 1-40-record batches, so the hot log holds long runs that
 // late records split, GC and truncation cut into, and gossip pushes extend.
 TEST(SegmentEquivalenceTest, LongBatchSchedulesMatchTheTreeModel) {
+  size_t cuts = 0;
   for (uint64_t seed = 1; seed <= 24; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
-    SegmentEquivalence(seed, /*max_batch=*/40).Run(300);
+    SegmentEquivalence schedule(seed, /*max_batch=*/40);
+    schedule.Run(300);
+    cuts += schedule.cuts();
     if (HasFailure()) return;
   }
+  EXPECT_GT(cuts, 0u);  // the schedules play splits, not only inserts
 }
 
 // A record batch blob for the messages that carry one.
