@@ -9,6 +9,7 @@
 #include "harness/bulk_load.h"
 #include "harness/client_api.h"
 #include "harness/cluster.h"
+#include "harness/mysql_cluster.h"
 #include "harness/synthetic_table.h"
 #include "sim/chaos.h"
 #include "sim/event_loop.h"
@@ -46,6 +47,41 @@ void WriteUndoHeavyTransaction(AuroraCluster* cluster, PageId table) {
   });
   EXPECT_TRUE(cluster->RunUntil([&] { return committed; }, Seconds(30)));
   cluster->RunFor(Seconds(1));
+}
+
+// The "free:" entries on the baseline's allocator page (page 0, pinned).
+int MysqlFreePages(MysqlCluster* cluster) {
+  Result<Page*> meta = cluster->db()->GetPage(0);
+  EXPECT_TRUE(meta.ok());
+  if (!meta.ok()) return -1;
+  int n = 0;
+  for (int slot = (*meta)->LowerBound("free:"); slot < (*meta)->slot_count();
+       ++slot) {
+    if (!(*meta)->KeyAt(slot).starts_with("free:")) break;
+    ++n;
+  }
+  return n;
+}
+
+Status MysqlDeleteSync(MysqlCluster* cluster, PageId table,
+                       const std::string& key) {
+  baseline::MirroredMySql* db = cluster->db();
+  Status result = Status::TimedOut("delete did not finish");
+  bool done = false;
+  const TxnId txn = db->Begin();
+  db->Delete(txn, table, key, [&](Status s) {
+    if (!s.ok()) {
+      result = s;
+      done = true;
+      return;
+    }
+    db->Commit(txn, [&](Status cs) {
+      result = cs;
+      done = true;
+    });
+  });
+  EXPECT_TRUE(cluster->RunUntil([&] { return done; }, Seconds(60)));
+  return result;
 }
 
 }  // namespace
@@ -282,6 +318,86 @@ std::string RunReadMissSysbench(int sim_shards, uint64_t* fetches,
       cache->evictions += s.evictions;
     }
   }
+  return out;
+}
+
+std::string RunMysqlWorkload(uint64_t seed) {
+  MysqlClusterOptions o;
+  o.seed = seed;
+  o.num_binlog_replicas = 1;
+  o.mysql.engine.page_size = 4096;
+  o.mysql.engine.buffer_pool_pages = 48;
+  o.mysql.checkpoint_interval = Millis(100);
+  MysqlCluster cluster(o);
+  EXPECT_TRUE(cluster.BootstrapSync().ok());
+  EXPECT_TRUE(cluster.CreateTableSync("t").ok());
+  const PageId table = *cluster.TableAnchorSync("t");
+
+  // About 60 leaves of 200-byte rows: more than the pool holds.
+  std::map<std::string, std::string> acked;
+  const std::string row(200, 'r');
+  for (int i = 0; i < 1000; ++i) {
+    if (cluster.PutSync(table, Key(i), row).ok()) acked[Key(i)] = row;
+  }
+  // Emptied leaves are unlinked and listed free; new keys past the end of
+  // the table take them back.
+  for (int i = 200; i < 600; ++i) {
+    if (MysqlDeleteSync(&cluster, table, Key(i)).ok()) acked.erase(Key(i));
+  }
+  const int freed = MysqlFreePages(&cluster);
+  EXPECT_GT(freed, 0);
+  for (int i = 0; i < 200; ++i) {
+    const std::string value = "n" + std::to_string(i);
+    if (cluster.PutSync(table, Key(5000 + i), value).ok()) {
+      acked[Key(5000 + i)] = value;
+    }
+  }
+  EXPECT_LT(MysqlFreePages(&cluster), freed);
+
+  SyntheticCatalog catalog;
+  auto layout =
+      AttachSyntheticTableMysql(&cluster, &catalog, "sbtest", 2000, 100);
+  EXPECT_TRUE(layout.ok());
+  std::string out;
+  if (layout.ok()) {
+    MysqlClient client(cluster.db());
+    SysbenchOptions sopts;
+    sopts.mode = SysbenchOptions::Mode::kOltp;
+    sopts.connections = 8;
+    sopts.table_rows = 2000;
+    sopts.duration = Millis(400);
+    sopts.warmup = Millis(100);
+    sopts.seed = seed;
+    SysbenchDriver driver(cluster.writer_loop(), &client,
+                          (*layout)->anchor(), sopts);
+    driver.EnableIntervalMetrics(cluster.metrics(), Millis(100),
+                                 cluster.loop()->control());
+    bool done = false;
+    driver.Run([&] { done = true; });
+    EXPECT_TRUE(cluster.RunUntil([&] { return done; }, Minutes(5)));
+    EXPECT_GT(driver.results().txns, 0u);
+    for (const MetricsSnapshot& w : driver.metric_windows()) {
+      out += w.ToJson();
+      out += '\n';
+    }
+  }
+  EXPECT_GT(cluster.db()->stats().checkpoints, 0u);
+  EXPECT_GT(cluster.db()->stats().dirty_evict_stalls, 0u);
+
+  cluster.db()->Crash();
+  EXPECT_TRUE(cluster.RecoverSync().ok());
+  for (const auto& [key, value] : acked) {
+    auto got = cluster.GetSync(table, key);
+    EXPECT_TRUE(got.ok()) << key;
+    if (got.ok()) {
+      EXPECT_EQ(*got, value) << key;
+    }
+  }
+  EXPECT_TRUE(cluster.GetSync(table, Key(300)).status().IsNotFound());
+  cluster.RunFor(Seconds(1));
+  out += cluster.DumpMetricsJson();
+  out += "\nevents_executed=" +
+         std::to_string(cluster.loop()->events_executed()) + "\n";
   return out;
 }
 

@@ -58,6 +58,16 @@ std::string RunWindowedSysbench(int sim_shards, bool contended = false,
 std::string RunReadMissSysbench(int sim_shards, uint64_t* fetches = nullptr,
                                 PageCacheStats* cache = nullptr);
 
+/// The mirrored-MySQL baseline behind every MySQL row of the paper's
+/// tables and figures: a seeded MysqlCluster with one binlog replica and a
+/// 48-page buffer pool, so checkpoints run and misses stall on dirty
+/// evictions. It fills a B+-tree table, deletes a key range whose emptied
+/// leaves go to the free list and inserts rows that take them back, runs a
+/// SysBench OLTP mix on a preloaded table in 100 ms metric windows, crashes
+/// and runs ARIES recovery, and reads every acked key back. Returns the
+/// serialized windows, the final metrics dump and the executed-event count.
+std::string RunMysqlWorkload(uint64_t seed);
+
 }  // namespace aurora::testing
 
 #endif  // AURORA_TESTS_DETERMINISM_INPUTS_H_

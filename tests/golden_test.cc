@@ -170,5 +170,9 @@ TEST(GoldenTest, ReadMissSysbench) {
   ExpectGolden("read_miss", GoldenLines(testing::RunReadMissSysbench(1)));
 }
 
+TEST(GoldenTest, MysqlBaseline) {
+  ExpectGolden("mysql", GoldenLines(testing::RunMysqlWorkload(20261019)));
+}
+
 }  // namespace
 }  // namespace aurora
