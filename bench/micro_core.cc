@@ -149,9 +149,9 @@ void BM_BTreeInsert(benchmark::State& state) {
 BENCHMARK(BM_BTreeInsert);
 
 // Drops committed MTRs: what remains is the cost of building them.
-class NullWalSink : public WalSink {
+class NullWalSink {
  public:
-  Status CommitMtr(MiniTransaction* /*mtr*/) override { return Status::OK(); }
+  Status CommitMtr(MiniTransaction* /*mtr*/) { return Status::OK(); }
 };
 
 // One write statement's MTR as the writer builds it: a txn-table insert,

@@ -92,7 +92,7 @@ struct MysqlStats {
 /// the Aurora engine; only durability differs: a local WAL flushed on
 /// commit, dirty pages written back by checkpoints (and by forced eviction),
 /// ARIES-style redo replay from the last checkpoint on recovery.
-class MirroredMySql : public WalSink, public PageProvider {
+class MirroredMySql : public PageProvider {
  public:
   /// `nodes` are pre-created simulation hosts:
   /// {standby instance, primary EBS server, primary EBS mirror, standby EBS
@@ -153,8 +153,9 @@ class MirroredMySql : public WalSink, public PageProvider {
   EbsVolume* standby_ebs() { return standby_ebs_.get(); }
   sim::NodeId node_id() const { return node_id_; }
 
-  // --- WalSink -----------------------------------------------------------------
-  Status CommitMtr(MiniTransaction* mtr) override;
+  // --- Redo ------------------------------------------------------------------
+  /// Stamps the MTR's records with LSNs and appends them to the WAL buffer.
+  Status CommitMtr(MiniTransaction* mtr);
 
   // --- PageProvider -------------------------------------------------------------
   Result<Page*> GetPage(PageId id) override;

@@ -75,10 +75,10 @@ class MemoryPageProvider : public PageProvider {
   std::vector<PageId> free_;
 };
 
-/// A WalSink that assigns LSNs locally (unit tests for the btree layer).
-class LocalWalSink : public WalSink {
+/// Commits MTRs by assigning LSNs locally (unit tests for the btree layer).
+class LocalWalSink {
  public:
-  Status CommitMtr(MiniTransaction* mtr) override {
+  Status CommitMtr(MiniTransaction* mtr) {
     auto& records = mtr->records();
     const auto& pages = mtr->pages();
     for (size_t i = 0; i < records.size(); ++i) {
