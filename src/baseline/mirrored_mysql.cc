@@ -11,11 +11,6 @@ namespace aurora::baseline {
 
 namespace {
 
-constexpr char kNextPageKey[] = "next_page";
-// Free-list entries on meta page 0: "free:" + fixed64 page id (same layout
-// as the Aurora engine's allocator).
-constexpr char kFreePagePrefix[] = "free:";
-constexpr size_t kFreePagePrefixLen = 5;
 // Smallest checkpoint batch, in dirty pages.
 constexpr size_t kCheckpointBatchPages = 64;
 // Commits hardened per WAL flush. MySQL 5.6's binlog/redo group commit was
@@ -462,52 +457,16 @@ Result<Page*> MirroredMySql::GetPage(PageId id) {
   return Status::Busy("page miss");
 }
 
+// The allocator on meta page 0 is the Aurora engine's (page_provider.h).
 Result<Page*> MirroredMySql::AllocatePage(PageType type, uint8_t level,
                                           MiniTransaction* mtr) {
   Result<Page*> meta = GetPage(0);
   if (!meta.ok()) return meta.status();
-  // Reuse a freed page before growing the page space.
-  int slot = (*meta)->LowerBound(kFreePagePrefix);
-  if (slot < (*meta)->slot_count()) {
-    Slice k = (*meta)->KeyAt(slot);
-    if (k.size() == kFreePagePrefixLen + 8 && k.starts_with(kFreePagePrefix)) {
-      const PageId id = DecodeFixed64(k.data() + kFreePagePrefixLen);
-      LogRecord del;
-      del.page_id = 0;
-      del.op = RedoOp::kDelete;
-      del.payload = LogRecord::MakeKeyPayload(k);
-      Status s = mtr->Apply(*meta, std::move(del));
-      if (!s.ok()) return s;
-      Page* page = pool_.InstallNew(id);
-      LogRecord fmt;
-      fmt.page_id = id;
-      fmt.op = RedoOp::kFormatPage;
-      fmt.payload =
-          LogRecord::MakeFormatPayload(static_cast<uint8_t>(type), level);
-      s = mtr->Apply(page, std::move(fmt));
-      if (!s.ok()) return s;
-      return page;
-    }
-  }
-  Slice v;
-  if (!(*meta)->GetRecord(kNextPageKey, &v) || v.size() != 8) {
-    return Status::Corruption("allocator record missing");
-  }
-  PageId id = DecodeFixed64(v.data());
-  std::string next;
-  PutFixed64(&next, id + 1);
-  LogRecord upd;
-  upd.page_id = 0;
-  upd.op = RedoOp::kUpdate;
-  upd.payload = LogRecord::MakeKeyValuePayload(kNextPageKey, next);
-  Status s = mtr->Apply(*meta, std::move(upd));
-  if (!s.ok()) return s;
-  Page* page = pool_.InstallNew(id);
-  LogRecord fmt;
-  fmt.page_id = id;
-  fmt.op = RedoOp::kFormatPage;
-  fmt.payload = LogRecord::MakeFormatPayload(static_cast<uint8_t>(type), level);
-  s = mtr->Apply(page, std::move(fmt));
+  bool reused = false;
+  Result<PageId> id = TakePageId(*meta, mtr, &reused);
+  if (!id.ok()) return id.status();
+  Page* page = pool_.InstallNew(*id);
+  Status s = FormatPage(page, *id, type, level, mtr);
   if (!s.ok()) return s;
   return page;
 }
@@ -515,23 +474,7 @@ Result<Page*> MirroredMySql::AllocatePage(PageType type, uint8_t level,
 Status MirroredMySql::FreePage(Page* page, MiniTransaction* mtr) {
   Result<Page*> meta = GetPage(0);
   if (!meta.ok()) return meta.status();
-  std::string key = kFreePagePrefix;
-  PutFixed64(&key, page->page_id());
-  // A meta page with no room only costs the reuse of this one id.
-  if ((*meta)->HasRoomFor(key.size(), 0)) {
-    LogRecord rec;
-    rec.page_id = 0;
-    rec.op = RedoOp::kInsert;
-    rec.payload = LogRecord::MakeKeyValuePayload(key, Slice());
-    Status s = mtr->Apply(*meta, std::move(rec));
-    if (!s.ok()) return s;
-  }
-  LogRecord fmt;
-  fmt.page_id = page->page_id();
-  fmt.op = RedoOp::kFormatPage;
-  fmt.payload =
-      LogRecord::MakeFormatPayload(static_cast<uint8_t>(PageType::kFree), 0);
-  return mtr->Apply(page, std::move(fmt));
+  return FreeToMetaPage(*meta, page, mtr);
 }
 
 // ---------------------------------------------------------------------------
@@ -541,19 +484,7 @@ Status MirroredMySql::FreePage(Page* page, MiniTransaction* mtr) {
 void MirroredMySql::Bootstrap(std::function<void(Status)> done) {
   MiniTransaction mtr(kInvalidTxn);
   Page* meta = pool_.InstallNew(0);
-  LogRecord fmt;
-  fmt.page_id = 0;
-  fmt.op = RedoOp::kFormatPage;
-  fmt.payload =
-      LogRecord::MakeFormatPayload(static_cast<uint8_t>(PageType::kMeta), 0);
-  AURORA_CHECK(mtr.Apply(meta, std::move(fmt)).ok(), "meta format failed");
-  std::string next;
-  PutFixed64(&next, 1);
-  LogRecord ins;
-  ins.page_id = 0;
-  ins.op = RedoOp::kInsert;
-  ins.payload = LogRecord::MakeKeyValuePayload(kNextPageKey, next);
-  AURORA_CHECK(mtr.Apply(meta, std::move(ins)).ok(), "meta init failed");
+  AURORA_CHECK(FormatMetaPage(meta, &mtr).ok(), "meta format failed");
   pool_.Pin(0);
   Status s = CommitMtr(&mtr);
   AURORA_CHECK(s.ok(), "bootstrap commit failed");
@@ -749,11 +680,7 @@ void MirroredMySql::CreateTable(const std::string& name,
     }
     std::string value;
     PutFixed64(&value, *anchor);
-    LogRecord rec;
-    rec.page_id = 0;
-    rec.op = RedoOp::kInsert;
-    rec.payload = LogRecord::MakeKeyValuePayload(cat_key, value);
-    Status s = mtr.Apply(*meta, std::move(rec));
+    Status s = PutMetaRecord(*meta, RedoOp::kInsert, cat_key, value, &mtr);
     if (!s.ok()) {
       mtr.Abort();
       return s;
@@ -787,29 +714,20 @@ void MirroredMySql::AttachPreloadedTable(
     done(Status::InvalidArgument("table exists"));
     return;
   }
-  if (!(*meta)->GetRecord(kNextPageKey, &v) || v.size() != 8) {
-    done(Status::Corruption("allocator record missing"));
+  Result<PageId> next = NextPageId(*meta);
+  if (!next.ok()) {
+    done(next.status());
     return;
   }
-  PageId first = DecodeFixed64(v.data());
+  const PageId first = *next;
   uint64_t count = plan(first);
 
   MiniTransaction mtr(kInvalidTxn);
-  std::string next;
-  PutFixed64(&next, first + count);
-  LogRecord upd;
-  upd.page_id = 0;
-  upd.op = RedoOp::kUpdate;
-  upd.payload = LogRecord::MakeKeyValuePayload(kNextPageKey, next);
-  Status s = mtr.Apply(*meta, std::move(upd));
+  Status s = SetNextPageId(*meta, first + count, &mtr);
   AURORA_CHECK(s.ok(), "attach alloc failed");
   std::string value;
   PutFixed64(&value, first);
-  LogRecord ins;
-  ins.page_id = 0;
-  ins.op = RedoOp::kInsert;
-  ins.payload = LogRecord::MakeKeyValuePayload(cat_key, value);
-  s = mtr.Apply(*meta, std::move(ins));
+  s = PutMetaRecord(*meta, RedoOp::kInsert, cat_key, value, &mtr);
   AURORA_CHECK(s.ok(), "attach catalog failed");
   s = CommitMtr(&mtr);
   AURORA_CHECK(s.ok(), "attach commit failed");

@@ -190,10 +190,11 @@ void ReadReplica::TableAnchor(const std::string& name,
     if (!meta.ok()) return meta.status();
     pool_.Pin(0);
     Slice v;
-    if (!(*meta)->GetRecord(cat_key, &v) || v.size() != 12) {
+    uint32_t version;
+    if (!(*meta)->GetRecord(cat_key, &v) ||
+        !DecodeCatalogValue(v, anchor.get(), &version)) {
       return Status::NotFound("no such table");
     }
-    *anchor = DecodeFixed64(v.data());
     return Status::OK();
   };
   fetcher_.RunWithRetries(attempt, [done, anchor](Status s) {

@@ -5,6 +5,7 @@
 
 #include "common/coding.h"
 #include "common/result.h"
+#include "log/types.h"
 
 namespace aurora {
 
@@ -24,6 +25,23 @@ inline Result<std::string> DecodeRow(const std::string& row) {
   uint32_t version;
   if (!GetVarint32(&in, &version)) return Status::Corruption("bad row header");
   return std::string(in.data(), in.size());
+}
+
+/// A catalog entry on the meta page maps "tbl:" + name to the table's
+/// anchor page and schema version: fixed64 anchor + fixed32 version.
+inline std::string EncodeCatalogValue(PageId anchor, uint32_t version) {
+  std::string v;
+  PutFixed64(&v, anchor);
+  PutFixed32(&v, version);
+  return v;
+}
+
+inline bool DecodeCatalogValue(const Slice& v, PageId* anchor,
+                               uint32_t* version) {
+  if (v.size() != 12) return false;
+  *anchor = DecodeFixed64(v.data());
+  *version = DecodeFixed32(v.data() + 8);
+  return true;
 }
 
 }  // namespace aurora

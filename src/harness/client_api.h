@@ -3,6 +3,7 @@
 
 #include <functional>
 #include <string>
+#include <type_traits>
 
 #include "baseline/mirrored_mysql.h"
 #include "engine/database.h"
@@ -31,39 +32,12 @@ class ClientApi {
   virtual void SetActiveConnections(int n) = 0;
 };
 
-class AuroraClient : public ClientApi {
+/// Forwards every call to an engine with the ClientApi surface: the Aurora
+/// writer or the mirrored-MySQL baseline.
+template <typename Db>
+class EngineClient : public ClientApi {
  public:
-  explicit AuroraClient(Database* db) : db_(db) {}
-
-  TxnId Begin() override { return db_->Begin(); }
-  void Put(TxnId txn, PageId table, const std::string& key,
-           const std::string& value,
-           std::function<void(Status)> done) override {
-    db_->Put(txn, table, key, value, std::move(done));
-  }
-  void Get(TxnId txn, PageId table, const std::string& key,
-           std::function<void(Result<std::string>)> done) override {
-    db_->Get(txn, table, key, std::move(done));
-  }
-  void Delete(TxnId txn, PageId table, const std::string& key,
-              std::function<void(Status)> done) override {
-    db_->Delete(txn, table, key, std::move(done));
-  }
-  void Commit(TxnId txn, std::function<void(Status)> done) override {
-    db_->Commit(txn, std::move(done));
-  }
-  void Rollback(TxnId txn, std::function<void(Status)> done) override {
-    db_->Rollback(txn, std::move(done));
-  }
-  void SetActiveConnections(int) override {}
-
- private:
-  Database* db_;
-};
-
-class MysqlClient : public ClientApi {
- public:
-  explicit MysqlClient(baseline::MirroredMySql* db) : db_(db) {}
+  explicit EngineClient(Db* db) : db_(db) {}
 
   TxnId Begin() override { return db_->Begin(); }
   void Put(TxnId txn, PageId table, const std::string& key,
@@ -86,12 +60,17 @@ class MysqlClient : public ClientApi {
     db_->Rollback(txn, std::move(done));
   }
   void SetActiveConnections(int n) override {
-    db_->mutable_options()->active_connections = n;
+    if constexpr (std::is_same_v<Db, baseline::MirroredMySql>) {
+      db_->mutable_options()->active_connections = n;
+    }
   }
 
  private:
-  baseline::MirroredMySql* db_;
+  Db* db_;
 };
+
+using AuroraClient = EngineClient<Database>;
+using MysqlClient = EngineClient<baseline::MirroredMySql>;
 
 }  // namespace aurora
 

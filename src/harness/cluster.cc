@@ -1,6 +1,7 @@
 #include "harness/cluster.h"
 
 #include "common/logging.h"
+#include "harness/sync_ops.h"
 
 namespace aurora {
 
@@ -327,47 +328,22 @@ Status AuroraCluster::PromoteReplicaSync(size_t i) {
 }
 
 bool AuroraCluster::RunUntil(std::function<bool()> pred, SimDuration max) {
-  const SimTime deadline = loop_.now() + max;
-  while (!pred() && loop_.now() < deadline) {
-    if (!loop_.RunOne()) {
-      // Queue drained before the predicate held.
-      return pred();
-    }
-  }
-  return pred();
+  return RunLoopUntil(&loop_, pred, max);
 }
 
 Status AuroraCluster::BootstrapSync() {
-  Status result = Status::TimedOut("bootstrap did not finish");
-  bool done = false;
-  writer_->Bootstrap([&](Status s) {
-    result = s;
-    done = true;
-  });
-  RunUntil([&] { return done; }, Seconds(30));
-  return result;
+  return RunSync<Status>(this, "bootstrap did not finish", Seconds(30),
+                         [&](auto done) { writer_->Bootstrap(done); });
 }
 
 Status AuroraCluster::RecoverSync() {
-  Status result = Status::TimedOut("recovery did not finish");
-  bool done = false;
-  writer_->Recover([&](Status s) {
-    result = s;
-    done = true;
-  });
-  RunUntil([&] { return done; }, Seconds(120));
-  return result;
+  return RunSync<Status>(this, "recovery did not finish", Seconds(120),
+                         [&](auto done) { writer_->Recover(done); });
 }
 
 Status AuroraCluster::CreateTableSync(const std::string& name) {
-  Status result = Status::TimedOut("create table did not finish");
-  bool done = false;
-  writer_->CreateTable(name, [&](Status s) {
-    result = s;
-    done = true;
-  });
-  RunUntil([&] { return done; }, Seconds(30));
-  return result;
+  return RunSync<Status>(this, "create table did not finish", Seconds(30),
+                         [&](auto done) { writer_->CreateTable(name, done); });
 }
 
 Result<PageId> AuroraCluster::TableAnchorSync(const std::string& name) {
@@ -384,67 +360,31 @@ Result<PageId> AuroraCluster::TableAnchorSync(const std::string& name) {
 
 Status AuroraCluster::PutSync(PageId table, const std::string& key,
                               const std::string& value) {
-  Status result = Status::TimedOut("put did not finish");
-  bool done = false;
-  TxnId txn = writer_->Begin();
-  writer_->Put(txn, table, key, value, [&](Status s) {
-    if (!s.ok()) {
-      result = s;
-      done = true;
-      return;
-    }
-    writer_->Commit(txn, [&](Status cs) {
-      result = cs;
-      done = true;
-    });
-  });
-  RunUntil([&] { return done; }, Seconds(60));
-  return result;
+  return StatementSync(this, writer_.get(), "put did not finish",
+                       [&](TxnId txn, auto done) {
+                         writer_->Put(txn, table, key, value, done);
+                       });
 }
 
 Result<std::string> AuroraCluster::GetSync(PageId table,
                                            const std::string& key) {
-  Result<std::string> result = Status::TimedOut("get did not finish");
-  bool done = false;
-  TxnId txn = writer_->Begin();
-  writer_->Get(txn, table, key, [&](Result<std::string> r) {
-    result = std::move(r);
-    writer_->Commit(txn, [&](Status) { done = true; });
-  });
-  RunUntil([&] { return done; }, Seconds(60));
-  return result;
+  return ReadSync(this, writer_.get(), table, key);
 }
 
 Status AuroraCluster::DeleteSync(PageId table, const std::string& key) {
-  Status result = Status::TimedOut("delete did not finish");
-  bool done = false;
-  TxnId txn = writer_->Begin();
-  writer_->Delete(txn, table, key, [&](Status s) {
-    if (!s.ok()) {
-      result = s;
-      done = true;
-      return;
-    }
-    writer_->Commit(txn, [&](Status cs) {
-      result = cs;
-      done = true;
-    });
-  });
-  RunUntil([&] { return done; }, Seconds(60));
-  return result;
+  return StatementSync(this, writer_.get(), "delete did not finish",
+                       [&](TxnId txn, auto done) {
+                         writer_->Delete(txn, table, key, done);
+                       });
 }
 
 Result<std::string> AuroraCluster::ReplicaGetSync(size_t replica,
                                                   PageId table,
                                                   const std::string& key) {
-  Result<std::string> result = Status::TimedOut("replica get did not finish");
-  bool done = false;
-  replicas_.at(replica)->Get(table, key, [&](Result<std::string> r) {
-    result = std::move(r);
-    done = true;
-  });
-  RunUntil([&] { return done; }, Seconds(60));
-  return result;
+  return RunSync<Result<std::string>>(
+      this, "replica get did not finish", Seconds(60), [&](auto done) {
+        replicas_.at(replica)->Get(table, key, done);
+      });
 }
 
 }  // namespace aurora

@@ -1,5 +1,7 @@
 #include "harness/mysql_cluster.h"
 
+#include "harness/sync_ops.h"
+
 namespace aurora {
 
 namespace {
@@ -80,44 +82,22 @@ void MysqlCluster::RegisterAllMetrics() {
 MysqlCluster::~MysqlCluster() = default;
 
 bool MysqlCluster::RunUntil(std::function<bool()> pred, SimDuration max) {
-  const SimTime deadline = loop_.now() + max;
-  while (!pred() && loop_.now() < deadline) {
-    if (!loop_.RunOne()) return pred();
-  }
-  return pred();
+  return RunLoopUntil(&loop_, pred, max);
 }
 
 Status MysqlCluster::BootstrapSync() {
-  Status result = Status::TimedOut("bootstrap did not finish");
-  bool done = false;
-  db_->Bootstrap([&](Status s) {
-    result = s;
-    done = true;
-  });
-  RunUntil([&] { return done; }, Seconds(60));
-  return result;
+  return RunSync<Status>(this, "bootstrap did not finish", Seconds(60),
+                         [&](auto done) { db_->Bootstrap(done); });
 }
 
 Status MysqlCluster::RecoverSync() {
-  Status result = Status::TimedOut("recovery did not finish");
-  bool done = false;
-  db_->Recover([&](Status s) {
-    result = s;
-    done = true;
-  });
-  RunUntil([&] { return done; }, Minutes(30));
-  return result;
+  return RunSync<Status>(this, "recovery did not finish", Minutes(30),
+                         [&](auto done) { db_->Recover(done); });
 }
 
 Status MysqlCluster::CreateTableSync(const std::string& name) {
-  Status result = Status::TimedOut("create table did not finish");
-  bool done = false;
-  db_->CreateTable(name, [&](Status s) {
-    result = s;
-    done = true;
-  });
-  RunUntil([&] { return done; }, Seconds(60));
-  return result;
+  return RunSync<Status>(this, "create table did not finish", Seconds(60),
+                         [&](auto done) { db_->CreateTable(name, done); });
 }
 
 Result<PageId> MysqlCluster::TableAnchorSync(const std::string& name) {
@@ -132,35 +112,15 @@ Result<PageId> MysqlCluster::TableAnchorSync(const std::string& name) {
 
 Status MysqlCluster::PutSync(PageId table, const std::string& key,
                              const std::string& value) {
-  Status result = Status::TimedOut("put did not finish");
-  bool done = false;
-  TxnId txn = db_->Begin();
-  db_->Put(txn, table, key, value, [&](Status s) {
-    if (!s.ok()) {
-      result = s;
-      done = true;
-      return;
-    }
-    db_->Commit(txn, [&](Status cs) {
-      result = cs;
-      done = true;
-    });
-  });
-  RunUntil([&] { return done; }, Seconds(60));
-  return result;
+  return StatementSync(this, db_.get(), "put did not finish",
+                       [&](TxnId txn, auto done) {
+                         db_->Put(txn, table, key, value, done);
+                       });
 }
 
 Result<std::string> MysqlCluster::GetSync(PageId table,
                                           const std::string& key) {
-  Result<std::string> result = Status::TimedOut("get did not finish");
-  bool done = false;
-  TxnId txn = db_->Begin();
-  db_->Get(txn, table, key, [&](Result<std::string> r) {
-    result = std::move(r);
-    db_->Commit(txn, [&](Status) { done = true; });
-  });
-  RunUntil([&] { return done; }, Seconds(60));
-  return result;
+  return ReadSync(this, db_.get(), table, key);
 }
 
 }  // namespace aurora

@@ -58,6 +58,14 @@ Status MiniTransaction::Apply(Page* page, LogRecord record) {
   return Status::OK();
 }
 
+Status MiniTransaction::Apply(Page* page, RedoOp op, std::string payload) {
+  LogRecord record;
+  record.page_id = page->page_id();
+  record.op = op;
+  record.payload = std::move(payload);
+  return Apply(page, std::move(record));
+}
+
 void MiniTransaction::Abort() {
   // Restore in reverse touch order (order doesn't actually matter — each
   // page gets back its first-touch image).

@@ -54,12 +54,9 @@ Result<PageId> BTree::Create(PageProvider* provider, MiniTransaction* mtr) {
       provider->AllocatePage(PageType::kBTreeLeaf, /*level=*/0, mtr);
   if (!root.ok()) return root.status();
 
-  LogRecord rec;
-  rec.page_id = (*anchor)->page_id();
-  rec.op = RedoOp::kInsert;
-  rec.payload = LogRecord::MakeKeyValuePayload(
-      kRootKey, EncodeChild((*root)->page_id()));
-  Status s = mtr->Apply(*anchor, std::move(rec));
+  Status s = mtr->Apply(*anchor, RedoOp::kInsert,
+                        LogRecord::MakeKeyValuePayload(
+                            kRootKey, EncodeChild((*root)->page_id())));
   if (!s.ok()) return s;
   return (*anchor)->page_id();
 }
@@ -175,35 +172,21 @@ Status BTree::SplitAndPropagate(std::vector<PathEntry>* path, const Slice& key,
   if (is_leaf) {
     // Rewire the leaf chain: page <-> right <-> old_next.
     PageId old_next = page->next_page();
-    {
-      LogRecord rec;
-      rec.page_id = right->page_id();
-      rec.op = RedoOp::kSetNext;
-      rec.payload = LogRecord::MakePageIdPayload(old_next);
-      s = mtr->Apply(right, std::move(rec));
-      if (!s.ok()) return s;
-      rec = LogRecord();
-      rec.page_id = right->page_id();
-      rec.op = RedoOp::kSetPrev;
-      rec.payload = LogRecord::MakePageIdPayload(page->page_id());
-      s = mtr->Apply(right, std::move(rec));
-      if (!s.ok()) return s;
-      rec = LogRecord();
-      rec.page_id = page->page_id();
-      rec.op = RedoOp::kSetNext;
-      rec.payload = LogRecord::MakePageIdPayload(right->page_id());
-      s = mtr->Apply(page, std::move(rec));
-      if (!s.ok()) return s;
-    }
+    s = mtr->Apply(right, RedoOp::kSetNext,
+                   LogRecord::MakePageIdPayload(old_next));
+    if (!s.ok()) return s;
+    s = mtr->Apply(right, RedoOp::kSetPrev,
+                   LogRecord::MakePageIdPayload(page->page_id()));
+    if (!s.ok()) return s;
+    s = mtr->Apply(page, RedoOp::kSetNext,
+                   LogRecord::MakePageIdPayload(right->page_id()));
+    if (!s.ok()) return s;
     if (old_next != kInvalidPage) {
       Result<Page*> sib = provider_->GetPage(old_next);
       // PlanForInsert guaranteed residency; a miss here is a logic error.
       AURORA_CHECK(sib.ok(), "leaf sibling not resident during split");
-      LogRecord rec;
-      rec.page_id = old_next;
-      rec.op = RedoOp::kSetPrev;
-      rec.payload = LogRecord::MakePageIdPayload(right->page_id());
-      s = mtr->Apply(*sib, std::move(rec));
+      s = mtr->Apply(*sib, RedoOp::kSetPrev,
+                     LogRecord::MakePageIdPayload(right->page_id()));
       if (!s.ok()) return s;
     }
   }
@@ -216,29 +199,20 @@ Status BTree::SplitAndPropagate(std::vector<PathEntry>* path, const Slice& key,
         mtr);
     if (!new_root_r.ok()) return new_root_r.status();
     Page* new_root = *new_root_r;
-    LogRecord rec;
-    rec.page_id = new_root->page_id();
-    rec.op = RedoOp::kInsert;
-    rec.payload = LogRecord::MakeKeyValuePayload(
-        Slice("", 0), EncodeChild(page->page_id()));
-    s = mtr->Apply(new_root, std::move(rec));
+    s = mtr->Apply(new_root, RedoOp::kInsert,
+                   LogRecord::MakeKeyValuePayload(
+                       Slice("", 0), EncodeChild(page->page_id())));
     if (!s.ok()) return s;
-    rec = LogRecord();
-    rec.page_id = new_root->page_id();
-    rec.op = RedoOp::kInsert;
-    rec.payload = LogRecord::MakeKeyValuePayload(sep_key,
-                                                 EncodeChild(right->page_id()));
-    s = mtr->Apply(new_root, std::move(rec));
+    s = mtr->Apply(new_root, RedoOp::kInsert,
+                   LogRecord::MakeKeyValuePayload(
+                       sep_key, EncodeChild(right->page_id())));
     if (!s.ok()) return s;
 
     Result<Page*> anchor = provider_->GetPage(anchor_id_);
     AURORA_CHECK(anchor.ok(), "anchor not resident during root split");
-    rec = LogRecord();
-    rec.page_id = anchor_id_;
-    rec.op = RedoOp::kUpdate;
-    rec.payload = LogRecord::MakeKeyValuePayload(
-        kRootKey, EncodeChild(new_root->page_id()));
-    s = mtr->Apply(*anchor, std::move(rec));
+    s = mtr->Apply(*anchor, RedoOp::kUpdate,
+                   LogRecord::MakeKeyValuePayload(
+                       kRootKey, EncodeChild(new_root->page_id())));
     if (!s.ok()) return s;
   } else {
     std::vector<PathEntry> parent_path(path->begin(), path->end() - 1);
@@ -249,12 +223,9 @@ Status BTree::SplitAndPropagate(std::vector<PathEntry>* path, const Slice& key,
       if (!s.ok()) return s;
       parent = ptarget;
     }
-    LogRecord rec;
-    rec.page_id = parent->page_id();
-    rec.op = RedoOp::kInsert;
-    rec.payload = LogRecord::MakeKeyValuePayload(sep_key,
-                                                 EncodeChild(right->page_id()));
-    s = mtr->Apply(parent, std::move(rec));
+    s = mtr->Apply(parent, RedoOp::kInsert,
+                   LogRecord::MakeKeyValuePayload(
+                       sep_key, EncodeChild(right->page_id())));
     if (!s.ok()) return s;
   }
 
@@ -285,11 +256,8 @@ Status BTree::Insert(const Slice& key, const Slice& value,
     s = SplitAndPropagate(&path, key, mtr, &target);
     if (!s.ok()) return s;
   }
-  LogRecord rec;
-  rec.page_id = target->page_id();
-  rec.op = RedoOp::kInsert;
-  rec.payload = LogRecord::MakeKeyValuePayload(key, value);
-  return mtr->Apply(target, std::move(rec));
+  return mtr->Apply(target, RedoOp::kInsert,
+                    LogRecord::MakeKeyValuePayload(key, value));
 }
 
 Status BTree::Update(const Slice& key, const Slice& value,
@@ -320,11 +288,8 @@ Status BTree::Update(const Slice& key, const Slice& value,
     s = SplitAndPropagate(&path, key, mtr, &target);
     if (!s.ok()) return s;
   }
-  LogRecord rec;
-  rec.page_id = target->page_id();
-  rec.op = RedoOp::kUpdate;
-  rec.payload = LogRecord::MakeKeyValuePayload(key, value);
-  return mtr->Apply(target, std::move(rec));
+  return mtr->Apply(target, RedoOp::kUpdate,
+                    LogRecord::MakeKeyValuePayload(key, value));
 }
 
 Status BTree::Upsert(const Slice& key, const Slice& value,
@@ -363,21 +328,15 @@ Status BTree::UnlinkEmptyLeaf(std::vector<PathEntry>* path,
   if (prev != kInvalidPage) {
     Result<Page*> p = provider_->GetPage(prev);
     AURORA_CHECK(p.ok(), "left sibling not resident during unlink");
-    LogRecord rec;
-    rec.page_id = prev;
-    rec.op = RedoOp::kSetNext;
-    rec.payload = LogRecord::MakePageIdPayload(next);
-    Status s = mtr->Apply(*p, std::move(rec));
+    Status s = mtr->Apply(*p, RedoOp::kSetNext,
+                          LogRecord::MakePageIdPayload(next));
     if (!s.ok()) return s;
   }
   if (next != kInvalidPage) {
     Result<Page*> p = provider_->GetPage(next);
     AURORA_CHECK(p.ok(), "right sibling not resident during unlink");
-    LogRecord rec;
-    rec.page_id = next;
-    rec.op = RedoOp::kSetPrev;
-    rec.payload = LogRecord::MakePageIdPayload(prev);
-    Status s = mtr->Apply(*p, std::move(rec));
+    Status s = mtr->Apply(*p, RedoOp::kSetPrev,
+                          LogRecord::MakePageIdPayload(prev));
     if (!s.ok()) return s;
   }
 
@@ -390,24 +349,14 @@ Status BTree::UnlinkEmptyLeaf(std::vector<PathEntry>* path,
     std::string sep0 = parent->KeyAt(0).ToString();
     std::string key1 = parent->KeyAt(1).ToString();
     std::string child1 = parent->ValueAt(1).ToString();
-    LogRecord rec;
-    rec.page_id = parent->page_id();
-    rec.op = RedoOp::kUpdate;
-    rec.payload = LogRecord::MakeKeyValuePayload(sep0, child1);
-    Status s = mtr->Apply(parent, std::move(rec));
+    Status s = mtr->Apply(parent, RedoOp::kUpdate,
+                          LogRecord::MakeKeyValuePayload(sep0, child1));
     if (!s.ok()) return s;
-    rec = LogRecord();
-    rec.page_id = parent->page_id();
-    rec.op = RedoOp::kDelete;
-    rec.payload = LogRecord::MakeKeyPayload(key1);
-    s = mtr->Apply(parent, std::move(rec));
+    s = mtr->Apply(parent, RedoOp::kDelete, LogRecord::MakeKeyPayload(key1));
     if (!s.ok()) return s;
   } else {
-    LogRecord rec;
-    rec.page_id = parent->page_id();
-    rec.op = RedoOp::kDelete;
-    rec.payload = LogRecord::MakeKeyPayload(parent->KeyAt(slot));
-    Status s = mtr->Apply(parent, std::move(rec));
+    Status s = mtr->Apply(parent, RedoOp::kDelete,
+                          LogRecord::MakeKeyPayload(parent->KeyAt(slot)));
     if (!s.ok()) return s;
   }
   return provider_->FreePage(leaf, mtr);
@@ -430,11 +379,7 @@ Status BTree::Delete(const Slice& key, MiniTransaction* mtr) {
     s = PlanForUnlink(path);
     if (!s.ok()) return s;
   }
-  LogRecord rec;
-  rec.page_id = leaf->page_id();
-  rec.op = RedoOp::kDelete;
-  rec.payload = LogRecord::MakeKeyPayload(key);
-  s = mtr->Apply(leaf, std::move(rec));
+  s = mtr->Apply(leaf, RedoOp::kDelete, LogRecord::MakeKeyPayload(key));
   if (!s.ok()) return s;
   if (unlink) return UnlinkEmptyLeaf(&path, mtr);
   return Status::OK();

@@ -45,6 +45,30 @@ class PageProvider {
   virtual size_t page_size() const = 0;
 };
 
+// --- The meta-page allocator both engines keep (§5) ------------------------
+// Page 0 holds the allocator and the catalog: a "next_page" record with the
+// first page id never handed out, one "free:" + fixed64 id record (empty
+// value) per page handed back, and the engines' "tbl:" catalog entries.
+// Each call logs its change through `mtr`.
+
+/// Formats `frame` as page `id`, a `type` page at `level`.
+Status FormatPage(Page* frame, PageId id, PageType type, uint8_t level,
+                  MiniTransaction* mtr);
+/// Formats `meta` as page 0 with its counter at page 1.
+Status FormatMetaPage(Page* meta, MiniTransaction* mtr);
+/// Logs `key` -> `value` on `meta` with `op` (kInsert or kUpdate).
+Status PutMetaRecord(Page* meta, RedoOp op, const Slice& key,
+                     const Slice& value, MiniTransaction* mtr);
+/// The counter: the first page id never handed out.
+Result<PageId> NextPageId(const Page* meta);
+/// Moves the counter to `next`, reserving every id below it.
+Status SetNextPageId(Page* meta, PageId next, MiniTransaction* mtr);
+/// Takes the lowest freed page id, or else the counter's next one, and
+/// sets `*reused` to which.
+Result<PageId> TakePageId(Page* meta, MiniTransaction* mtr, bool* reused);
+/// Lists `page` free, when the meta page has room, and formats it kFree.
+Status FreeToMetaPage(Page* meta, Page* page, MiniTransaction* mtr);
+
 }  // namespace aurora
 
 #endif  // AURORA_PAGE_PAGE_PROVIDER_H_
