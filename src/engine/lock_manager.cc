@@ -104,19 +104,22 @@ Status LockManager::Lock(TxnId txn, PageId tree, std::string_view key,
     return Status::OK();
   }
   LockEntry& e = slots_[slot];
+  auto holds_shared = [&e](TxnId t) {
+    return std::find(e.shared_holders.begin(), e.shared_holders.end(), t) !=
+           e.shared_holders.end();
+  };
+  const bool upgrade = holds_shared(txn);
 
   // Re-entrant fast paths.
-  if (e.exclusive_holder == txn ||
-      (mode == LockMode::kShared &&
-       std::find(e.shared_holders.begin(), e.shared_holders.end(), txn) !=
-           e.shared_holders.end())) {
+  if (e.exclusive_holder == txn || (mode == LockMode::kShared && upgrade)) {
     ++stats_.grants;
     return Status::OK();
   }
 
   // Grant only if compatible AND no one is already queued (FIFO fairness;
-  // prevents writer starvation under reader storms).
-  if (Compatible(e, txn, mode) && e.waiters.empty()) {
+  // prevents writer starvation under reader storms). An upgrade passes the
+  // queue: whoever waits there waits for its S lock anyway.
+  if (Compatible(e, txn, mode) && (e.waiters.empty() || upgrade)) {
     AddHolder(slot, &txns_[txn], txn, mode);
     ++stats_.grants;
     return Status::OK();
@@ -134,7 +137,13 @@ Status LockManager::Lock(TxnId txn, PageId tree, std::string_view key,
   // fires or is cancelled.
   sim::EventId timeout = loop_->Schedule(
       kLockTimeout, [this, slot, txn]() { TimeOut(slot, txn); });
-  e.waiters.push_back(Waiter{txn, mode, nullptr, timeout});
+  // An upgrade queues ahead of every waiter that holds nothing here.
+  auto at = e.waiters.end();
+  if (upgrade) {
+    at = std::find_if(e.waiters.begin(), e.waiters.end(),
+                      [&](const Waiter& w) { return !holds_shared(w.txn); });
+  }
+  e.waiters.insert(at, Waiter{txn, mode, nullptr, timeout});
   txns_[txn].waiting_on = slot;
   return Status::Busy("lock queued");
 }
@@ -143,9 +152,12 @@ void LockManager::OnGrant(TxnId txn, GrantFn granted) {
   auto tit = txns_.find(txn);
   AURORA_CHECK(tit != txns_.end() && tit->second.waiting_on,
                "OnGrant without a queued request");
-  Waiter& w = slots_[*tit->second.waiting_on].waiters.back();
-  AURORA_CHECK(w.txn == txn, "OnGrant must follow the queuing Lock()");
-  w.granted = std::move(granted);
+  auto& waiters = slots_[*tit->second.waiting_on].waiters;
+  auto w = std::find_if(waiters.begin(), waiters.end(),
+                        [txn](const Waiter& x) { return x.txn == txn; });
+  AURORA_CHECK(w != waiters.end() && !w->granted,
+               "OnGrant must follow the queuing Lock()");
+  w->granted = std::move(granted);
 }
 
 LockManager::GrantFn LockManager::DropWaiter(Slot slot, TxnId txn) {

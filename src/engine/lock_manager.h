@@ -60,8 +60,9 @@ class LockManager {
   LockManager& operator=(const LockManager&) = delete;
 
   /// Requests `mode` on (tree, key) for `txn`.
-  /// - OK: granted immediately (also when already held; S->X upgrades are
-  ///   granted when `txn` is the sole holder, queued otherwise).
+  /// - OK: granted immediately (also when already held; an S->X upgrade
+  ///   by the sole holder is granted even past queued requests, and is
+  ///   otherwise queued ahead of every waiter holding nothing on the name).
   /// - Busy: queued. The caller must call OnGrant(txn, ...) before anything
   ///   else runs.
   /// - Aborted: the request would deadlock; nothing was queued.

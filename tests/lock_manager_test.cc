@@ -88,6 +88,40 @@ TEST_F(LockManagerTest, UpgradeDeadlockDetected) {
   EXPECT_TRUE(Lock(2, "k", LockMode::kExclusive).IsAborted());  // cycle
 }
 
+TEST_F(LockManagerTest, SoleHolderUpgradesPastAQueuedWriter) {
+  EXPECT_TRUE(Lock(1, "k", LockMode::kShared).ok());
+  Status writer = Status::NotFound("");
+  EXPECT_TRUE(Lock(2, "k", LockMode::kExclusive, &writer).IsBusy());
+  // The writer waits for txn 1's S lock; queueing 1's upgrade behind it
+  // would close a cycle with no holder edge, ended only by the timeout.
+  Status upgrade = Status::NotFound("");
+  EXPECT_TRUE(Lock(1, "k", LockMode::kExclusive, &upgrade).ok());
+  EXPECT_TRUE(upgrade.IsNotFound());  // granted at once, no callback
+  EXPECT_TRUE(writer.IsNotFound());
+  locks_.ReleaseAll(1);
+  EXPECT_TRUE(writer.ok());
+  loop_.RunFor(Seconds(6));
+  EXPECT_EQ(locks_.stats().timeouts, 0u);
+}
+
+TEST_F(LockManagerTest, QueuedUpgradeGoesAheadOfWaitersHoldingNothing) {
+  EXPECT_TRUE(Lock(1, "k", LockMode::kShared).ok());
+  EXPECT_TRUE(Lock(3, "k", LockMode::kShared).ok());
+  Status writer = Status::NotFound("");
+  EXPECT_TRUE(Lock(2, "k", LockMode::kExclusive, &writer).IsBusy());
+  // Txn 1 must wait for reader 3, but ahead of the writer, which waits
+  // for 1 anyway.
+  Status upgrade = Status::NotFound("");
+  EXPECT_TRUE(Lock(1, "k", LockMode::kExclusive, &upgrade).IsBusy());
+  locks_.ReleaseAll(3);
+  EXPECT_TRUE(upgrade.ok());
+  EXPECT_TRUE(writer.IsNotFound());
+  locks_.ReleaseAll(1);
+  EXPECT_TRUE(writer.ok());
+  loop_.RunFor(Seconds(6));
+  EXPECT_EQ(locks_.stats().timeouts, 0u);
+}
+
 TEST_F(LockManagerTest, ThreeWayDeadlockDetected) {
   EXPECT_TRUE(Lock(1, "a", LockMode::kExclusive).ok());
   EXPECT_TRUE(Lock(2, "b", LockMode::kExclusive).ok());
