@@ -67,7 +67,9 @@ void Run(int sim_shards) {
   report.ResultHistogram("aurora.read_latency_us", &am);
   // The full cluster dump carries the write-path stage tracing
   // (engine.writer.trace.*) that decomposes where Aurora's latency goes.
+  // Both dumps carry their engine's lock counters.
   report.AttachCluster("aurora", after.cluster.get());
+  report.AttachRegistry("mysql", before.cluster->metrics());
   report.Write();
 
   printf("\nNote: the P50 is a buffer hit on both systems, the P95 a page\n");

@@ -66,6 +66,8 @@ void MysqlCluster::RegisterAllMetrics() {
   // Getters indirect through db_, which lives as long as the cluster (the
   // baseline has no failover).
   m->RegisterFields("engine.mysql.", [this] { return &db_->stats(); });
+  m->RegisterFields("engine.mysql.locks.",
+                    [this] { return &db_->lock_manager()->stats(); });
   m->RegisterGauge("engine.mysql.flushed_lsn", [this] {
     return static_cast<double>(db_->flushed_lsn());
   });
