@@ -251,13 +251,13 @@ bool InDeterministicCore(const std::string& rel) {
 
 /// The per-operation hot path, where closures must not heap-allocate: the
 /// simulator kernel, the redo records and mini-transactions, the page and
-/// B+-tree code, and the engine's lock table, buffer pool, page fetcher and
-/// log writer.
+/// B+-tree code, and the engine's lock table, buffer pool, page fetcher,
+/// log writer and transaction layer.
 bool InHotPath(const std::string& rel) {
   for (const char* prefix :
        {"src/sim/", "src/log/", "src/page/", "src/engine/lock_manager.",
         "src/engine/buffer_pool.", "src/engine/page_fetcher.",
-        "src/engine/log_writer."}) {
+        "src/engine/log_writer.", "src/engine/transactions."}) {
     if (rel.rfind(prefix, 0) == 0) return true;
   }
   return false;

@@ -40,8 +40,8 @@ struct Finding {
 ///             defines a Crash() method: an event that cannot be
 ///             cancelled on crash leaks into the loop's pending set.
 ///  aurora-H1  std::function on the hot path (src/sim, src/log, src/page
-///             and the engine's lock_manager, buffer_pool, page_fetcher and
-///             log_writer files),
+///             and the engine's lock_manager, buffer_pool, page_fetcher,
+///             log_writer and transactions files),
 ///             which must use common/inline_function.h (no per-operation
 ///             heap allocation).
 ///  aurora-S1  a NOLINT(aurora-*) suppression without a justification
