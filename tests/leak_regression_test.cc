@@ -134,8 +134,9 @@ TEST(LeakRegressionTest, MysqlRecoveryTeardownMidReplay) {
   cluster.reset();
 }
 
-// mirrored_mysql.cc Rollback(): `undo_next` un-applies writes one at a
-// time through the same idiom; tear down while the undo chain runs.
+// The MySQL baseline's rollback (Transactions::Rollback, which replaced its
+// weak-self `undo_next` chain) un-applies writes one at a time, each step
+// waiting in the baseline's EBS retry loop; tear down while it runs.
 TEST(LeakRegressionTest, MysqlRollbackTeardownMidUndo) {
   // A tiny buffer pool forces the undo chain to fetch evicted pages from
   // EBS, keeping the rollback asynchronous long enough to tear down under
