@@ -484,7 +484,7 @@ void BM_SegmentAddRecord(benchmark::State& state) {
       std::swap(batch[i], batch[i + 1]);
     }
   }
-  const SharedRecords records = ShareRecords(std::move(batch));
+  const SharedRecords records = ShareRecords(batch);
   for (auto _ : state) {
     for (uint32_t i = 0; i < records->size(); ++i) {
       benchmark::DoNotOptimize(seg.AddRecord(records, i));
@@ -628,16 +628,16 @@ void BM_ReplicaCoalesceSharedImages(benchmark::State& state) {
     setup.push_back(std::move(insert));
     ++lsn;
   }
-  auto deliver = [&replicas](std::vector<LogRecord> records) {
+  auto deliver = [&replicas](const std::vector<LogRecord>& records) {
     const Lsn last = records.back().lsn;
-    const SharedRecords batch = ShareRecords(std::move(records));
+    const SharedRecords batch = ShareRecords(records);
     for (Segment& seg : replicas) {
       for (uint32_t i = 0; i < batch->size(); ++i) seg.AddRecord(batch, i);
       seg.SetVdlHint(last);
       seg.SetPgmrpl(last);
     }
   };
-  deliver(std::move(setup));
+  deliver(setup);
   for (Segment& seg : replicas) seg.CoalesceStep(2 * kPages);
   double timed_ns = 0;
   for (auto _ : state) {
@@ -646,7 +646,7 @@ void BM_ReplicaCoalesceSharedImages(benchmark::State& state) {
     for (size_t i = 0; i < kBatch; ++i, ++lsn) {
       batch.push_back(SegmentRecord(lsn + 1, lsn, kPages));
     }
-    deliver(std::move(batch));
+    deliver(batch);
     state.ResumeTiming();
     const auto start = std::chrono::steady_clock::now();
     for (Segment& seg : replicas) {
@@ -690,8 +690,8 @@ void BM_SegmentReadAfterWrite(benchmark::State& state) {
   constexpr size_t kBatch = 250;
   constexpr PageId kPages = 64;
   Segment seg(0, 4096);
-  auto deliver = [&seg](std::vector<LogRecord> records) {
-    const SharedRecords batch = ShareRecords(std::move(records));
+  auto deliver = [&seg](const std::vector<LogRecord>& records) {
+    const SharedRecords batch = ShareRecords(records);
     for (uint32_t i = 0; i < batch->size(); ++i) seg.AddRecord(batch, i);
   };
   // Each page gets a format record and the one key its updates name.
@@ -713,13 +713,13 @@ void BM_SegmentReadAfterWrite(benchmark::State& state) {
     setup.push_back(std::move(insert));
     ++lsn;
   }
-  deliver(std::move(setup));
+  deliver(setup);
   for (size_t b = 0; b < kBatches; ++b) {
     std::vector<LogRecord> batch;
     for (size_t i = 0; i < kBatch; ++i, ++lsn) {
       batch.push_back(SegmentRecord(lsn + 1, lsn, kPages));
     }
-    deliver(std::move(batch));
+    deliver(batch);
   }
   const Lsn newest = seg.max_lsn();
   double timed_ns = 0;

@@ -601,24 +601,28 @@ void Database::SnapshotGet(TxnId txn, PageId table, const std::string& key,
     done(ClosedStatus());
     return;
   }
-  (void)txn;
   ++stats_.reads;
   SimTime started = loop_->now();
-  ChargeCpu(kCpuPerStatement, [this, table, key, done, started]() {
-    // Consistent (lock-free) read: if another active transaction holds the
-    // row exclusively, reconstruct the pre-image from its undo chain —
-    // undo-based snapshot isolation as in InnoDB consistent reads.
+  ChargeCpu(kCpuPerStatement, [this, txn, table, key, done, started]() {
+    // Consistent (lock-free) read: a row that another undecided transaction
+    // (active, or still rolling back) has changed reads as it was before
+    // that transaction's first change of it, its oldest undo entry for the
+    // row — undo-based snapshot isolation as in InnoDB consistent reads.
+    // The reader's own changes are visible to it.
     for (const auto& [id, t] : txns_.all()) {
-      if (t->state != TxnState::kActive) continue;
-      for (auto it = t->undo.rbegin(); it != t->undo.rend(); ++it) {
-        if (it->table != table || it->key != key) continue;
-        if (!it->had_old) {
-          done(Status::NotFound("row created by in-flight txn"));
-          return;
-        }
-        done(DecodeRow(it->old_value));
+      if (id == txn || t->state == TxnState::kCommitted) continue;
+      auto first = std::find_if(
+          t->undo.begin(), t->undo.end(),
+          [&](const Transactions::UndoEntry& e) {
+            return e.table == table && e.key == key;
+          });
+      if (first == t->undo.end()) continue;
+      if (!first->had_old) {
+        done(Status::NotFound("row created by in-flight txn"));
         return;
       }
+      done(DecodeRow(first->old_value));
+      return;
     }
     auto result = std::make_shared<std::string>();
     auto attempt = [this, table, key, result]() -> Status {
@@ -641,7 +645,7 @@ void Database::Scan(
     done(ClosedStatus());
     return;
   }
-  (void)txn;  // read-committed scan: no row locks
+  (void)txn;  // no row locks
   ++stats_.reads;
   ChargeCpu(kCpuPerStatement, [this, table, start, limit, done]() {
     auto rows = std::make_shared<

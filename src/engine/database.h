@@ -192,12 +192,16 @@ class Database : public PageProvider, private LogOwner, private TxnOwner {
   /// Point read (S-locked: repeatable read).
   void Get(TxnId txn, PageId table, const std::string& key,
            std::function<void(Result<std::string>)> done);
-  /// Snapshot point read — no lock, reads current committed state.
+  /// Snapshot point read — no lock. A row another undecided transaction
+  /// changed reads as it was before that transaction's first change; the
+  /// reader `txn` sees its own changes.
   void SnapshotGet(TxnId txn, PageId table, const std::string& key,
                    std::function<void(Result<std::string>)> done);
   void Delete(TxnId txn, PageId table, const std::string& key,
               std::function<void(Status)> done);
-  /// Range scan of up to `limit` rows starting at `start` (S-locks rows).
+  /// Range scan of up to `limit` rows starting at `start`. It takes no
+  /// lock and reads the rows as they stand, another transaction's
+  /// uncommitted changes included.
   void Scan(TxnId txn, PageId table, const std::string& start, int limit,
             std::function<void(
                 Result<std::vector<std::pair<std::string, std::string>>>)>

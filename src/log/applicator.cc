@@ -8,8 +8,8 @@ namespace {
 // leaves the page untouched. A full page or a key the page already holds
 // still fails partway, as the kInsert records it stands for would; the
 // forward path's MTR then restores the page.
-Status InsertList(const LogRecord& record, Page* page) {
-  Slice list(record.payload), key, value, prev;
+Status InsertList(const RecordView& record, Page* page) {
+  Slice list = record.payload, key, value, prev;
   if (list.empty()) return Status::Corruption("empty insert list");
   for (bool first = true; !list.empty(); first = false, prev = key) {
     Status s = LogRecord::GetListEntry(&list, &key, &value);
@@ -18,7 +18,7 @@ Status InsertList(const LogRecord& record, Page* page) {
       return Status::Corruption("insert list keys not ascending");
     }
   }
-  for (list = Slice(record.payload); !list.empty();) {
+  for (list = record.payload; !list.empty();) {
     Status s = LogRecord::GetListEntry(&list, &key, &value);
     if (s.ok()) s = page->InsertRecord(key, value);
     if (!s.ok()) return s;
@@ -28,7 +28,7 @@ Status InsertList(const LogRecord& record, Page* page) {
 
 }  // namespace
 
-Status LogApplicator::Apply(const LogRecord& record, Page* page) {
+Status LogApplicator::Apply(const RecordView& record, Page* page) {
   if (record.lsn != kInvalidLsn && page->IsFormatted() &&
       page->page_lsn() >= record.lsn) {
     return Status::OK();  // already applied

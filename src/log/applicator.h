@@ -30,8 +30,8 @@ class LogApplicator {
   /// unconditionally and do not stamp the page; the MTR commit stamps pages.
   ///
   /// A record whose op names no RedoOp returns Corruption and leaves the
-  /// page untouched.
-  static Status Apply(const LogRecord& record, Page* page);
+  /// page untouched. A LogRecord converts to the view.
+  static Status Apply(const RecordView& record, Page* page);
 
   /// Applies a batch in order, stopping at the first error.
   static Status ApplyAll(const std::vector<LogRecord>& records, Page* page);

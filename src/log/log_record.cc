@@ -1,11 +1,13 @@
 #include "log/log_record.h"
 
 #include <algorithm>
+#include <cstring>
 #include <limits>
 #include <utility>
 
 #include "common/coding.h"
 #include "common/crc32c.h"
+#include "common/logging.h"
 
 namespace aurora {
 
@@ -20,17 +22,22 @@ namespace {
 //   uint8    op
 //   uint8    flags
 //   length-prefixed payload
-size_t BodySize(const LogRecord& r) {
+size_t BodySize(const RecordView& r) {
   return static_cast<size_t>(VarintLength(r.lsn)) + VarintLength(r.prev_pg_lsn) +
          VarintLength(r.prev_vol_lsn) + VarintLength(r.page_id) +
          VarintLength(r.txn_id) + 2 + VarintLength(r.payload.size()) +
          r.payload.size();
 }
 
-// The records `in` frames, up to the first malformed one, counted off their
-// headers unchecked (DecodeFrom checks): a decode then allocates once.
-size_t CountRecords(Slice in) {
-  size_t n = 0;
+// What `in` frames, up to the first malformed record, read off the record
+// headers unchecked (DecodeFrom checks): a decode then allocates once per
+// array, at its exact size.
+struct BatchShape {
+  size_t records = 0;
+  size_t payload_bytes = 0;
+};
+BatchShape MeasureRecords(Slice in) {
+  BatchShape shape;
   uint32_t crc;
   uint64_t v;  // lsn, both backlinks, page, txn
   Slice payload;
@@ -39,16 +46,17 @@ size_t CountRecords(Slice in) {
          GetVarint64(&in, &v) && GetVarint64(&in, &v) && in.size() >= 2) {
     in.remove_prefix(2);  // op, flags
     if (!GetLengthPrefixedSlice(&in, &payload)) break;
-    ++n;
+    ++shape.records;
+    shape.payload_bytes += payload.size();
   }
-  return n;
+  return shape;
 }
 
 }  // namespace
 
-size_t LogRecord::EncodedSize() const { return 4 + BodySize(*this); }
+size_t RecordView::EncodedSize() const { return 4 + BodySize(*this); }
 
-void LogRecord::EncodeTo(std::string* dst) const {
+void RecordView::EncodeTo(std::string* dst) const {
   size_t crc_pos = dst->size();
   PutFixed32(dst, 0);  // placeholder
   size_t body_pos = dst->size();
@@ -64,7 +72,7 @@ void LogRecord::EncodeTo(std::string* dst) const {
   EncodeFixed32(dst->data() + crc_pos, crc32c::Mask(crc));
 }
 
-Status LogRecord::DecodeFrom(Slice* input, LogRecord* out) {
+Status RecordView::DecodeFrom(Slice* input, RecordView* out) {
   uint32_t masked_crc;
   if (!GetFixed32(input, &masked_crc)) {
     return Status::Corruption("log record truncated (crc)");
@@ -99,8 +107,15 @@ Status LogRecord::DecodeFrom(Slice* input, LogRecord* out) {
   out->txn_id = txn;
   out->op = op;
   out->flags = flags;
-  out->payload = payload.ToString();
+  out->payload = payload;
   return Status::OK();
+}
+
+Status LogRecord::DecodeFrom(Slice* input, LogRecord* out) {
+  RecordView r;
+  Status s = RecordView::DecodeFrom(input, &r);
+  if (s.ok()) *out = LogRecord(r);
+  return s;
 }
 
 std::string LogRecord::MakeFormatPayload(uint8_t page_type, uint8_t level) {
@@ -141,16 +156,16 @@ void LogRecord::AppendListEntry(std::string* payload, const Slice& key,
   PutLengthPrefixedSlice(payload, value);
 }
 
-Status LogRecord::GetFormat(uint8_t* page_type, uint8_t* level) const {
+Status RecordView::GetFormat(uint8_t* page_type, uint8_t* level) const {
   if (payload.size() < 2) return Status::Corruption("bad format payload");
   *page_type = static_cast<uint8_t>(payload[0]);
   *level = static_cast<uint8_t>(payload[1]);
   return Status::OK();
 }
 
-Status LogRecord::GetKeyValue(Slice* key, Slice* value) const {
-  Slice in(payload);
-  return GetListEntry(&in, key, value);
+Status RecordView::GetKeyValue(Slice* key, Slice* value) const {
+  Slice in = payload;
+  return LogRecord::GetListEntry(&in, key, value);
 }
 
 Status LogRecord::GetListEntry(Slice* list, Slice* key, Slice* value) {
@@ -161,24 +176,24 @@ Status LogRecord::GetListEntry(Slice* list, Slice* key, Slice* value) {
   return Status::OK();
 }
 
-Status LogRecord::GetKey(Slice* key) const {
-  Slice in(payload);
+Status RecordView::GetKey(Slice* key) const {
+  Slice in = payload;
   if (!GetLengthPrefixedSlice(&in, key)) {
     return Status::Corruption("bad key payload");
   }
   return Status::OK();
 }
 
-Status LogRecord::GetPageId(PageId* id) const {
-  Slice in(payload);
+Status RecordView::GetPageId(PageId* id) const {
+  Slice in = payload;
   uint64_t v;
   if (!GetVarint64(&in, &v)) return Status::Corruption("bad page id payload");
   *id = v;
   return Status::OK();
 }
 
-Status LogRecord::GetVersion(uint32_t* version) const {
-  Slice in(payload);
+Status RecordView::GetVersion(uint32_t* version) const {
+  Slice in = payload;
   if (!GetVarint32(&in, version)) {
     return Status::Corruption("bad version payload");
   }
@@ -190,13 +205,12 @@ void EncodeRecordBatch(const std::vector<LogRecord>& records,
   for (const LogRecord& r : records) r.EncodeTo(dst);
 }
 
-void EncodeRecordBatch(const std::vector<const LogRecord*>& records,
-                       std::string* dst) {
-  for (const LogRecord* r : records) r->EncodeTo(dst);
+void EncodeRecordBatch(std::span<const RecordView> records, std::string* dst) {
+  for (const RecordView& r : records) r.EncodeTo(dst);
 }
 
 Status DecodeRecordBatch(Slice input, std::vector<LogRecord>* out) {
-  out->reserve(out->size() + CountRecords(input));
+  out->reserve(out->size() + MeasureRecords(input).records);
   while (!input.empty()) {
     LogRecord r;
     Status s = LogRecord::DecodeFrom(&input, &r);
@@ -206,32 +220,75 @@ Status DecodeRecordBatch(Slice input, std::vector<LogRecord>* out) {
   return Status::OK();
 }
 
-RecordBatch::RecordBatch(std::vector<LogRecord> records)
-    : records_(std::move(records)), links_(records_.size()) {
+RecordBatch::RecordBatch(Private, size_t records, size_t payload_bytes)
+    // At least one byte, so that every payload views a real address.
+    : arena_(new char[std::max<size_t>(payload_bytes, 1)]),
+      arena_size_(payload_bytes) {
+  AURORA_CHECK(payload_bytes <= std::numeric_limits<uint32_t>::max(),
+               "a record batch's payloads exceed 4 GiB");
+  held_.reserve(records);
+}
+
+void RecordBatch::Append(const RecordView& r) {
+  AURORA_CHECK(held_.size() < held_.capacity() &&
+                   r.payload.size() <= arena_size_ - arena_used_,
+               "record batch overflows its measured size");
+  memcpy(arena_.get() + arena_used_, r.payload.data(), r.payload.size());
+  held_.push_back({.lsn = r.lsn,
+                   .prev_pg_lsn = r.prev_pg_lsn,
+                   .prev_vol_lsn = r.prev_vol_lsn,
+                   .page_id = r.page_id,
+                   .txn_id = r.txn_id,
+                   .payload_offset = static_cast<uint32_t>(arena_used_),
+                   .payload_size = static_cast<uint32_t>(r.payload.size()),
+                   .op = r.op,
+                   .flags = r.flags,
+                   .prev_on_page = 0,
+                   .next_on_page = 0});
+  arena_used_ += r.payload.size();
+}
+
+void RecordBatch::LinkPages() {
+  if (held_.size() < 2) return;
   // Each page's records, in batch order: sort (page, index) pairs.
   std::vector<std::pair<PageId, uint32_t>> by_page;
-  by_page.reserve(records_.size());
-  for (uint32_t i = 0; i < records_.size(); ++i) {
-    by_page.emplace_back(records_[i].page_id, i);
+  by_page.reserve(held_.size());
+  for (uint32_t i = 0; i < held_.size(); ++i) {
+    by_page.emplace_back(held_[i].page_id, i);
   }
   std::sort(by_page.begin(), by_page.end());
   for (size_t k = 1; k < by_page.size(); ++k) {
     if (by_page[k].first != by_page[k - 1].first) continue;
     const uint32_t gap = by_page[k].second - by_page[k - 1].second;
     if (gap > std::numeric_limits<uint16_t>::max()) continue;
-    links_[by_page[k - 1].second].next = static_cast<uint16_t>(gap);
-    links_[by_page[k].second].prev = static_cast<uint16_t>(gap);
+    held_[by_page[k - 1].second].next_on_page = static_cast<uint16_t>(gap);
+    held_[by_page[k].second].prev_on_page = static_cast<uint16_t>(gap);
   }
 }
 
-SharedRecords ShareRecords(std::vector<LogRecord> records) {
-  return std::make_shared<const RecordBatch>(std::move(records));
+SharedRecords ShareRecords(const std::vector<LogRecord>& records) {
+  size_t payload_bytes = 0;
+  for (const LogRecord& r : records) payload_bytes += r.payload.size();
+  auto batch = std::make_shared<RecordBatch>(RecordBatch::Private(),
+                                             records.size(), payload_bytes);
+  for (const LogRecord& r : records) batch->Append(r);
+  batch->LinkPages();
+  return batch;
 }
 
 SharedRecords DecodeSharedRecords(Slice input) {
-  std::vector<LogRecord> records;
-  if (!DecodeRecordBatch(input, &records).ok()) return nullptr;
-  return ShareRecords(std::move(records));
+  const BatchShape shape = MeasureRecords(input);
+  auto batch = std::make_shared<RecordBatch>(
+      RecordBatch::Private(), shape.records, shape.payload_bytes);
+  RecordView r;
+  for (size_t i = 0; i < shape.records; ++i) {
+    if (!RecordView::DecodeFrom(&input, &r).ok()) return nullptr;
+    batch->Append(r);
+  }
+  // Bytes left over are a record the measure could not frame.
+  if (!input.empty()) return nullptr;
+  batch->LinkPages();
+  return batch;
 }
 
 }  // namespace aurora

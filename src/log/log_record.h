@@ -1,8 +1,10 @@
 #ifndef AURORA_LOG_LOG_RECORD_H_
 #define AURORA_LOG_LOG_RECORD_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -54,9 +56,43 @@ enum RecordFlags : uint8_t {
   kFlagCpl = 0x1,
 };
 
-/// One redo log record. LSN and the per-PG backlink are assigned by the
-/// writer's LSN allocator at MTR commit time; before that they are
-/// kInvalidLsn.
+/// A redo record that owns nothing: LogRecord's fields, with the payload a
+/// view of bytes kept elsewhere, in a decoded batch's arena (RecordBatch)
+/// or in the string of a LogRecord, which converts to one. It carries the
+/// codec and the payload accessors, and is valid while those bytes are.
+struct RecordView {
+  Lsn lsn = kInvalidLsn;
+  Lsn prev_pg_lsn = kInvalidLsn;
+  Lsn prev_vol_lsn = kInvalidLsn;
+  PageId page_id = kInvalidPage;
+  TxnId txn_id = kInvalidTxn;
+  RedoOp op = RedoOp::kFormatPage;
+  uint8_t flags = 0;
+  Slice payload;
+
+  /// Size of the encoded representation; LSNs advance by this amount.
+  size_t EncodedSize() const;
+
+  /// Appends the wire encoding (with CRC) to `dst`.
+  void EncodeTo(std::string* dst) const;
+
+  /// Decodes one record from the front of `input`, advancing it; the
+  /// payload views `input`'s bytes. Verifies the CRC; returns Corruption on
+  /// any malformed input, an op byte that names no RedoOp included.
+  static Status DecodeFrom(Slice* input, RecordView* out);
+
+  // --- Payload accessors ---------------------------------------------------
+  Status GetFormat(uint8_t* page_type, uint8_t* level) const;
+  Status GetKeyValue(Slice* key, Slice* value) const;
+  Status GetKey(Slice* key) const;
+  Status GetPageId(PageId* id) const;
+  Status GetVersion(uint32_t* version) const;
+};
+
+/// One redo log record that owns its payload: what the writer's MTRs build
+/// and the replica stream and S3 restore decode. LSN and the per-PG
+/// backlink are assigned by the writer's LSN allocator at MTR commit time;
+/// before that they are kInvalidLsn.
 struct LogRecord {
   Lsn lsn = kInvalidLsn;
   /// Backlink: LSN of the previous log record addressed to the same
@@ -75,17 +111,29 @@ struct LogRecord {
   uint8_t flags = 0;
   std::string payload;
 
+  LogRecord() = default;
+  /// An owning copy of `r`.
+  explicit LogRecord(const RecordView& r)
+      : lsn(r.lsn),
+        prev_pg_lsn(r.prev_pg_lsn),
+        prev_vol_lsn(r.prev_vol_lsn),
+        page_id(r.page_id),
+        txn_id(r.txn_id),
+        op(r.op),
+        flags(r.flags),
+        payload(r.payload.ToString()) {}
+
+  /// This record as a view, so that it goes wherever a view does; valid
+  /// while the record lives and `payload` is unchanged.
+  operator RecordView() const {
+    return {lsn, prev_pg_lsn, prev_vol_lsn, page_id, txn_id, op, flags,
+            Slice(payload)};
+  }
+
   bool is_cpl() const { return (flags & kFlagCpl) != 0; }
-
-  /// Size of the encoded representation; LSNs advance by this amount.
-  size_t EncodedSize() const;
-
-  /// Appends the wire encoding (with CRC) to `dst`.
-  void EncodeTo(std::string* dst) const;
-
-  /// Decodes one record from the front of `input`, advancing it. Verifies
-  /// the CRC; returns Corruption on any malformed input, an op byte that
-  /// names no RedoOp included.
+  size_t EncodedSize() const { return RecordView(*this).EncodedSize(); }
+  void EncodeTo(std::string* dst) const { RecordView(*this).EncodeTo(dst); }
+  /// RecordView::DecodeFrom, keeping a copy of the payload.
   static Status DecodeFrom(Slice* input, LogRecord* out);
 
   // --- Payload constructors (the only way payloads should be built) -------
@@ -98,15 +146,8 @@ struct LogRecord {
   /// alone is the bytes of MakeKeyValuePayload(key, value).
   static void AppendListEntry(std::string* payload, const Slice& key,
                               const Slice& value);
-
-  // --- Payload accessors ---------------------------------------------------
-  Status GetFormat(uint8_t* page_type, uint8_t* level) const;
-  Status GetKeyValue(Slice* key, Slice* value) const;
-  Status GetKey(Slice* key) const;
-  Status GetPageId(PageId* id) const;
-  Status GetVersion(uint32_t* version) const;
   /// Decodes the next kInsertList entry from the front of `list`, a slice
-  /// of this record's payload, advancing it.
+  /// of a record's payload, advancing it.
   static Status GetListEntry(Slice* list, Slice* key, Slice* value);
 };
 
@@ -114,44 +155,90 @@ struct LogRecord {
 /// segment replica) and decodes it back. The batch carries no header of its
 /// own; records are self-delimiting.
 void EncodeRecordBatch(const std::vector<LogRecord>& records, std::string* dst);
-/// View-based overload (Segment::RecordsAbove/UnbackedRecords): encodes the
-/// pointed-to records without copying them first. Same bytes as above.
-void EncodeRecordBatch(const std::vector<const LogRecord*>& records,
-                       std::string* dst);
+/// The same bytes from views (Segment::RecordsAbove/UnbackedRecords).
+void EncodeRecordBatch(std::span<const RecordView> records, std::string* dst);
 Status DecodeRecordBatch(Slice input, std::vector<LogRecord>* out);
 
-/// One decoded batch under a single owner. Its records are immutable: the
-/// segment replicas that keep them hold runs of it (hot_log.h), so the batch
-/// is freed when the last holder drops its last record. Beside each record
-/// it keeps the record's same-page links, computed once for every holder:
-/// how many places back the batch's previous record of the same page is,
-/// and how many ahead its next one is. 0 means none, or farther than a
-/// uint16_t counts; a holder then treats the two records as unlinked.
-class RecordBatch {
- public:
-  explicit RecordBatch(std::vector<LogRecord> records);
+class RecordBatch;
+using SharedRecords = std::shared_ptr<const RecordBatch>;
+/// A new owner of copies of `records`, linked by page: a restored hot log,
+/// a record added on its own.
+SharedRecords ShareRecords(const std::vector<LogRecord>& records);
+/// Decodes `input` (EncodeRecordBatch's bytes) into a new owner: decoded
+/// writer batches and gossip pushes. Null if `input` is malformed.
+SharedRecords DecodeSharedRecords(Slice input);
 
-  size_t size() const { return records_.size(); }
-  const LogRecord& operator[](size_t i) const { return records_[i]; }
-  const LogRecord* data() const { return records_.data(); }
-  const LogRecord& back() const { return records_.back(); }
-  uint32_t prev_on_page(uint32_t i) const { return links_[i].prev; }
-  uint32_t next_on_page(uint32_t i) const { return links_[i].next; }
+/// One batch of records under a single owner, held compactly: each
+/// record's fixed fields in one array and every payload in one arena, both
+/// allocated once at their exact sizes, and read as RecordViews. Its
+/// records are immutable: the segment replicas that keep them hold runs of
+/// it (hot_log.h), so the batch is freed when the last holder drops its
+/// last record. Beside each record it keeps the record's same-page links,
+/// computed once for every holder: how many places back the batch's
+/// previous record of the same page is, and how many ahead its next one
+/// is. 0 means none, or farther than a uint16_t counts; a holder then
+/// treats the two records as unlinked.
+class RecordBatch {
+  struct Private {
+    explicit Private() = default;
+  };
+
+ public:
+  /// Room for `records` records whose payloads total `payload_bytes`;
+  /// ShareRecords and DecodeSharedRecords fill it.
+  RecordBatch(Private, size_t records, size_t payload_bytes);
+
+  size_t size() const { return held_.size(); }
+  RecordView operator[](size_t i) const {
+    const Held& h = held_[i];
+    return {h.lsn,     h.prev_pg_lsn, h.prev_vol_lsn,
+            h.page_id, h.txn_id,      h.op,
+            h.flags,   Slice(arena_.get() + h.payload_offset, h.payload_size)};
+  }
+  RecordView back() const { return (*this)[size() - 1]; }
+  Lsn lsn(size_t i) const { return held_[i].lsn; }
+  /// The first index in [begin, end) whose record's LSN is above `lsn`, or
+  /// `end`; the batch's LSNs ascend.
+  uint32_t UpperBound(uint32_t begin, uint32_t end, Lsn lsn) const {
+    const Held* at = std::partition_point(
+        held_.data() + begin, held_.data() + end,
+        [lsn](const Held& h) { return h.lsn <= lsn; });
+    return static_cast<uint32_t>(at - held_.data());
+  }
+  uint32_t prev_on_page(uint32_t i) const { return held_[i].prev_on_page; }
+  uint32_t next_on_page(uint32_t i) const { return held_[i].next_on_page; }
 
  private:
-  struct PageLinks {
-    uint16_t prev = 0;
-    uint16_t next = 0;
+  friend SharedRecords ShareRecords(const std::vector<LogRecord>& records);
+  friend SharedRecords DecodeSharedRecords(Slice input);
+
+  /// A record as the batch stores it: its fixed fields, where its payload
+  /// lies in the arena, and its same-page links.
+  struct Held {
+    Lsn lsn;
+    Lsn prev_pg_lsn;
+    Lsn prev_vol_lsn;
+    PageId page_id;
+    TxnId txn_id;
+    uint32_t payload_offset;
+    uint32_t payload_size;
+    RedoOp op;
+    uint8_t flags;
+    uint16_t prev_on_page;
+    uint16_t next_on_page;
   };
-  std::vector<LogRecord> records_;
-  std::vector<PageLinks> links_;
+  static_assert(sizeof(Held) <= 56, "a held record's fixed part is 56 bytes");
+
+  /// Appends a copy of `r`, its payload after the previous one's.
+  void Append(const RecordView& r);
+  /// Sets every record's same-page links.
+  void LinkPages();
+
+  std::vector<Held> held_;
+  std::unique_ptr<char[]> arena_;
+  size_t arena_size_;
+  size_t arena_used_ = 0;
 };
-using SharedRecords = std::shared_ptr<const RecordBatch>;
-/// A new owner of `records`, linked by page: decoded writer batches and
-/// gossip pushes, a restored hot log, a record added on its own.
-SharedRecords ShareRecords(std::vector<LogRecord> records);
-/// DecodeRecordBatch into a new owner; null if `input` is malformed.
-SharedRecords DecodeSharedRecords(Slice input);
 
 }  // namespace aurora
 

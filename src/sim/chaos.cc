@@ -215,8 +215,8 @@ void InvariantChecker::CheckNow() {
       // Bridge upward through the union of live hot logs.
       std::map<Lsn, Lsn> next;  // prev_pg_lsn -> lsn
       for (const Segment* seg : live) {
-        for (const LogRecord* r : seg->RecordsAbove(base, SIZE_MAX)) {
-          next[r->prev_pg_lsn] = r->lsn;
+        for (const RecordView& r : seg->RecordsAbove(base, SIZE_MAX)) {
+          next[r.prev_pg_lsn] = r.lsn;
         }
       }
       Lsn cur = base;

@@ -15,24 +15,25 @@
 namespace aurora {
 
 /// A segment's hot log (DESIGN.md §5): the records it holds, in LSN order,
-/// kept as runs. A run is a stretch of consecutive records of one decoded
-/// batch, all held here, and keeps one reference to the batch: adding a
-/// record allocates nothing, and a batch is freed once no replica holds any
-/// of its records. A record is *implied* when it directly follows, in its
-/// run, the record its backlink names: the run states that link, so the
-/// segment's backlink index keeps no entry for it. It is *page-implied*
-/// when its run holds its batch's previous record of the same page: the
-/// batch's same-page links (RecordBatch) lead to it from that record, so
-/// the segment's page index keeps no entry for it either.
+/// kept as runs and read as RecordViews of their batches. A run is a
+/// stretch of consecutive records of one decoded batch, all held here, and
+/// keeps one reference to the batch: adding a record allocates nothing,
+/// and a batch is freed once no replica holds any of its records. A record
+/// is *implied* when it directly follows, in its run, the record its
+/// backlink names: the run states that link, so the segment's backlink
+/// index keeps no entry for it. It is *page-implied* when its run holds its
+/// batch's previous record of the same page: the batch's same-page links
+/// (RecordBatch) lead to it from that record, so the segment's page index
+/// keeps no entry for it either.
 class HotLog {
   struct Run {
     SharedRecords owner;
     uint32_t begin;  // [begin, end) indexes *owner
     uint32_t end;
     Lsn last_lsn;
-    const LogRecord& operator[](uint32_t i) const { return (*owner)[i]; }
+    RecordView operator[](uint32_t i) const { return (*owner)[i]; }
     bool Implied(uint32_t i) const {
-      return i > begin && (*this)[i].prev_pg_lsn == (*this)[i - 1].lsn;
+      return i > begin && (*this)[i].prev_pg_lsn == owner->lsn(i - 1);
     }
     bool PageImplied(uint32_t i) const {
       const uint32_t back = owner->prev_on_page(i);
@@ -42,11 +43,17 @@ class HotLog {
   using Runs = std::deque<Run>;
 
  public:
-  /// Forward iteration over the records, in LSN order.
+  /// Forward iteration over the records, in LSN order. It yields views by
+  /// value; `->` reads one through a temporary.
   class Iterator {
+    struct Arrow {
+      RecordView record;
+      const RecordView* operator->() const { return &record; }
+    };
+
    public:
-    const LogRecord& operator*() const { return (*run_)[i_]; }
-    const LogRecord* operator->() const { return &(*run_)[i_]; }
+    RecordView operator*() const { return (*run_)[i_]; }
+    Arrow operator->() const { return {**this}; }
     Iterator& operator++() {
       if (++i_ == run_->end) {
         ++run_;
@@ -68,8 +75,8 @@ class HotLog {
   bool empty() const { return runs_.empty(); }
   size_t size() const { return size_; }
   size_t runs() const { return runs_.size(); }
-  const LogRecord& front() const { return runs_.front()[runs_.front().begin]; }
-  const LogRecord& back() const { return runs_.back()[runs_.back().end - 1]; }
+  RecordView front() const { return runs_.front()[runs_.front().begin]; }
+  RecordView back() const { return runs_.back()[runs_.back().end - 1]; }
   /// back().lsn, or kInvalidLsn when empty, without touching the record.
   Lsn last_lsn() const { return empty() ? kInvalidLsn : runs_.back().last_lsn; }
   Iterator begin() const { return UpperBound(kInvalidLsn); }
@@ -84,21 +91,19 @@ class HotLog {
         runs_.begin(), runs_.end(),
         [lsn](const Run& r) { return r.last_lsn <= lsn; });
     if (run == runs_.end()) return end();
-    const LogRecord* records = run->owner->data();
-    const LogRecord* at = std::partition_point(
-        records + run->begin, records + run->end,
-        [lsn](const LogRecord& r) { return r.lsn <= lsn; });
-    return {run, runs_.end(), static_cast<uint32_t>(at - records)};
+    return {run, runs_.end(),
+            run->owner->UpperBound(run->begin, run->end, lsn)};
   }
-  const LogRecord* Find(Lsn lsn) const {
+  bool Contains(Lsn lsn) const {
     const Iterator it = UpperBound(lsn - 1);
-    return it != end() && it->lsn == lsn ? &*it : nullptr;
+    return it != end() && it->lsn == lsn;
   }
-  /// The implied record whose backlink is `prev`, if one is held.
-  const LogRecord* ImpliedSuccessor(Lsn prev) const {
+  /// The LSN of the implied record whose backlink is `prev`, if one is
+  /// held; kInvalidLsn otherwise.
+  Lsn ImpliedSuccessor(Lsn prev) const {
     const Iterator it = UpperBound(prev);
-    if (it == end() || it->prev_pg_lsn != prev) return nullptr;
-    return it.run_->Implied(it.i_) ? &*it : nullptr;
+    if (it == end() || it->prev_pg_lsn != prev) return kInvalidLsn;
+    return it.run_->Implied(it.i_) ? it->lsn : kInvalidLsn;
   }
 
   /// Where Add placed a record.
@@ -106,27 +111,34 @@ class HotLog {
     bool held = false;          // its LSN was already held; nothing changed
     bool implied = false;       // its run states its backlink
     bool page_implied = false;  // its run holds its previous page record
+    /// The implied record a split cut from its predecessor, and its
+    /// backlink; kInvalidLsn when the split cut none.
+    Lsn cut = kInvalidLsn;
+    Lsn cut_prev = kInvalidLsn;
   };
   /// Places `(*owner)[i]`. It extends the run before its place when it is
   /// the next record of that run's batch, and starts a run otherwise,
   /// splitting the run it falls in; nearly every record is the newest, and
   /// is placed in O(1). When the split cuts an implied record from its
-  /// predecessor, `*cut` names that record, and `page_cut` is called with
+  /// predecessor, `cut` names that record, and `page_cut` is called with
   /// each record it cuts from its previous record of the same page.
   template <typename PageCut>
-  Placed Add(const SharedRecords& owner, uint32_t i, const LogRecord** cut,
-             PageCut page_cut) {
-    const Lsn lsn = (*owner)[i].lsn;
-    *cut = nullptr;
+  Placed Add(const SharedRecords& owner, uint32_t i, PageCut page_cut) {
+    const Lsn lsn = owner->lsn(i);
+    Placed placed;
     auto run = runs_.end();
     if (lsn <= last_lsn()) {
       const Iterator at = UpperBound(lsn - 1);
       run = runs_.begin() + (at.run_ - runs_.cbegin());
       const uint32_t k = at.i_;
-      if ((*run)[k].lsn == lsn) return {.held = true};
+      if (run->owner->lsn(k) == lsn) return {.held = true};
       if (k != run->begin) {  // split: the head keeps the records below
-        if (run->Implied(k)) *cut = &(*run)[k];
-        Run head{run->owner, run->begin, k, (*run)[k - 1].lsn};
+        const Lsn below = run->owner->lsn(k - 1);
+        if (run->Implied(k)) {
+          placed.cut = run->owner->lsn(k);
+          placed.cut_prev = below;
+        }
+        Run head{run->owner, run->begin, k, below};
         run->begin = k;
         for (uint32_t j = k; j < run->end; ++j) {
           if (head.PageImplied(j) && !run->PageImplied(j)) page_cut((*run)[j]);
@@ -140,12 +152,13 @@ class HotLog {
       if (before.owner == owner && before.end == i) {
         ++before.end;
         before.last_lsn = lsn;
-        return {.implied = before.Implied(i),
-                .page_implied = before.PageImplied(i)};
+        placed.implied = before.Implied(i);
+        placed.page_implied = before.PageImplied(i);
+        return placed;
       }
     }
     runs_.insert(run, Run{owner, i, i + 1, lsn});
-    return {};
+    return placed;
   }
 
   /// Calls `visit(record)` for the held record `lsn` names, then for each
@@ -163,10 +176,11 @@ class HotLog {
     }
   }
 
-  /// What dropping the oldest record leaves unstated in its run.
+  /// What dropping the oldest record leaves unstated in its run: LSNs, or
+  /// kInvalidLsn for none.
   struct Popped {
-    const LogRecord* implied = nullptr;    // the next record, if implied
-    const LogRecord* page_next = nullptr;  // the next record of its page
+    Lsn implied = kInvalidLsn;    // the next record, if implied
+    Lsn page_next = kInvalidLsn;  // the next record of its page
   };
   /// Drops the oldest record. The run now starts after it, so its next
   /// record is no longer implied, nor its next record of the same page
@@ -180,10 +194,10 @@ class HotLog {
       return {};
     }
     Popped popped;
-    if (oldest.Implied(next)) popped.implied = &oldest[next];
+    if (oldest.Implied(next)) popped.implied = oldest.owner->lsn(next);
     const uint32_t step = oldest.owner->next_on_page(oldest.begin);
     if (step != 0 && step < oldest.end - oldest.begin) {
-      popped.page_next = &oldest[oldest.begin + step];
+      popped.page_next = oldest.owner->lsn(oldest.begin + step);
     }
     oldest.begin = next;
     return popped;
@@ -194,7 +208,7 @@ class HotLog {
     if (--newest.end == newest.begin) {
       runs_.pop_back();
     } else {
-      newest.last_lsn = newest[newest.end - 1].lsn;
+      newest.last_lsn = newest.owner->lsn(newest.end - 1);
     }
   }
 

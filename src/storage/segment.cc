@@ -10,7 +10,7 @@
 namespace aurora {
 
 bool Segment::AddRecord(const SharedRecords& owner, uint32_t index) {
-  const LogRecord& record = (*owner)[index];
+  const RecordView record = (*owner)[index];
   const Lsn lsn = record.lsn;
   const Lsn prev = record.prev_pg_lsn;
   const PageId page = record.page_id;
@@ -42,17 +42,16 @@ bool Segment::AddRecord(const SharedRecords& owner, uint32_t index) {
 }
 
 bool Segment::Insert(const SharedRecords& owner, uint32_t index) {
-  const LogRecord& record = (*owner)[index];
+  const RecordView record = (*owner)[index];
   const Lsn lsn = record.lsn;
   const Lsn prev = record.prev_pg_lsn;
-  const LogRecord* cut = nullptr;
   // A split cuts records from their previous page record: they need entries.
   const HotLog::Placed placed =
-      hot_log_.Add(owner, index, &cut, [this](const LogRecord& r) {
+      hot_log_.Add(owner, index, [this](const RecordView& r) {
         AddPageEntry(r.page_id, r.lsn);
       });
   if (placed.held) return false;
-  if (cut != nullptr) Unimply(cut->prev_pg_lsn, cut->lsn);
+  if (placed.cut != kInvalidLsn) Unimply(placed.cut_prev, placed.cut);
   if (placed.implied) {
     // Its run states the link, and it is the newest with this backlink.
     EraseExplicit(prev);
@@ -110,8 +109,7 @@ Lsn Segment::FindBacklink(Lsn prev) const {
   auto it = FindExplicit(prev);
   if (it != chain_.end()) return it->lsn;
   if (dead_links_.count(prev) != 0) return kInvalidLsn;
-  const LogRecord* next = hot_log_.ImpliedSuccessor(prev);
-  return next == nullptr ? kInvalidLsn : next->lsn;
+  return hot_log_.ImpliedSuccessor(prev);
 }
 
 Segment::Backlinks::const_iterator Segment::ExplicitSlot(Lsn prev) const {
@@ -145,7 +143,7 @@ void Segment::EraseExplicit(Lsn prev) {
 
 void Segment::EraseBacklink(Lsn prev) {
   EraseExplicit(prev);
-  if (hot_log_.ImpliedSuccessor(prev) != nullptr) {
+  if (hot_log_.ImpliedSuccessor(prev) != kInvalidLsn) {
     dead_links_.insert(prev);
   } else {
     dead_links_.erase(prev);
@@ -158,12 +156,11 @@ void Segment::Unimply(Lsn prev, Lsn lsn) {
   if (FindExplicit(prev) == chain_.end()) SetBacklink(prev, lsn);
 }
 
-std::vector<const LogRecord*> Segment::RecordsAbove(Lsn from,
-                                                    size_t max) const {
-  std::vector<const LogRecord*> out;
+std::vector<RecordView> Segment::RecordsAbove(Lsn from, size_t max) const {
+  std::vector<RecordView> out;
   for (auto it = hot_log_.UpperBound(from);
        it != hot_log_.end() && out.size() < max; ++it) {
-    out.push_back(&*it);
+    out.push_back(*it);
   }
   return out;
 }
@@ -171,7 +168,7 @@ std::vector<const LogRecord*> Segment::RecordsAbove(Lsn from,
 std::vector<InventoryEntry> Segment::Inventory() const {
   std::vector<InventoryEntry> out;
   out.reserve(hot_log_.size());
-  for (const LogRecord& r : hot_log_) {
+  for (const RecordView r : hot_log_) {
     out.push_back({r.lsn, r.prev_pg_lsn, r.prev_vol_lsn, r.flags});
   }
   return out;
@@ -187,21 +184,18 @@ Lsn Segment::MaterializationLimit() const {
 size_t Segment::CoalesceStep(size_t max_records) {
   const Lsn limit = MaterializationLimit();
   // The step's records, grouped by page and in LSN order within a page.
-  struct Item {
-    PageId page;
-    Lsn lsn;
-    const LogRecord* rec;
-  };
-  std::vector<Item> step;
+  std::vector<RecordView> step;
   for (auto it = hot_log_.UpperBound(applied_lsn_);
        it != hot_log_.end() && it->lsn <= limit && step.size() < max_records;
        ++it) {
-    step.push_back({it->page_id, it->lsn, &*it});
+    step.push_back(*it);
   }
   if (step.empty()) return 0;
-  std::sort(step.begin(), step.end(), [](const Item& a, const Item& b) {
-    return a.page != b.page ? a.page < b.page : a.lsn < b.lsn;
-  });
+  std::sort(step.begin(), step.end(),
+            [](const RecordView& a, const RecordView& b) {
+              return a.page_id != b.page_id ? a.page_id < b.page_id
+                                            : a.lsn < b.lsn;
+            });
   // Each page's records, with its base image or the page this step
   // creates. A record cannot apply to an unformatted page unless it formats
   // it: the page's base image was dropped for repair after its format
@@ -219,16 +213,16 @@ size_t Segment::CoalesceStep(size_t max_records) {
   std::vector<Touched> touched;
   Lsn stop = std::numeric_limits<Lsn>::max();
   for (size_t begin = 0; begin < step.size();) {
-    const PageId id = step[begin].page;
+    const PageId id = step[begin].page_id;
     size_t end = begin + 1;
-    while (end < step.size() && step[end].page == id) ++end;
+    while (end < step.size() && step[end].page_id == id) ++end;
     Touched t{begin, end, base_pages_.find(id), nullptr};
     if (t.base == base_pages_.end()) {
       t.created = std::make_shared<Page>(page_size_);
       if (synthesizer_) synthesizer_(id, t.created.get());
     }
     const Page& start = t.created ? *t.created : *t.base->second;
-    if (!start.IsFormatted() && step[begin].rec->op != RedoOp::kFormatPage) {
+    if (!start.IsFormatted() && step[begin].op != RedoOp::kFormatPage) {
       stop = std::min(stop, step[begin].lsn);
     }
     touched.push_back(std::move(t));
@@ -246,12 +240,12 @@ size_t Segment::CoalesceStep(size_t max_records) {
     }
     // Peers, readers and the reconstruction cache may hold the base image:
     // advance a copy.
-    const PageId id = step[t.begin].page;
+    const PageId id = step[t.begin].page_id;
     std::shared_ptr<Page> image =
         t.created ? std::move(t.created)
                   : std::make_shared<Page>(*t.base->second);
     for (size_t i = t.begin; i < end; ++i) {
-      Status s = LogApplicator::Apply(*step[i].rec, image.get());
+      Status s = LogApplicator::Apply(step[i], image.get());
       AURORA_CHECK(s.ok(), "coalesce apply failed (non-deterministic redo?)");
       applied_lsn_ = std::max(applied_lsn_, step[i].lsn);
     }
@@ -391,7 +385,7 @@ Status Segment::Replay(PageId page, Lsn after, Lsn through, const Page& from,
   Status s;
   bool more = true;
   for (; more && it != entries.end() && *it <= through; ++it) {
-    hot_log_.WalkPage(*it, [&](const LogRecord& rec) {
+    hot_log_.WalkPage(*it, [&](const RecordView& rec) {
       if (rec.lsn > through) return more = false;
       if (rec.lsn <= after) return true;
       if (*image == nullptr) *image = std::make_shared<Page>(from);
@@ -466,7 +460,7 @@ size_t Segment::GarbageCollect() {
   const Lsn floor = std::min(applied_lsn_, pgmrpl_);
   size_t collected = 0;
   while (!hot_log_.empty() && hot_log_.front().lsn <= floor) {
-    const LogRecord& rec = hot_log_.front();
+    const RecordView rec = hot_log_.front();
     // The chain head stays: recovery learns the PG's newest record (the
     // backlink of the next one) from this hot log's inventory.
     if (rec.lsn == scl_) break;
@@ -494,16 +488,16 @@ size_t Segment::GarbageCollect() {
         }
       }
     }
-    // Popping may free the batch `rec` lives in.
+    // Popping may free the batch `rec` views: read it first.
     const Lsn lsn = rec.lsn;
     const Slot slot = FindPageRecords(rec.page_id);
     const HotLog::Popped popped = hot_log_.PopFront();
-    if (popped.implied != nullptr) Unimply(lsn, popped.implied->lsn);
+    if (popped.implied != kInvalidLsn) Unimply(lsn, popped.implied);
     // The log's oldest record starts its run, so it is its page's oldest
     // entry; its run's next record of the page, if any, takes its place.
     std::vector<Lsn>& entries = page_records_[slot].entries;
-    if (popped.page_next != nullptr) {
-      entries.front() = popped.page_next->lsn;
+    if (popped.page_next != kInvalidLsn) {
+      entries.front() = popped.page_next;
     } else {
       entries.erase(entries.begin());
       ReleasePageRecordsIfEmpty(slot);
@@ -521,7 +515,7 @@ Status Segment::Truncate(Lsn above, Epoch epoch) {
   AURORA_CHECK(applied_lsn_ <= above,
                "truncation below materialized pages — VDL went backwards");
   while (!hot_log_.empty() && hot_log_.back().lsn > above) {
-    const LogRecord& rec = hot_log_.back();
+    const RecordView rec = hot_log_.back();
     const Lsn prev = rec.prev_pg_lsn;
     // The log's newest record is also its page's newest, so if it has an
     // entry, that is its page's newest entry.
@@ -605,11 +599,11 @@ bool Segment::CorruptNthBasePage(uint64_t nth) {
   return true;
 }
 
-std::vector<const LogRecord*> Segment::UnbackedRecords(size_t max) const {
-  std::vector<const LogRecord*> out;
+std::vector<RecordView> Segment::UnbackedRecords(size_t max) const {
+  std::vector<RecordView> out;
   for (auto it = hot_log_.UpperBound(backup_lsn_);
        it != hot_log_.end() && it->lsn <= scl_ && out.size() < max; ++it) {
-    out.push_back(&*it);
+    out.push_back(*it);
   }
   return out;
 }
@@ -625,7 +619,7 @@ void Segment::SerializeTo(std::string* dst) const {
   PutVarint64(dst, epoch_);
   PutVarint64(dst, applied_lsn_);
   PutVarint64(dst, hot_log_.size());
-  for (const LogRecord& r : hot_log_) r.EncodeTo(dst);
+  for (const RecordView r : hot_log_) r.EncodeTo(dst);
   PutVarint64(dst, base_pages_.size());
   for (const auto& [id, page] : base_pages_) {
     PutVarint64(dst, id);
@@ -662,7 +656,7 @@ Status Segment::DeserializeFrom(Slice input) {
     if (!s.ok()) return s;
     records.push_back(std::move(rec));
   }
-  const SharedRecords owner = ShareRecords(std::move(records));
+  const SharedRecords owner = ShareRecords(records);
   for (uint32_t i = 0; i < owner->size(); ++i) Insert(owner, i);
   if (!GetVarint64(&input, &n_pages)) {
     return Status::Corruption("bad segment state pages");
@@ -683,7 +677,7 @@ Status Segment::DeserializeFrom(Slice input) {
 
 uint64_t Segment::ApproximateBytes() const {
   uint64_t bytes = 0;
-  for (const LogRecord& r : hot_log_) bytes += r.EncodedSize();
+  for (const RecordView r : hot_log_) bytes += r.EncodedSize();
   bytes += base_pages_.size() * page_size_;
   return bytes;
 }

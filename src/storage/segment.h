@@ -109,7 +109,7 @@ class Segment {
   /// True when records exist above the SCL (a gap is open).
   bool has_gap() const { return max_lsn_ > scl_; }
 
-  bool HasRecord(Lsn lsn) const { return RecordAt(lsn) != nullptr; }
+  bool HasRecord(Lsn lsn) const { return hot_log_.Contains(lsn); }
   size_t hot_log_size() const { return hot_log_.size(); }
   /// Runs the hot log keeps its records in (hot_log.h).
   size_t hot_log_runs() const { return hot_log_.runs(); }
@@ -121,7 +121,7 @@ class Segment {
   /// LSN order — the gossip-push payload. Returns views of the held
   /// records, valid until this segment drops them (GC, truncation, state
   /// install), so consume synchronously.
-  std::vector<const LogRecord*> RecordsAbove(Lsn from, size_t max) const;
+  std::vector<RecordView> RecordsAbove(Lsn from, size_t max) const;
 
   /// The recovery inventory: (lsn, prev, flags) of every hot-log record.
   std::vector<InventoryEntry> Inventory() const;
@@ -257,7 +257,7 @@ class Segment {
   // --- Backup --------------------------------------------------------------
   /// Records with LSN in (backup_lsn, scl] not yet staged to S3. Views as
   /// for RecordsAbove — consume synchronously.
-  std::vector<const LogRecord*> UnbackedRecords(size_t max) const;
+  std::vector<RecordView> UnbackedRecords(size_t max) const;
   void MarkBackedUp(Lsn through) {
     if (through > backup_lsn_) backup_lsn_ = through;
   }
@@ -285,7 +285,6 @@ class Segment {
   /// is already there.
   bool Insert(const SharedRecords& owner, uint32_t index);
   void AdvanceScl();
-  const LogRecord* RecordAt(Lsn lsn) const { return hot_log_.Find(lsn); }
   /// The record whose backlink is `prev` (the newest added), or kInvalidLsn.
   Lsn FindBacklink(Lsn prev) const;
   /// Where an explicit entry for `prev` is or would go in chain_.

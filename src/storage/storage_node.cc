@@ -533,7 +533,7 @@ void StorageNode::HandleGossipPull(const sim::Message& msg) {
     });
     return;
   }
-  std::vector<const LogRecord*> records =
+  std::vector<RecordView> records =
       seg->RecordsAbove(pull.scl, kGossipMaxRecords);
   if (records.empty()) return;
   stats_.gossip_records_sent += records.size();
@@ -706,12 +706,11 @@ void StorageNode::BackupTick() {
       }
     }
     if (uploader != id_) continue;
-    std::vector<const LogRecord*> records =
-        seg->UnbackedRecords(kBackupMaxRecords);
+    std::vector<RecordView> records = seg->UnbackedRecords(kBackupMaxRecords);
     if (records.empty()) continue;
     std::string blob;
     EncodeRecordBatch(records, &blob);
-    Lsn through = records.back()->lsn;
+    Lsn through = records.back().lsn;
     char key[64];
     snprintf(key, sizeof(key), "backup/pg%06u/%020llu",
              static_cast<unsigned>(pg),

@@ -318,7 +318,7 @@ TEST(TornMtrChaosTest, LostCplBatchIsAnnulledAndBothPgsMoveOn) {
     if (above.empty()) continue;
     ++a_holding;
     if (torn.empty()) {
-      for (const LogRecord* r : above) torn.push_back(r->lsn);
+      for (const RecordView& r : above) torn.push_back(r.lsn);
     }
   }
   EXPECT_GE(a_holding, 4);
@@ -364,8 +364,8 @@ TEST(TornMtrChaosTest, LostCplBatchIsAnnulledAndBothPgsMoveOn) {
     for (const Segment* seg : live_segments(pg)) {
       const auto above = seg->RecordsAbove(incarnation_floor, 1);
       if (!above.empty() && (first_new == kInvalidLsn ||
-                             above.front()->lsn < first_new)) {
-        first_new = above.front()->lsn;
+                             above.front().lsn < first_new)) {
+        first_new = above.front().lsn;
       }
     }
     ASSERT_NE(first_new, kInvalidLsn) << "pg " << pg;

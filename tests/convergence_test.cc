@@ -64,9 +64,12 @@ TEST_P(GossipConvergenceTest, PairwiseExchangeConvergesAllReplicas) {
     if (b >= a) ++b;
     // Each side advertises its SCL; the other pushes what it has above it.
     for (auto [src, dst] : {std::pair{a, b}, std::pair{b, a}}) {
-      auto records = replicas[src]->RecordsAbove(replicas[dst]->scl(), 64);
-      for (const LogRecord* r : records) {
-        replicas[dst]->AddRecord(*r);
+      std::string push;
+      EncodeRecordBatch(replicas[src]->RecordsAbove(replicas[dst]->scl(), 64),
+                        &push);
+      const SharedRecords records = DecodeSharedRecords(push);
+      for (uint32_t i = 0; i < records->size(); ++i) {
+        replicas[dst]->AddRecord(records, i);
       }
     }
     bool all = true;

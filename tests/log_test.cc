@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -93,33 +94,149 @@ TEST(LogRecordTest, BatchRoundTrip) {
   }
 }
 
+// A batch as a writer ships one: every op with payloads of 0, 15 and 16
+// bytes (either side of the short-string boundary), then a kInsertList
+// that fills a 4 KiB page.
+std::vector<LogRecord> MixedBatch() {
+  std::vector<LogRecord> out;
+  Lsn lsn = 1000;
+  auto add = [&](LogRecord r) {
+    r.lsn = lsn;
+    r.prev_pg_lsn = lsn - 7;
+    r.prev_vol_lsn = out.empty() ? kInvalidLsn : out.back().lsn;
+    r.txn_id = 42;
+    lsn += r.EncodedSize();
+    out.push_back(std::move(r));
+  };
+  for (uint8_t op = 1; IsRedoOp(op); ++op) {
+    for (size_t size : {0, 15, 16}) {
+      LogRecord r;
+      r.page_id = 10 + op % 3;
+      r.op = static_cast<RedoOp>(op);
+      r.flags = size == 16 ? kFlagCpl : 0;
+      r.payload = std::string(size, static_cast<char>('a' + op));
+      add(std::move(r));
+    }
+  }
+  LogRecord list;
+  list.page_id = 11;
+  list.op = RedoOp::kInsertList;
+  for (uint64_t i = 0; list.payload.size() < 4000; ++i) {
+    LogRecord::AppendListEntry(&list.payload, testing::Key(i),
+                               std::string(100, 'v'));
+  }
+  add(std::move(list));
+  return out;
+}
+
+void ExpectSameRecord(const RecordView& got, const LogRecord& want) {
+  EXPECT_EQ(got.lsn, want.lsn);
+  EXPECT_EQ(got.prev_pg_lsn, want.prev_pg_lsn);
+  EXPECT_EQ(got.prev_vol_lsn, want.prev_vol_lsn);
+  EXPECT_EQ(got.page_id, want.page_id);
+  EXPECT_EQ(got.txn_id, want.txn_id);
+  EXPECT_EQ(got.op, want.op);
+  EXPECT_EQ(got.flags, want.flags);
+  EXPECT_EQ(got.payload, Slice(want.payload));
+}
+
+// A decoded batch holds each record as LogRecord::DecodeFrom decodes it,
+// and ShareRecords holds copies of its records the same way.
+TEST(RecordBatchTest, HoldsEachRecordAsDecodeFromDecodesIt) {
+  const std::vector<LogRecord> records = MixedBatch();
+  std::string blob;
+  EncodeRecordBatch(records, &blob);
+  const SharedRecords batch = DecodeSharedRecords(blob);
+  ASSERT_NE(batch, nullptr);
+  ASSERT_EQ(batch->size(), records.size());
+  Slice in(blob);
+  for (size_t i = 0; i < batch->size(); ++i) {
+    LogRecord want;
+    ASSERT_TRUE(LogRecord::DecodeFrom(&in, &want).ok());
+    SCOPED_TRACE(i);
+    ExpectSameRecord((*batch)[i], want);
+    EXPECT_EQ(batch->lsn(i), want.lsn);
+  }
+  const SharedRecords copies = ShareRecords(records);
+  ASSERT_EQ(copies->size(), records.size());
+  for (size_t i = 0; i < copies->size(); ++i) {
+    SCOPED_TRACE(i);
+    ExpectSameRecord((*copies)[i], records[i]);
+  }
+}
+
+TEST(RecordBatchTest, HeldRecordsEncodeToTheBlobTheyCameFrom) {
+  std::string blob;
+  EncodeRecordBatch(MixedBatch(), &blob);
+  const SharedRecords batch = DecodeSharedRecords(blob);
+  ASSERT_NE(batch, nullptr);
+  std::vector<RecordView> held;
+  size_t bytes = 0;
+  for (size_t i = 0; i < batch->size(); ++i) {
+    held.push_back((*batch)[i]);
+    bytes += held.back().EncodedSize();
+  }
+  std::string again;
+  EncodeRecordBatch(held, &again);
+  EXPECT_EQ(again, blob);
+  EXPECT_EQ(bytes, blob.size());
+}
+
+// A blob cut inside a record, or with any byte changed, decodes to no
+// batch; a cut between records is a shorter batch.
+TEST(RecordBatchTest, TruncatedOrCorruptBlobYieldsNoBatch) {
+  const std::vector<LogRecord> records = MixedBatch();
+  std::string blob;
+  EncodeRecordBatch(records, &blob);
+  std::map<size_t, size_t> boundaries;  // blob prefix -> records in it
+  for (size_t i = 0, at = 0; i < records.size(); ++i) {
+    at += records[i].EncodedSize();
+    boundaries[at] = i + 1;
+  }
+  for (size_t cut = 1; cut < blob.size(); ++cut) {
+    const SharedRecords batch = DecodeSharedRecords(Slice(blob.data(), cut));
+    auto whole = boundaries.find(cut);
+    if (whole == boundaries.end()) {
+      EXPECT_EQ(batch, nullptr) << "cut=" << cut;
+    } else {
+      ASSERT_NE(batch, nullptr) << "cut=" << cut;
+      EXPECT_EQ(batch->size(), whole->second) << "cut=" << cut;
+    }
+  }
+  for (size_t i = 0; i < blob.size(); ++i) {
+    std::string corrupt = blob;
+    corrupt[i] ^= 0x40;
+    EXPECT_EQ(DecodeSharedRecords(corrupt), nullptr) << "flip at byte " << i;
+  }
+}
+
 TEST(LogRecordTest, PayloadAccessors) {
   LogRecord r;
   r.payload = LogRecord::MakeFormatPayload(
       static_cast<uint8_t>(PageType::kBTreeLeaf), 3);
   uint8_t type, level;
-  ASSERT_TRUE(r.GetFormat(&type, &level).ok());
+  ASSERT_TRUE(RecordView(r).GetFormat(&type, &level).ok());
   EXPECT_EQ(static_cast<PageType>(type), PageType::kBTreeLeaf);
   EXPECT_EQ(level, 3);
 
   r.payload = LogRecord::MakePageIdPayload(991);
   PageId pid;
-  ASSERT_TRUE(r.GetPageId(&pid).ok());
+  ASSERT_TRUE(RecordView(r).GetPageId(&pid).ok());
   EXPECT_EQ(pid, 991u);
 
   r.payload = LogRecord::MakeVersionPayload(17);
   uint32_t ver;
-  ASSERT_TRUE(r.GetVersion(&ver).ok());
+  ASSERT_TRUE(RecordView(r).GetVersion(&ver).ok());
   EXPECT_EQ(ver, 17u);
 
   r.payload = LogRecord::MakeKeyPayload("thekey");
   Slice k;
-  ASSERT_TRUE(r.GetKey(&k).ok());
+  ASSERT_TRUE(RecordView(r).GetKey(&k).ok());
   EXPECT_EQ(k.ToString(), "thekey");
 
   r.payload = "";
-  EXPECT_TRUE(r.GetFormat(&type, &level).IsCorruption());
-  EXPECT_TRUE(r.GetPageId(&pid).IsCorruption());
+  EXPECT_TRUE(RecordView(r).GetFormat(&type, &level).IsCorruption());
+  EXPECT_TRUE(RecordView(r).GetPageId(&pid).IsCorruption());
 }
 
 class ApplicatorTest : public ::testing::Test {
@@ -324,7 +441,7 @@ TEST(LogRecordTest, ListRecordsRoundTrip) {
   }
   EXPECT_EQ(seen, (std::vector<std::string>{"a=1", "b=", "c=333"}));
   Slice key;
-  ASSERT_TRUE(out[1].GetKey(&key).ok());
+  ASSERT_TRUE(RecordView(out[1]).GetKey(&key).ok());
   EXPECT_EQ(key.ToString(), "b");
   // One entry alone is a kInsert's payload.
   EXPECT_EQ(MakeInsertList(3, {{"a", "1"}}).payload,

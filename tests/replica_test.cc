@@ -30,6 +30,36 @@ class ReplicaTest : public ::testing::Test {
     table_ = *cluster_.TableAnchorSync("t");
   }
 
+  // Writes `key` in the open transaction `txn`, leaving it open.
+  void PutIn(TxnId txn, const std::string& key, const std::string& value) {
+    bool done = false;
+    cluster_.writer()->Put(txn, table_, key, value, [&](Status s) {
+      EXPECT_TRUE(s.ok()) << s.ToString();
+      done = true;
+    });
+    cluster_.RunUntil([&] { return done; }, Seconds(10));
+  }
+
+  // A snapshot read of `key` on the writer by `reader` (0: no transaction).
+  Result<std::string> SnapshotGet(TxnId reader, const std::string& key) {
+    Result<std::string> got = Status::NotFound("");
+    bool done = false;
+    cluster_.writer()->SnapshotGet(reader, table_, key,
+                                   [&](Result<std::string> r) {
+                                     got = std::move(r);
+                                     done = true;
+                                   });
+    cluster_.RunUntil([&] { return done; }, Seconds(10));
+    EXPECT_TRUE(done) << "snapshot read of " << key << " never finished";
+    return got;
+  }
+
+  void CommitSync(TxnId txn) {
+    bool committed = false;
+    cluster_.writer()->Commit(txn, [&](Status) { committed = true; });
+    cluster_.RunUntil([&] { return committed; }, Seconds(10));
+  }
+
   AuroraCluster cluster_;
   PageId table_ = kInvalidPage;
 };
@@ -184,25 +214,49 @@ TEST_F(ReplicaTest, MissRotatesPastDeadSameAzSegments) {
 TEST_F(ReplicaTest, SnapshotGetSeesPreImageOfInFlightTxn) {
   ASSERT_TRUE(cluster_.PutSync(table_, "row", "old").ok());
   TxnId txn = cluster_.writer()->Begin();
-  bool put_done = false;
-  cluster_.writer()->Put(txn, table_, "row", "new", [&](Status s) {
-    EXPECT_TRUE(s.ok());
-    put_done = true;
-  });
-  cluster_.RunUntil([&] { return put_done; }, Seconds(10));
+  PutIn(txn, "row", "new");
   // A snapshot read on the writer must not see the uncommitted value.
-  Result<std::string> snap = Status::NotFound("");
-  bool done = false;
-  cluster_.writer()->SnapshotGet(0, table_, "row", [&](Result<std::string> r) {
-    snap = std::move(r);
-    done = true;
-  });
-  cluster_.RunUntil([&] { return done; }, Seconds(10));
+  Result<std::string> snap = SnapshotGet(0, "row");
   ASSERT_TRUE(snap.ok()) << snap.status().ToString();
   EXPECT_EQ(*snap, "old");
-  bool committed = false;
-  cluster_.writer()->Commit(txn, [&](Status) { committed = true; });
-  cluster_.RunUntil([&] { return committed; }, Seconds(10));
+  CommitSync(txn);
+}
+
+// A transaction that changed the row twice still hides both changes: the
+// row reads as it was before the first.
+TEST_F(ReplicaTest, SnapshotGetSeesPreImageOfFirstChange) {
+  ASSERT_TRUE(cluster_.PutSync(table_, "row", "old").ok());
+  TxnId txn = cluster_.writer()->Begin();
+  PutIn(txn, "row", "mid");
+  PutIn(txn, "row", "new");
+  Result<std::string> snap = SnapshotGet(0, "row");
+  ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+  EXPECT_EQ(*snap, "old");
+  CommitSync(txn);
+}
+
+TEST_F(ReplicaTest, SnapshotGetSeesTheReadersOwnWrite) {
+  ASSERT_TRUE(cluster_.PutSync(table_, "row", "old").ok());
+  TxnId txn = cluster_.writer()->Begin();
+  PutIn(txn, "row", "mid");
+  PutIn(txn, "row", "new");
+  Result<std::string> snap = SnapshotGet(txn, "row");
+  ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+  EXPECT_EQ(*snap, "new");
+  CommitSync(txn);
+}
+
+// A row an in-flight transaction inserted, then updated, does not exist
+// for anyone else yet.
+TEST_F(ReplicaTest, SnapshotGetHidesARowInsertedThenUpdated) {
+  TxnId txn = cluster_.writer()->Begin();
+  PutIn(txn, "row", "first");
+  PutIn(txn, "row", "second");
+  EXPECT_TRUE(SnapshotGet(0, "row").status().IsNotFound());
+  CommitSync(txn);
+  Result<std::string> snap = SnapshotGet(0, "row");
+  ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+  EXPECT_EQ(*snap, "second");
 }
 
 }  // namespace

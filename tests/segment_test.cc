@@ -82,7 +82,7 @@ TEST(SegmentTest, RecordsAboveReturnsOrderedSuffix) {
   for (const auto& r : records) seg.AddRecord(r);
   auto above = seg.RecordsAbove(records[4].lsn, 100);
   ASSERT_EQ(above.size(), 5u);
-  EXPECT_EQ(above[0]->lsn, records[5].lsn);
+  EXPECT_EQ(above[0].lsn, records[5].lsn);
   auto capped = seg.RecordsAbove(kInvalidLsn, 3);
   EXPECT_EQ(capped.size(), 3u);
 }
@@ -325,9 +325,9 @@ class ReferenceSegment {
   Epoch epoch() const { return epoch_; }
   size_t hot_log_size() const { return hot_log_.size(); }
 
-  bool AddRecord(const LogRecord& r) {
+  bool AddRecord(const RecordView& r) {
     if (r.lsn == kInvalidLsn || r.lsn <= applied_lsn_) return false;
-    if (!hot_log_.emplace(r.lsn, r).second) return false;
+    if (!hot_log_.emplace(r.lsn, LogRecord(r)).second) return false;
     chain_[r.prev_pg_lsn] = r.lsn;
     records_by_page_[r.page_id].insert(r.lsn);
     max_lsn_ = std::max(max_lsn_, r.lsn);
@@ -449,19 +449,19 @@ class ReferenceSegment {
     }
     return out;
   }
-  std::vector<const LogRecord*> RecordsAbove(Lsn from, size_t max) const {
-    std::vector<const LogRecord*> out;
+  std::vector<RecordView> RecordsAbove(Lsn from, size_t max) const {
+    std::vector<RecordView> out;
     for (auto it = hot_log_.upper_bound(from);
          it != hot_log_.end() && out.size() < max; ++it) {
-      out.push_back(&it->second);
+      out.push_back(it->second);
     }
     return out;
   }
-  std::vector<const LogRecord*> UnbackedRecords(size_t max) const {
-    std::vector<const LogRecord*> out;
+  std::vector<RecordView> UnbackedRecords(size_t max) const {
+    std::vector<RecordView> out;
     for (auto it = hot_log_.upper_bound(backup_lsn_);
          it != hot_log_.end() && it->first <= scl_ && out.size() < max; ++it) {
-      out.push_back(&it->second);
+      out.push_back(it->second);
     }
     return out;
   }
@@ -545,9 +545,9 @@ class ReferenceSegment {
   Epoch epoch_ = 0;
 };
 
-std::vector<Lsn> LsnsOf(const std::vector<const LogRecord*>& records) {
+std::vector<Lsn> LsnsOf(const std::vector<RecordView>& records) {
   std::vector<Lsn> out;
-  for (const LogRecord* r : records) out.push_back(r->lsn);
+  for (const RecordView& r : records) out.push_back(r.lsn);
   return out;
 }
 
@@ -594,13 +594,13 @@ class RunSteps {
                          : LogRecord::MakePageIdPayload(rec.lsn);
       records.push_back(std::move(r));
     }
-    return ShareRecords(std::move(records));
+    return ShareRecords(records);
   }
 
   // Delivers the batch's records in order, except those in `lost`.
   void Add(const SharedRecords& owner, const std::set<Lsn>& lost = {}) {
     for (uint32_t i = 0; i < owner->size(); ++i) {
-      const LogRecord& r = (*owner)[i];
+      const RecordView r = (*owner)[i];
       if (lost.count(r.lsn) != 0) continue;
       probes_.insert({r.lsn, r.prev_pg_lsn});
       EXPECT_EQ(seg_.AddRecord(owner, i), ref_.AddRecord(r)) << r.lsn;
@@ -1079,10 +1079,10 @@ class SegmentEquivalence {
           }
         }
         // One decoded batch: both replicas keep pointers into it.
-        const SharedRecords owner = ShareRecords(std::move(batch));
+        const SharedRecords owner = ShareRecords(batch);
         for (uint32_t i = 0; i < owner->size(); ++i) {
           if (rng_.Bernoulli(0.1)) {
-            held_.push_back((*owner)[i]);  // lost to both replicas for now
+            held_.emplace_back((*owner)[i]);  // lost to both replicas for now
           } else {
             Deliver(owner, i);
           }

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -21,10 +22,12 @@ namespace {
 
 using testing::Key;
 
-// The record `seg` holds at `lsn`, or null.
-const LogRecord* RecordOf(const Segment* seg, Lsn lsn) {
-  std::vector<const LogRecord*> next = seg->RecordsAbove(lsn - 1, 1);
-  return next.empty() || next[0]->lsn != lsn ? nullptr : next[0];
+// The record `seg` holds at `lsn`, if any. Two views are of one held
+// record when their payloads are the same bytes of one batch's arena.
+std::optional<RecordView> RecordOf(const Segment* seg, Lsn lsn) {
+  std::vector<RecordView> next = seg->RecordsAbove(lsn - 1, 1);
+  if (next.empty() || next[0].lsn != lsn) return std::nullopt;
+  return next[0];
 }
 
 class WriteFanoutTest : public ::testing::TestWithParam<int> {
@@ -106,14 +109,16 @@ class WriteFanoutTest : public ::testing::TestWithParam<int> {
   // unmodified object.
   void ExpectSharedRecords(int skip = -1) {
     for (const LogRecord& sent : records_) {
-      const LogRecord* shared = nullptr;
+      std::optional<RecordView> shared;
       for (int idx = 0; idx < kReplicasPerPg; ++idx) {
         if (idx == skip) continue;
-        const LogRecord* held = RecordOf(SegmentOf(Members().nodes[idx]),
-                                         sent.lsn);
-        ASSERT_NE(held, nullptr) << "replica " << idx << " lsn " << sent.lsn;
-        if (shared == nullptr) shared = held;
-        EXPECT_EQ(held, shared) << "replica " << idx << " lsn " << sent.lsn;
+        const std::optional<RecordView> held =
+            RecordOf(SegmentOf(Members().nodes[idx]), sent.lsn);
+        ASSERT_TRUE(held.has_value())
+            << "replica " << idx << " lsn " << sent.lsn;
+        if (!shared.has_value()) shared = held;
+        EXPECT_EQ(held->payload.data(), shared->payload.data())
+            << "replica " << idx << " lsn " << sent.lsn;
       }
       EXPECT_EQ(shared->prev_pg_lsn, sent.prev_pg_lsn);
       EXPECT_EQ(shared->payload, sent.payload);
@@ -142,13 +147,14 @@ TEST_P(WriteFanoutTest, CleanWritesKeepOneRecordPerLsnAcrossReplicas) {
     const PgMembership& members = cluster_.control_plane()->membership(pg);
     const Segment* first =
         cluster_.storage_node_by_id(members.nodes[0])->segment(pg);
-    for (const LogRecord* rec : first->RecordsAbove(kInvalidLsn, SIZE_MAX)) {
+    for (const RecordView& rec : first->RecordsAbove(kInvalidLsn, SIZE_MAX)) {
       int holders = 0;
       for (sim::NodeId node : members.nodes) {
-        const LogRecord* held =
-            RecordOf(cluster_.storage_node_by_id(node)->segment(pg), rec->lsn);
-        if (held == nullptr) continue;  // this replica already collected it
-        EXPECT_EQ(held, rec) << "pg " << pg << " lsn " << rec->lsn;
+        const std::optional<RecordView> held =
+            RecordOf(cluster_.storage_node_by_id(node)->segment(pg), rec.lsn);
+        if (!held.has_value()) continue;  // this replica already collected it
+        EXPECT_EQ(held->payload.data(), rec.payload.data())
+            << "pg " << pg << " lsn " << rec.lsn;
         ++holders;
       }
       if (holders == kReplicasPerPg) ++on_all_six;
@@ -188,9 +194,10 @@ TEST_P(WriteFanoutTest, CorruptedCopyIsDroppedWithoutTouchingTheMemo) {
   const Segment* victim_seg = SegmentOf(Members().nodes[0]);
   const Segment* peer_seg = SegmentOf(Members().nodes[1]);
   for (const LogRecord& sent : records_) {
-    const LogRecord* filled = RecordOf(victim_seg, sent.lsn);
-    ASSERT_NE(filled, nullptr);
-    EXPECT_NE(filled, RecordOf(peer_seg, sent.lsn));
+    const std::optional<RecordView> filled = RecordOf(victim_seg, sent.lsn);
+    ASSERT_TRUE(filled.has_value());
+    EXPECT_NE(filled->payload.data(),
+              RecordOf(peer_seg, sent.lsn)->payload.data());
     EXPECT_EQ(filled->payload, sent.payload);
   }
   ExpectSharedRecords(/*skip=*/0);
